@@ -20,16 +20,9 @@ from .analysis import (
     second_order_c_singularity,
     xi_series,
 )
-from .exact import (
-    ModeSpec,
-    Observations,
-    exact_mode,
-    exact_superposition,
-    project_initial,
-    sample_observations,
-)
+from .exact import ModeSpec, Observations, project_initial, sample_observations
 from .minimize import MinimizeConfig, OptimResult, lbfgs
-from .objective import CostConfig, CostReport, evaluate, make_objective, state_norm2
+from .objective import CostConfig, CostReport, evaluate, make_objective
 from .wave import (
     BoundaryScheme,
     GridSpec,
@@ -37,12 +30,8 @@ from .wave import (
     InteriorStencil,
     State,
     Trajectory,
-    derivative_p,
-    derivative_u,
-    first_step,
     integrate,
     interior_stencil,
-    leapfrog_step,
 )
 
 __version__ = "0.1.0"
@@ -65,19 +54,13 @@ __all__ = [
     "beta2",
     "beta4",
     "control_dim",
-    "derivative_p",
-    "derivative_u",
     "dispersion_report",
     "evaluate",
-    "exact_mode",
-    "exact_superposition",
-    "first_step",
     "fit_kernel_line",
     "integrate",
     "interior_stencil",
     "kernel_tangent",
     "lbfgs",
-    "leapfrog_step",
     "make_objective",
     "misfit_gradient",
     "period_slip_time",
@@ -86,7 +69,6 @@ __all__ = [
     "project_initial",
     "sample_observations",
     "second_order_c_singularity",
-    "state_norm2",
     "tlm_run",
     "xi_series",
 ]

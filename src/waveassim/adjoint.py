@@ -2,14 +2,14 @@
 
 Each time level of the forward model adds a tendency that is bilinear in
 (coefficients, state): perturbing the boundary coefficients by d_alpha
-injects, at every level, a field that is zero except at the controlled
-derivative rows, with weights read from the unperturbed trajectory.
-``tlm_run`` propagates such a perturbation forward (products of the
-perturbations between coefficients and state are dropped, so the map is
-linear in d_alpha).  ``adjoint_sweep`` applies the exact transpose of
-that linear map: one backward pass that injects the per-level forcing
-fields and accumulates their projection onto coefficient space through
-the transposed derivative operators and sensitivity rows.  A single
+injects, at every level, a field that is zero except at the four
+controlled derivative rows, with weights read from the unperturbed
+trajectory.  ``tlm_run`` propagates such a perturbation forward with the
+trajectory's stacked operator A (products of the perturbations between
+coefficients and state are dropped, so the map is linear in d_alpha).
+``adjoint_sweep`` applies the exact transpose of that linear map: one
+backward pass with A^T that carries the per-level forcing fields, then
+one projection of the adjoint states onto coefficient space.  A single
 sweep is mathematically identical to summing one backward integration
 per forcing level, at a fraction of the cost.
 
@@ -25,24 +25,14 @@ product with the adjacent field values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .exact import Observations
-from .wave import (
-    BoundaryScheme,
-    GridSpec,
-    InteriorStencil,
-    Trajectory,
-    derivative_matrices,
-)
+from .wave import Trajectory
 
 __all__ = [
-    "SensitivitySource",
     "adjoint_sweep",
     "control_dim",
-    "join_control",
     "misfit_gradient",
     "split_control",
     "time_weights",
@@ -65,126 +55,77 @@ def split_control(dalpha: np.ndarray, J: int) -> tuple[np.ndarray, np.ndarray]:
     return dalpha[:w], dalpha[w:]
 
 
-def join_control(vec_u: np.ndarray, vec_p: np.ndarray) -> np.ndarray:
-    return np.concatenate([vec_u, vec_p])
+def _sensitivity(traj: Trajectory) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Controlled rows of A z and their derivatives with respect to the control.
 
-
-def _source_u_rows(p_level: np.ndarray, vec_p: np.ndarray, J: int, h: float) -> np.ndarray:
-    """Perturbation tendency on the u-derivative rows for coefficient vector vec_p."""
-    N = p_level.size
-    out = np.zeros(N - 1)
-    out[0] = vec_p[: J + 1] @ p_level[: J + 1] / h
-    out[-1] = -(vec_p[J + 1 :] @ p_level[N - 1 - J :]) / h
-    return out
-
-
-def _source_p_rows(u_level: np.ndarray, vec_u: np.ndarray, J: int, h: float) -> np.ndarray:
-    """Perturbation tendency on the p-derivative rows for coefficient vector vec_u."""
-    N = u_level.size - 1
-    out = np.zeros(N)
-    out[0] = vec_u[: J + 1] @ u_level[: J + 1] / h
-    out[-1] = -(vec_u[J + 1 :] @ u_level[N - J :]) / h
-    return out
-
-
-def _project_p_control(
-    p_level: np.ndarray, w_rows: np.ndarray, out: np.ndarray, J: int, h: float, scale: float
-) -> None:
-    """Transpose of _source_u_rows: fold row adjoints onto the p-coefficient half."""
-    N = p_level.size
-    out[: J + 1] += (scale * w_rows[0] / h) * p_level[: J + 1]
-    out[J + 1 :] -= (scale * w_rows[-1] / h) * p_level[N - 1 - J :]
-
-
-def _project_u_control(
-    u_level: np.ndarray, w_rows: np.ndarray, out: np.ndarray, J: int, h: float, scale: float
-) -> None:
-    """Transpose of _source_p_rows: fold row adjoints onto the u-coefficient half."""
-    N = u_level.size - 1
-    out[: J + 1] += (scale * w_rows[0] / h) * u_level[: J + 1]
-    out[J + 1 :] -= (scale * w_rows[-1] / h) * u_level[N - J :]
-
-
-@dataclass(frozen=True)
-class SensitivitySource:
-    """Controlled-row operators built from one forward state.
-
-    ``apply_*`` maps a coefficient half-vector to the tendency field it
-    induces (nonzero only at the first and last derivative rows);
-    ``project_*`` is the transpose.
+    Returns (rows, S_half, S): perturbing stencil group g (in control-vector
+    order) by d_g changes row rows[g] of A z by S[..., g, :] @ d_g, where
+    S_half (4, J+1) is read from z_half and S (n_steps, 4, J+1) from levels
+    0..n_steps-1, the levels whose tendency the trajectory uses.  Read
+    forward it gives the tangent-linear sources; contracted with adjoint
+    values it gives their transpose.
     """
-
-    u_level: np.ndarray
-    p_level: np.ndarray
-    J: int
-    h: float
-
-    def apply_p(self, vec_p: np.ndarray) -> np.ndarray:
-        return _source_u_rows(self.p_level, np.asarray(vec_p, float), self.J, self.h)
-
-    def apply_u(self, vec_u: np.ndarray) -> np.ndarray:
-        return _source_p_rows(self.u_level, np.asarray(vec_u, float), self.J, self.h)
-
-    def project_p(self, w_rows: np.ndarray) -> np.ndarray:
-        out = np.zeros(2 * (self.J + 1))
-        _project_p_control(self.p_level, w_rows, out, self.J, self.h, 1.0)
-        return out
-
-    def project_u(self, w_rows: np.ndarray) -> np.ndarray:
-        out = np.zeros(2 * (self.J + 1))
-        _project_u_control(self.u_level, w_rows, out, self.J, self.h, 1.0)
-        return out
+    N, J = traj.N, traj.bs.J
+    z = np.vstack([traj.z_half, traj.z[:-1]])
+    S = np.stack(
+        [
+            z[:, : J + 1],  # alpha_u: du/dx at the first half-node
+            -z[:, N - J : N + 1],  # alpha_u_tilde: du/dx at the last half-node
+            z[:, N + 1 : N + 2 + J],  # alpha_p: dp/dx at node 1
+            -z[:, 2 * N - J :],  # alpha_p_tilde: dp/dx at node N-1
+        ],
+        axis=1,
+    ) / (1.0 / N)
+    return [N + 1, 2 * N, 1, N - 1], S[0], S[1:]
 
 
-def tlm_run(
-    traj: Trajectory,
-    dalpha: np.ndarray,
-    stencil: InteriorStencil,
-    bs: BoundaryScheme,
-    grid: GridSpec,
-) -> tuple[np.ndarray, np.ndarray]:
+def tlm_run(traj: Trajectory, dalpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Propagate a coefficient perturbation along a stored trajectory.
 
-    The trajectory must come from ``integrate`` with the same (stencil, bs);
-    a mismatch is not detectable here.  The perturbation starts from zero
-    fields, so the first step reduces to the injected sources.  Returns
-    (du, dp) with du of shape (n_steps+1, N+1) (boundary columns stay zero)
-    and dp of shape (n_steps+1, N).
+    The perturbation starts from zero fields, so the first step reduces to
+    the injected sources.  Returns (du, dp) with du of shape
+    (n_steps+1, N+1) (boundary columns stay zero) and dp of shape
+    (n_steps+1, N).
     """
-    J, h, tau = bs.J, grid.h, grid.tau
-    n = traj.n_steps
-    if n != grid.n_steps:
-        raise ValueError(f"trajectory has {n} steps, grid expects {grid.n_steps}")
-    vec_u, vec_p = split_control(dalpha, J)
-    D_p, D_u = derivative_matrices(stencil, bs, grid)
-    D_u_int = D_u[:, 1:-1]
+    n, N, tau, A = traj.n_steps, traj.N, traj.tau, traj.A
+    # One row per stencil group, in control-vector order.
+    d = np.reshape(split_control(dalpha, traj.bs.J), (4, -1))
+    rows, S_half, S = _sensitivity(traj)
 
-    du = np.zeros((n + 1, grid.N + 1))
-    dp = np.zeros((n + 1, grid.N))
-
-    du_half = 0.5 * tau * _source_u_rows(traj.p[0], vec_p, J, h)
-    dp_half = 0.5 * tau * _source_p_rows(traj.u[0], vec_u, J, h)
-    du[1, 1:-1] = tau * (D_p @ dp_half + _source_u_rows(traj.p_half, vec_p, J, h))
-    dp[1] = tau * (D_u_int @ du_half + _source_p_rows(traj.u_half, vec_u, J, h))
-
+    dz = np.zeros_like(traj.z)
     two_tau = 2.0 * tau
+    # The source of level t enters level t+1; put them all in place first.
+    dz[2:, rows] = two_tau * (S[1:] * d).sum(axis=-1)
+    dz_half = np.zeros(2 * N + 1)
+    dz_half[rows] = 0.5 * tau * (S[0] * d).sum(axis=-1)
+    dz[1] = tau * (A @ dz_half)
+    dz[1, rows] += tau * (S_half * d).sum(axis=-1)
     for t in range(1, n):
-        du[t + 1, 1:-1] = du[t - 1, 1:-1] + two_tau * (
-            D_p @ dp[t] + _source_u_rows(traj.p[t], vec_p, J, h)
-        )
-        dp[t + 1] = dp[t - 1] + two_tau * (
-            D_u_int @ du[t, 1:-1] + _source_p_rows(traj.u[t], vec_u, J, h)
-        )
-    return du, dp
+        dz[t + 1] += dz[t - 1] + two_tau * (A @ dz[t])
+    return dz[:, : N + 1], dz[:, N + 1 :]
+
+
+def _sweep(traj: Trajectory, a: np.ndarray) -> np.ndarray:
+    """Adjoint of tlm_run for the stacked forcing a, which is overwritten."""
+    n, tau = traj.n_steps, traj.tau
+    AT = np.ascontiguousarray(traj.A.T)
+    two_tau = 2.0 * tau
+    for t in range(n, 1, -1):
+        a[t - 2] += a[t]
+        a[t - 1] += two_tau * (AT @ a[t])
+
+    # Transpose of the sources: level t feeds a[t+1] with weight 2 tau, and
+    # the split first step feeds a[1] through z_half and through z_0.
+    rows, S_half, S = _sensitivity(traj)
+    w = np.empty((n, 4))
+    w[0] = 0.5 * tau * (tau * (AT @ a[1]))[rows]
+    w[1:] = two_tau * a[2:, rows]
+    g = np.einsum("tgj,tg->gj", S, w) + S_half * (tau * a[1, rows])[:, None]
+    return g.ravel()
 
 
 def adjoint_sweep(
-    traj: Trajectory,
-    forcing_u: np.ndarray,
-    forcing_p: np.ndarray,
-    stencil: InteriorStencil,
-    bs: BoundaryScheme,
-    grid: GridSpec,
+    traj: Trajectory, forcing_u: np.ndarray, forcing_p: np.ndarray
 ) -> np.ndarray:
     """Fold per-level forcing fields back onto coefficient space.
 
@@ -195,41 +136,12 @@ def adjoint_sweep(
     identically zero there) and forcing_p (n_steps+1, N).  Level 0
     contributes nothing because the perturbation trajectory starts at zero.
     """
-    J, h, tau = bs.J, grid.h, grid.tau
-    n = traj.n_steps
     if forcing_u.shape != traj.u.shape or forcing_p.shape != traj.p.shape:
         raise ValueError(
             f"forcing shapes {forcing_u.shape}, {forcing_p.shape} do not match "
             f"the trajectory {traj.u.shape}, {traj.p.shape}"
         )
-    D_p, D_u = derivative_matrices(stencil, bs, grid)
-    DpT = np.ascontiguousarray(D_p.T)
-    DuT = np.ascontiguousarray(D_u[:, 1:-1].T)
-
-    au = forcing_u[:, 1:-1].copy()
-    ap = forcing_p.copy()
-    g_u = np.zeros(2 * (J + 1))
-    g_p = np.zeros(2 * (J + 1))
-
-    two_tau = 2.0 * tau
-    for t in range(n, 1, -1):
-        w = au[t]
-        au[t - 2] += w
-        ap[t - 1] += two_tau * (DpT @ w)
-        _project_p_control(traj.p[t - 1], w, g_p, J, h, two_tau)
-        w = ap[t]
-        ap[t - 2] += w
-        au[t - 1] += two_tau * (DuT @ w)
-        _project_u_control(traj.u[t - 1], w, g_u, J, h, two_tau)
-
-    # Transpose of the split first step acting on the level-1 adjoints.
-    _project_p_control(traj.p_half, au[1], g_p, J, h, tau)
-    _project_u_control(traj.u_half, ap[1], g_u, J, h, tau)
-    a_dp_half = tau * (DpT @ au[1])
-    a_du_half = tau * (DuT @ ap[1])
-    _project_u_control(traj.u[0], a_dp_half, g_u, J, h, 0.5 * tau)
-    _project_p_control(traj.p[0], a_du_half, g_p, J, h, 0.5 * tau)
-    return join_control(g_u, g_p)
+    return _sweep(traj, np.concatenate([forcing_u, forcing_p], axis=1, dtype=float))
 
 
 def time_weights(m: int, tau: float) -> np.ndarray:
@@ -241,27 +153,28 @@ def time_weights(m: int, tau: float) -> np.ndarray:
     return w
 
 
-def misfit_gradient(
-    traj: Trajectory,
-    obs: Observations,
-    stencil: InteriorStencil,
-    bs: BoundaryScheme,
-    grid: GridSpec,
-) -> np.ndarray:
-    """Gradient of the windowed misfit cost with respect to the control vector.
+def misfit_gradient(traj: Trajectory, obs: Observations) -> tuple[np.ndarray, np.ndarray]:
+    """Per-level misfit and the gradient of the windowed misfit cost.
 
     The cost is the trapezoid time integral over the trajectory's levels of
     the spatial integral of (u - u_obs)^2 + (p - p_obs)^2, so the adjoint
-    forcing at level t is 2 w_t h (misfit fields).  The observations must
-    cover at least as many levels as the trajectory stores.
+    forcing at level t is 2 w_t h (misfit fields).  Returns (level_misfit,
+    grad): the spatial integral at each level before time weighting (weight
+    h on the p half-nodes and interior u nodes; u vanishes at the walls)
+    and the gradient with respect to the control vector.  The observations
+    must cover at least as many levels as the trajectory stores.
     """
-    m = traj.n_steps
+    m, N = traj.n_steps, traj.N
     if obs.n_levels < m + 1:
         raise ValueError(
             f"observations cover {obs.n_levels} levels, trajectory needs {m + 1}"
         )
-    w = time_weights(m, grid.tau)
-    scale = 2.0 * grid.h * w[:, None]
-    forcing_u = scale * (traj.u - obs.u[: m + 1])
-    forcing_p = scale * (traj.p - obs.p[: m + 1])
-    return adjoint_sweep(traj, forcing_u, forcing_p, stencil, bs, grid)
+    h = 1.0 / N
+    res = traj.z.copy()
+    res[:, : N + 1] -= obs.u[: m + 1]
+    res[:, N + 1 :] -= obs.p[: m + 1]
+    core = res[:, 1:N]
+    dp = res[:, N + 1 :]
+    level_misfit = h * ((core * core).sum(axis=1) + (dp * dp).sum(axis=1))
+    res *= 2.0 * h * time_weights(m, traj.tau)[:, None]
+    return level_misfit, _sweep(traj, res)

@@ -25,8 +25,8 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import brentq
 
-from .exact import ModeSpec, Observations, mode_time_factors
-from .wave import Trajectory
+from .exact import ModeSpec, Observations, sample_observations
+from .wave import GridSpec, Trajectory
 
 __all__ = [
     "DispersionReport",
@@ -184,20 +184,8 @@ def xi_series(
     xi(t) = sum_i (u_i - u_exact)^2 + sum_i (p_{i-1/2} - p_exact)^2,
     an unweighted sum over grid points.
     """
-    n_levels, n_nodes = traj.u.shape
-    N = n_nodes - 1
-    x_nodes = np.arange(N + 1) / N
-    x_half = (np.arange(N) + 0.5) / N
-    times = traj.times
-    du = traj.u.copy()
-    dp = traj.p.copy()
-    for mode in modes:
-        f, g = mode_time_factors(mode, times)
-        w = mode.k * np.pi
-        du -= np.outer(f, np.sin(w * x_nodes))
-        dp -= np.outer(g, np.cos(w * x_half))
-    xi = (du * du).sum(axis=1) + (dp * dp).sum(axis=1)
-    return times, xi
+    grid = GridSpec(traj.N, traj.tau, traj.n_steps)
+    return grid_misfit_series(traj, sample_observations(modes, grid))
 
 
 def grid_misfit_series(traj: Trajectory, obs: Observations) -> tuple[np.ndarray, np.ndarray]:

@@ -24,8 +24,6 @@ from .wave import GridSpec
 __all__ = [
     "ModeSpec",
     "Observations",
-    "exact_mode",
-    "exact_superposition",
     "mode_time_factors",
     "project_initial",
     "sample_observations",
@@ -52,30 +50,6 @@ def mode_time_factors(mode: ModeSpec, t) -> tuple[np.ndarray, np.ndarray]:
     w = mode.k * np.pi
     c, s = np.cos(w * np.asarray(t, dtype=float)), np.sin(w * np.asarray(t, dtype=float))
     return mode.a * c - mode.b * s, mode.b * c + mode.a * s
-
-
-def exact_mode(k: int, x, t) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-amplitude mode with u(x,0) = sin(k pi x), p(x,0) = cos(k pi x)."""
-    x = np.asarray(x, dtype=float)
-    w = k * np.pi
-    u = -np.sqrt(2.0) * np.sin(w * t - np.pi / 4.0) * np.sin(w * x)
-    p = np.sqrt(2.0) * np.cos(w * t - np.pi / 4.0) * np.cos(w * x)
-    return u, p
-
-
-def exact_superposition(
-    modes: Sequence[ModeSpec], x, t
-) -> tuple[np.ndarray, np.ndarray]:
-    """Superpose the exact evolution of each mode at positions x, time t."""
-    x = np.asarray(x, dtype=float)
-    u = np.zeros_like(x)
-    p = np.zeros_like(x)
-    for mode in modes:
-        f, g = mode_time_factors(mode, t)
-        w = mode.k * np.pi
-        u += f * np.sin(w * x)
-        p += g * np.cos(w * x)
-    return u, p
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ cubic-interpolation zoom).  Function values at or above
 ``penalty_threshold`` are treated as infinite, so an objective that
 returns a large finite penalty inside an unstable parameter region is
 simply backtracked out of.  Everything is deterministic: identical
-inputs give bitwise identical iterates.
+inputs give bitwise identical iterates on one machine and BLAS build;
+another BLAS may round the objective differently and move the iterates.
 """
 
 from __future__ import annotations

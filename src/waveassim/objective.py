@@ -33,27 +33,12 @@ __all__ = [
     "CostReport",
     "evaluate",
     "make_objective",
-    "state_norm2",
     "window_steps",
 ]
 
 BLOWUP_PENALTY = 1.0e12
 
 GROUP_NAMES = ("alpha_u", "alpha_u_tilde", "alpha_p", "alpha_p_tilde")
-
-
-def state_norm2(du: np.ndarray, dp: np.ndarray, grid: GridSpec) -> float:
-    """Discrete integral of du^2 + dp^2 over the interval.
-
-    Uniform weight h on the p half-nodes and interior u nodes; the boundary
-    u nodes carry zero weight (u vanishes there identically).
-    """
-    du = np.asarray(du, dtype=float)
-    dp = np.asarray(dp, dtype=float)
-    if du.shape != (grid.N + 1,) or dp.shape != (grid.N,):
-        raise ValueError(f"field shapes {du.shape}, {dp.shape} do not match N = {grid.N}")
-    core = du[1:-1]
-    return grid.h * (core @ core + dp @ dp)
 
 
 @dataclass(frozen=True)
@@ -134,13 +119,9 @@ def evaluate(
         report = CostReport(BLOWUP_PENALTY, BLOWUP_PENALTY, 0.0, np.empty(0))
         return report, np.zeros(control_dim(J))
 
-    du = traj.u - obs.u[: m + 1]
-    dp = traj.p - obs.p[: m + 1]
-    core = du[:, 1:-1]
-    level_misfit = grid.h * ((core * core).sum(axis=1) + (dp * dp).sum(axis=1))
+    level_misfit, grad = misfit_gradient(traj, obs)
     w = time_weights(m, grid.tau)
     misfit = float(w @ level_misfit)
-    grad = misfit_gradient(traj, obs, stencil, bs, wgrid)
 
     reg = 0.0
     if cfg.eta > 0.0:

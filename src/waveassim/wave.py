@@ -12,9 +12,11 @@ boundaries (the first and last row of each derivative operator) instead
 use free one-sided stencils whose coefficients are the control
 variables identified by assimilation; see :class:`BoundaryScheme`.
 
-Time stepping is leapfrog; the first step is split into two forward
-Euler half-stages so the start is second-order accurate and does not
-excite the odd/even leapfrog mode.
+The state is one stacked vector z = (u_0..u_N, p_1/2..p_N-1/2) and the
+semi-discrete system is dz/dt = A z with one operator A per scheme; see
+:func:`stacked_operator`.  Time stepping is leapfrog; the first step is
+split into two forward Euler half-stages so the start is second-order
+accurate and does not excite the odd/even leapfrog mode.
 """
 
 from __future__ import annotations
@@ -32,15 +34,11 @@ __all__ = [
     "InteriorStencil",
     "State",
     "Trajectory",
-    "derivative_matrices",
-    "derivative_p",
-    "derivative_u",
-    "first_step",
     "fourth_order",
     "integrate",
     "interior_stencil",
-    "leapfrog_step",
     "second_order",
+    "stacked_operator",
 ]
 
 DEFAULT_BLOWUP_THRESHOLD = 1.0e6
@@ -198,14 +196,11 @@ class BoundaryScheme:
     @classmethod
     def classical(cls, J: int = 1) -> "BoundaryScheme":
         """Plain two-point boundary derivatives, zero-padded to width J+1."""
-        if J < 0:
-            raise ValueError(f"J must be non-negative, got {J}")
+        if J < 1:
+            raise ValueError(f"the classical boundary stencil needs J >= 1, got {J}")
         coeff = np.zeros(J + 1)
         coeff[0] = -1.0
-        if J >= 1:
-            coeff[1] = 1.0
-        else:
-            raise ValueError("the classical boundary stencil needs J >= 1")
+        coeff[1] = 1.0
         return cls(coeff.copy(), coeff.copy(), coeff.copy(), coeff.copy())
 
     def to_control_vector(self) -> np.ndarray:
@@ -248,7 +243,6 @@ class State:
 
     u: np.ndarray
     p: np.ndarray
-    t: float = 0.0
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float)
@@ -265,140 +259,72 @@ class State:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States at every leapfrog level plus the split-start half states.
+    """Stacked states z = (u_0..u_N, p_1/2..p_N-1/2) at every leapfrog level.
 
-    u has shape (n_steps+1, N+1), p has shape (n_steps+1, N); u_half and
-    p_half hold the intermediate fields at t = tau/2 that the split first
-    step produces (the sensitivity model needs them).
+    z has shape (n_steps+1, 2N+1); ``u`` (n_steps+1, N+1) and ``p``
+    (n_steps+1, N) are views into it.  z_half holds the intermediate state
+    at t = tau/2 that the split first step produces, A the stacked operator
+    the run was integrated with and bs the scheme it was built from: the
+    sensitivity model reads all three.
     """
 
-    u: np.ndarray
-    p: np.ndarray
-    u_half: np.ndarray
-    p_half: np.ndarray
+    z: np.ndarray
+    z_half: np.ndarray
     tau: float
+    A: np.ndarray
+    bs: BoundaryScheme
+
+    @property
+    def N(self) -> int:
+        return self.z.shape[1] // 2
+
+    @property
+    def u(self) -> np.ndarray:
+        return self.z[:, : self.N + 1]
+
+    @property
+    def p(self) -> np.ndarray:
+        return self.z[:, self.N + 1 :]
 
     @property
     def n_steps(self) -> int:
-        return self.u.shape[0] - 1
+        return self.z.shape[0] - 1
 
     @property
     def times(self) -> np.ndarray:
-        return np.arange(self.u.shape[0]) * self.tau
-
-    def state(self, n: int) -> State:
-        return State(self.u[n], self.p[n], n * self.tau)
+        return np.arange(self.z.shape[0]) * self.tau
 
 
-def _check_widths(bs: BoundaryScheme, grid: GridSpec) -> None:
-    if bs.J + 1 > grid.N - 1:
-        raise ValueError(
-            f"boundary stencil width J+1 = {bs.J + 1} reaches the opposite "
-            f"boundary region on an N = {grid.N} grid"
-        )
-
-
-def derivative_p(
-    p: np.ndarray, stencil: InteriorStencil, bs: BoundaryScheme, grid: GridSpec
-) -> np.ndarray:
-    """dp/dx at the interior u nodes i = 1..N-1."""
-    p = np.asarray(p, dtype=float)
-    N, h, J = grid.N, grid.h, bs.J
-    if p.shape != (N,):
-        raise ValueError(f"p must have {N} entries, got {p.shape}")
-    _check_widths(bs, grid)
-    a = stencil.a
-    out = np.empty(N - 1)
-    out[0] = bs.alpha_p @ p[: J + 1]
-    out[1 : N - 2] = a[0] * p[: N - 3] + a[1] * p[1 : N - 2] + a[2] * p[2 : N - 1] + a[3] * p[3:]
-    out[N - 2] = -(bs.alpha_p_tilde[::-1] @ p[N - 1 - J :])
-    out /= h
-    return out
-
-
-def derivative_u(
-    u: np.ndarray, stencil: InteriorStencil, bs: BoundaryScheme, grid: GridSpec
-) -> np.ndarray:
-    """du/dx at the half nodes i - 1/2, i = 1..N."""
-    u = np.asarray(u, dtype=float)
-    N, h, J = grid.N, grid.h, bs.J
-    if u.shape != (N + 1,):
-        raise ValueError(f"u must have {N + 1} entries, got {u.shape}")
-    _check_widths(bs, grid)
-    a = stencil.a
-    out = np.empty(N)
-    out[0] = bs.alpha_u @ u[: J + 1]
-    out[1 : N - 1] = a[0] * u[: N - 2] + a[1] * u[1 : N - 1] + a[2] * u[2:N] + a[3] * u[3:]
-    out[N - 1] = -(bs.alpha_u_tilde[::-1] @ u[N - J :])
-    out /= h
-    return out
-
-
-def derivative_matrices(
+def stacked_operator(
     stencil: InteriorStencil, bs: BoundaryScheme, grid: GridSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dense derivative operators (D_p, D_u).
+) -> np.ndarray:
+    """The (2N+1, 2N+1) operator A of dz/dt = A z on z = (u, p).
 
-    D_p maps the N p-values to dp/dx at the N-1 interior u nodes; D_u maps
-    the N+1 u-values to du/dx at the N half-nodes.  Rows 0 and -1 of each
-    carry the boundary stencils, every other row the interior stencil.
+    Rows 1..N-1 hold D_p, dp/dx at the interior u nodes from the N p-values;
+    the N p rows hold D_u, du/dx at the half-nodes from the N+1 u-values.
+    Rows 0 and -1 of each block carry the boundary stencils, every other row
+    the interior stencil.  The wall rows 0 and N stay zero, so u stays
+    exactly zero at the walls; the wall columns keep D_u's entries, which
+    therefore only ever multiply zeros.
     """
-    _check_widths(bs, grid)
-    N, h, J = grid.N, grid.h, bs.J
-    a = stencil.a
-    D_p = np.zeros((N - 1, N))
+    N, J, a = grid.N, bs.J, stencil.a
+    if J + 1 > N - 1:
+        raise ValueError(
+            f"boundary stencil width J+1 = {J + 1} reaches the opposite "
+            f"boundary region on an N = {N} grid"
+        )
+    A = np.zeros((2 * N + 1, 2 * N + 1))
+    D_p = A[1:N, N + 1 :]
+    D_u = A[N + 1 :, : N + 1]
     D_p[0, : J + 1] = bs.alpha_p
     for r in range(1, N - 2):
         D_p[r, r - 1 : r + 3] = a
     D_p[N - 2, N - 1 - J :] = -bs.alpha_p_tilde[::-1]
-    D_u = np.zeros((N, N + 1))
     D_u[0, : J + 1] = bs.alpha_u
     for r in range(1, N - 1):
         D_u[r, r - 1 : r + 3] = a
     D_u[N - 1, N - J :] = -bs.alpha_u_tilde[::-1]
-    return D_p / h, D_u / h
-
-
-def first_step(
-    ic: State, stencil: InteriorStencil, bs: BoundaryScheme, grid: GridSpec
-) -> tuple[State, State]:
-    """Split two-stage Euler start; returns the states at tau/2 and tau.
-
-    Both stages only update interior u nodes, so the boundary values of u
-    stay at zero throughout.
-    """
-    tau = grid.tau
-    u0 = ic.u.copy()
-    u0[0] = u0[-1] = 0.0
-    p0 = ic.p
-
-    u_half = u0.copy()
-    u_half[1:-1] += 0.5 * tau * derivative_p(p0, stencil, bs, grid)
-    p_half = p0 + 0.5 * tau * derivative_u(u0, stencil, bs, grid)
-
-    u1 = u0.copy()
-    u1[1:-1] += tau * derivative_p(p_half, stencil, bs, grid)
-    p1 = p0 + tau * derivative_u(u_half, stencil, bs, grid)
-    return State(u_half, p_half, 0.5 * tau), State(u1, p1, tau)
-
-
-def leapfrog_step(
-    prev: State,
-    curr: State,
-    stencil: InteriorStencil,
-    bs: BoundaryScheme,
-    grid: GridSpec,
-) -> State:
-    """One leapfrog step: level n-1 and n in, level n+1 out."""
-    tau = grid.tau
-    if abs((curr.t - prev.t) - tau) > 1e-9 * max(1.0, abs(curr.t)):
-        raise ValueError(
-            f"states must be one step apart: t = {prev.t}, {curr.t}, tau = {tau}"
-        )
-    u_new = prev.u.copy()
-    u_new[1:-1] += 2.0 * tau * derivative_p(curr.p, stencil, bs, grid)
-    p_new = prev.p + 2.0 * tau * derivative_u(curr.u, stencil, bs, grid)
-    return State(u_new, p_new, curr.t + tau)
+    return A / grid.h
 
 
 def integrate(
@@ -417,32 +343,24 @@ def integrate(
         at any level.  Unstable boundary schemes reached during a
         minimization line search end up here.
     """
-    D_p, D_u = derivative_matrices(stencil, bs, grid)
+    A = stacked_operator(stencil, bs, grid)
     N, tau, n = grid.N, grid.tau, grid.n_steps
 
-    U = np.zeros((n + 1, N + 1))
-    P = np.zeros((n + 1, N))
-    U[0] = ic.u
-    U[0, 0] = U[0, -1] = 0.0
-    P[0] = ic.p
-
-    u_half = U[0].copy()
-    u_half[1:-1] += 0.5 * tau * (D_p @ P[0])
-    p_half = P[0] + 0.5 * tau * (D_u @ U[0])
-    U[1] = U[0]
-    U[1, 1:-1] += tau * (D_p @ p_half)
-    P[1] = P[0] + tau * (D_u @ u_half)
+    Z = np.empty((n + 1, 2 * N + 1))
+    Z[0, : N + 1] = ic.u
+    Z[0, 0] = Z[0, N] = 0.0
+    Z[0, N + 1 :] = ic.p
+    z_half = Z[0] + 0.5 * tau * (A @ Z[0])
+    Z[1] = Z[0] + tau * (A @ z_half)
 
     def _check(level: int) -> None:
-        amp = max(np.abs(U[level]).max(), np.abs(P[level]).max())
+        amp = np.abs(Z[level]).max()
         if not amp <= blowup_threshold:  # also catches NaN
             raise IntegrationDiverged(level, level * tau, amp)
 
     _check(1)
     two_tau = 2.0 * tau
     for t in range(1, n):
-        U[t + 1] = U[t - 1]
-        U[t + 1, 1:-1] += two_tau * (D_p @ P[t])
-        P[t + 1] = P[t - 1] + two_tau * (D_u @ U[t])
+        np.add(Z[t - 1], two_tau * (A @ Z[t]), out=Z[t + 1])
         _check(t + 1)
-    return Trajectory(U, P, u_half, p_half, tau)
+    return Trajectory(Z, z_half, tau, A, bs)

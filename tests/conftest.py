@@ -20,7 +20,7 @@ def make_setup(k=3, N=30, tau=1.0 / 120.0, n_steps=720, order=2, J=1):
     bs = BoundaryScheme.classical(J)
     modes = (ModeSpec(k, 1.0, 1.0),)
     obs = sample_observations(modes, grid)
-    ic = State(obs.u[0].copy(), obs.p[0].copy(), 0.0)
+    ic = State(obs.u[0].copy(), obs.p[0].copy())
     return grid, stencil, bs, modes, obs, ic
 
 
@@ -64,6 +64,25 @@ def naive_first_step(u0, p0, a, bs, N, h, tau):
     u1[1:-1] = u0[1:-1] + tau * du_half
     p1 = p0 + tau * dp_half
     return (u_half, p_half), (u1, p1)
+
+
+def naive_leapfrog_step(u_prev, p_prev, u_curr, p_curr, a, bs, N, h, tau):
+    """One leapfrog step written longhand: levels n-1 and n in, level n+1 out."""
+    u_new = u_prev.copy()
+    u_new[1:-1] = u_prev[1:-1] + 2 * tau * naive_derivative_p(
+        p_curr, a, bs.alpha_p, bs.alpha_p_tilde, N, h
+    )
+    p_new = p_prev + 2 * tau * naive_derivative_u(u_curr, a, bs.alpha_u, bs.alpha_u_tilde, N, h)
+    return u_new, p_new
+
+
+def exact_mode(k, x, t):
+    """Unit-amplitude mode with u(x,0) = sin(k pi x), p(x,0) = cos(k pi x), in closed form."""
+    x = np.asarray(x, dtype=float)
+    w = k * np.pi
+    u = -np.sqrt(2.0) * np.sin(w * t - np.pi / 4.0) * np.sin(w * x)
+    p = np.sqrt(2.0) * np.cos(w * t - np.pi / 4.0) * np.cos(w * x)
+    return u, p
 
 
 def phase_fit_speed(traj, k, N):

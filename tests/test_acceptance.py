@@ -52,7 +52,7 @@ def k3_second():
     stencil = interior_stencil(2)
     modes = (ModeSpec(3, 1.0, 1.0),)
     obs = sample_observations(modes, grid)
-    ic = State(obs.u[0].copy(), obs.p[0].copy(), 0.0)
+    ic = State(obs.u[0].copy(), obs.p[0].copy())
     return grid, stencil, modes, obs, ic
 
 
@@ -89,7 +89,7 @@ def assim_fourth(k3_second):
     grid, _, modes, obs, ic = k3_second
     stencil = interior_stencil(4)
     obs4 = sample_observations(modes, grid)
-    ic4 = State(obs4.u[0].copy(), obs4.p[0].copy(), 0.0)
+    ic4 = State(obs4.u[0].copy(), obs4.p[0].copy())
     f = make_objective(CostConfig(T_window=6.0), obs4, ic4, stencil, grid, 1)
     result = lbfgs(f, BoundaryScheme.classical(1).to_control_vector())
     bs = BoundaryScheme.from_control_vector(result.x, 1)
@@ -125,7 +125,7 @@ def two_mode_runs():
         ("both", (ModeSpec(2, 1, 1), ModeSpec(5, 1, 1))),
     ]:
         obs = sample_observations(modes, grid)
-        ic = State(obs.u[0].copy(), obs.p[0].copy(), 0.0)
+        ic = State(obs.u[0].copy(), obs.p[0].copy())
         f = make_objective(CostConfig(T_window=20.0), obs, ic, stencil, grid, 1)
         result = lbfgs(f, x0)
         bs = BoundaryScheme.from_control_vector(result.x, 1)
@@ -201,7 +201,7 @@ def rich_j4(rich_experiment):
     grid = GridSpec(30, TAU, 4 * m_window)
     T_w = m_window * TAU
     obs = sample_observations(exp.modes, grid)
-    ic = State(obs.u[0].copy(), obs.p[0].copy(), 0.0)
+    ic = State(obs.u[0].copy(), obs.p[0].copy())
     f = make_objective(CostConfig(T_window=T_w, eta=10.0), obs, ic, exp.stencil, grid, 4)
     classical = BoundaryScheme.classical(4)
     result = lbfgs(f, classical.to_control_vector(), MinimizeConfig(max_iters=600, memory=20))
@@ -234,9 +234,9 @@ def test_criterion_01_adjoint_identity(k3_second):
                 d = rng.standard_normal(control_dim(J))
                 fu = rng.standard_normal(traj.u.shape)
                 fp = rng.standard_normal(traj.p.shape)
-                du, dp = tlm_run(traj, d, stencil, bs, wgrid)
+                du, dp = tlm_run(traj, d)
                 lhs = float((du * fu).sum() + (dp * fp).sum())
-                rhs = float(d @ adjoint_sweep(traj, fu, fp, stencil, bs, wgrid))
+                rhs = float(d @ adjoint_sweep(traj, fu, fp))
                 worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
                 n_pairs += 1
     ok = worst < 1e-12 and n_pairs == 20

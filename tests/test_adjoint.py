@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from conftest import observations_from_trajectory
 from waveassim.adjoint import (
-    SensitivitySource,
     adjoint_sweep,
     control_dim,
     misfit_gradient,
@@ -31,38 +30,15 @@ def small_case(N=12, J=1, n_steps=25, order=2, k=3):
     stencil = interior_stencil(order)
     bs = BoundaryScheme.classical(J)
     obs = sample_observations([ModeSpec(k, 1, 1)], grid)
-    ic = State(obs.u[0].copy(), obs.p[0].copy(), 0.0)
+    ic = State(obs.u[0].copy(), obs.p[0].copy())
     traj = integrate(ic, stencil, bs, grid)
     return grid, stencil, bs, obs, ic, traj
-
-
-class TestSensitivitySource:
-    def test_nonzero_only_at_controlled_rows(self):
-        rng = np.random.default_rng(0)
-        grid, stencil, bs, obs, ic, traj = small_case(J=2)
-        src = SensitivitySource(traj.u[3], traj.p[3], J=2, h=grid.h)
-        half = rng.standard_normal(2 * 3)
-        fu = src.apply_p(half)
-        fp = src.apply_u(half)
-        assert not fu[1:-1].any()
-        assert not fp[1:-1].any()
-        assert fu[0] != 0.0 and fu[-1] != 0.0
-
-    def test_project_is_transpose_of_apply(self):
-        rng = np.random.default_rng(1)
-        grid, stencil, bs, obs, ic, traj = small_case(J=3)
-        src = SensitivitySource(traj.u[5], traj.p[5], J=3, h=grid.h)
-        half = rng.standard_normal(8)
-        w_u = rng.standard_normal(grid.N - 1)
-        w_p = rng.standard_normal(grid.N)
-        assert src.apply_p(half) @ w_u == pytest.approx(half @ src.project_p(w_u), rel=1e-13)
-        assert src.apply_u(half) @ w_p == pytest.approx(half @ src.project_u(w_p), rel=1e-13)
 
 
 class TestTangentLinearModel:
     def test_zero_perturbation(self):
         grid, stencil, bs, obs, ic, traj = small_case()
-        du, dp = tlm_run(traj, np.zeros(control_dim(1)), stencil, bs, grid)
+        du, dp = tlm_run(traj, np.zeros(control_dim(1)))
         assert not du.any() and not dp.any()
 
     def test_linearity(self):
@@ -71,9 +47,9 @@ class TestTangentLinearModel:
         d1 = rng.standard_normal(8)
         d2 = rng.standard_normal(8)
         a, b = 1.3, -0.8
-        du1, dp1 = tlm_run(traj, d1, stencil, bs, grid)
-        du2, dp2 = tlm_run(traj, d2, stencil, bs, grid)
-        du, dp = tlm_run(traj, a * d1 + b * d2, stencil, bs, grid)
+        du1, dp1 = tlm_run(traj, d1)
+        du2, dp2 = tlm_run(traj, d2)
+        du, dp = tlm_run(traj, a * d1 + b * d2)
         np.testing.assert_allclose(du, a * du1 + b * du2, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(dp, a * dp1 + b * dp2, rtol=1e-12, atol=1e-14)
 
@@ -84,7 +60,7 @@ class TestTangentLinearModel:
         grid, stencil, bs, obs, ic, traj = small_case(N=16, n_steps=40)
         e = np.zeros(8)
         e[comp] = 1.0
-        du, dp = tlm_run(traj, e, stencil, bs, grid)
+        du, dp = tlm_run(traj, e)
         x0 = bs.to_control_vector()
 
         def residual(eps):
@@ -104,7 +80,7 @@ class TestTangentLinearModel:
 class TestAdjointSweep:
     def test_zero_forcing(self):
         grid, stencil, bs, obs, ic, traj = small_case()
-        g = adjoint_sweep(traj, np.zeros_like(traj.u), np.zeros_like(traj.p), stencil, bs, grid)
+        g = adjoint_sweep(traj, np.zeros_like(traj.u), np.zeros_like(traj.p))
         assert not g.any()
 
     @pytest.mark.parametrize("J,order", [(1, 2), (4, 2), (1, 4), (4, 4)])
@@ -115,9 +91,9 @@ class TestAdjointSweep:
             d = rng.standard_normal(control_dim(J))
             fu = rng.standard_normal(traj.u.shape)
             fp = rng.standard_normal(traj.p.shape)
-            du, dp = tlm_run(traj, d, stencil, bs, grid)
+            du, dp = tlm_run(traj, d)
             lhs = float((du * fu).sum() + (dp * fp).sum())
-            rhs = float(d @ adjoint_sweep(traj, fu, fp, stencil, bs, grid))
+            rhs = float(d @ adjoint_sweep(traj, fu, fp))
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
 
     def test_matches_dense_transpose(self):
@@ -130,14 +106,14 @@ class TestAdjointSweep:
         for j in range(dim):
             e = np.zeros(dim)
             e[j] = 1.0
-            du, dp = tlm_run(traj, e, stencil, bs, grid)
+            du, dp = tlm_run(traj, e)
             cols.append(np.concatenate([du.ravel(), dp.ravel()]))
         A = np.column_stack(cols)
         fu = rng.standard_normal(traj.u.shape)
         fp = rng.standard_normal(traj.p.shape)
         w = np.concatenate([fu.ravel(), fp.ravel()])
         np.testing.assert_allclose(
-            adjoint_sweep(traj, fu, fp, stencil, bs, grid), A.T @ w, rtol=1e-12, atol=1e-13
+            adjoint_sweep(traj, fu, fp), A.T @ w, rtol=1e-12, atol=1e-13
         )
 
     def test_equals_sum_of_per_level_sweeps(self):
@@ -153,8 +129,8 @@ class TestAdjointSweep:
             fp_l = np.zeros_like(fp)
             fu_l[level] = fu[level]
             fp_l[level] = fp[level]
-            total += adjoint_sweep(traj, fu_l, fp_l, stencil, bs, grid)
-        full = adjoint_sweep(traj, fu, fp, stencil, bs, grid)
+            total += adjoint_sweep(traj, fu_l, fp_l)
+        full = adjoint_sweep(traj, fu, fp)
         np.testing.assert_allclose(full, total, rtol=1e-12, atol=1e-14)
 
 
@@ -175,14 +151,14 @@ def test_dot_product_identity_property(N, J, n_steps, order, seed):
     bs = BoundaryScheme(*(rng.standard_normal(J + 1) for _ in range(4)))
     u0 = rng.standard_normal(N + 1)
     u0[0] = u0[-1] = 0.0
-    ic = State(u0, rng.standard_normal(N), 0.0)
+    ic = State(u0, rng.standard_normal(N))
     traj = integrate(ic, stencil, bs, grid, blowup_threshold=1e12)
     d = rng.standard_normal(control_dim(J))
     fu = rng.standard_normal(traj.u.shape)
     fp = rng.standard_normal(traj.p.shape)
-    du, dp = tlm_run(traj, d, stencil, bs, grid)
+    du, dp = tlm_run(traj, d)
     lhs = float((du * fu).sum() + (dp * fp).sum())
-    rhs = float(d @ adjoint_sweep(traj, fu, fp, stencil, bs, grid))
+    rhs = float(d @ adjoint_sweep(traj, fu, fp))
     assert abs(lhs - rhs) <= 1e-11 * max(abs(lhs), abs(rhs), 1.0)
 
 
@@ -190,12 +166,12 @@ class TestMisfitGradient:
     def test_zero_for_perfect_twin(self):
         grid, stencil, bs, obs, ic, traj = small_case()
         twin_obs = observations_from_trajectory(traj, grid)
-        g = misfit_gradient(traj, twin_obs, stencil, bs, grid)
+        _, g = misfit_gradient(traj, twin_obs)
         assert np.abs(g).max() < 1e-14
 
     def test_linear_in_misfit(self):
         grid, stencil, bs, obs, ic, traj = small_case(n_steps=30)
-        g1 = misfit_gradient(traj, obs, stencil, bs, grid)
+        _, g1 = misfit_gradient(traj, obs)
         # observations at 2*obs - traj double the misfit fields
         doubled = type(obs)(
             grid,
@@ -203,7 +179,7 @@ class TestMisfitGradient:
             2 * obs.u[: traj.n_steps + 1] - traj.u,
             2 * obs.p[: traj.n_steps + 1] - traj.p,
         )
-        g2 = misfit_gradient(traj, doubled, stencil, bs, grid)
+        _, g2 = misfit_gradient(traj, doubled)
         np.testing.assert_allclose(g2, 2 * g1, rtol=1e-12, atol=1e-16)
 
     def test_against_finite_differences(self, k3_small):

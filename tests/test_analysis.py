@@ -40,7 +40,7 @@ class TestSpeedRatios:
         # shapes and fit the rotation rate of the (f, g) pair over 50 units.
         grid = GridSpec(30, TAU30, 6000)
         obs = sample_observations([ModeSpec(3, 1, 1)], grid)
-        ic = State(obs.u[0].copy(), obs.p[0].copy(), 0.0)
+        ic = State(obs.u[0].copy(), obs.p[0].copy())
         traj = integrate(ic, interior_stencil(2), BoundaryScheme.classical(1), grid)
         measured = phase_fit_speed(traj, 3, 30)
         assert abs(abs(measured - 1.0) - abs(analysis.beta2(3, H30, TAU30) - 1.0)) < 1e-4
@@ -52,7 +52,7 @@ class TestSpeedRatios:
         N = 120
         grid = GridSpec(N, 1.0 / (4 * N), 20000)
         obs = sample_observations([ModeSpec(3, 1, 1)], grid)
-        ic = State(obs.u[0].copy(), obs.p[0].copy(), 0.0)
+        ic = State(obs.u[0].copy(), obs.p[0].copy())
         traj = integrate(ic, interior_stencil(4), BoundaryScheme.classical(1), grid)
         measured = phase_fit_speed(traj, 3, N)
         assert abs(abs(measured - 1.0) - abs(analysis.beta4(3, 1.0 / N, 1.0 / (4 * N)) - 1.0)) < 1e-5
@@ -189,15 +189,11 @@ class TestErrorSeries:
         traj = integrate(ic, stencil, bs, grid)
         _, xi = analysis.xi_series(traj, modes)
 
-        from waveassim.wave import Trajectory
+        from dataclasses import replace
 
-        traj_m = Trajectory(
-            traj.u[:, ::-1].copy(),
-            -traj.p[:, ::-1].copy(),
-            traj.u_half[::-1].copy(),
-            -traj.p_half[::-1].copy(),
-            traj.tau,
-        )
+        # Only the fields are mirrored: xi_series reads nothing else.
+        z_m = np.concatenate([traj.u[:, ::-1], -traj.p[:, ::-1]], axis=1)
+        traj_m = replace(traj, z=z_m)
         modes_m = [ModeSpec(m.k, -((-1.0) ** m.k) * m.a, -((-1.0) ** m.k) * m.b) for m in modes]
         _, xi_m = analysis.xi_series(traj_m, modes_m)
         np.testing.assert_allclose(xi_m, xi, rtol=1e-12, atol=1e-15)

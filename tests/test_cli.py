@@ -191,6 +191,14 @@ class TestExitCodes:
     def test_bad_modes_syntax(self, tmp_path):
         assert main(["forward", "--out", str(tmp_path), "--modes", "3:1"]) == 1
 
+    def test_unstable_run_fails_with_message(self, tmp_path, capsys):
+        # tau/h = 0.9 is unstable for the fourth-order interior: the post-run
+        # integration over the horizon diverges and must end in exit code 1.
+        argv = ["assimilate", "--out", str(tmp_path), "--preset", "single-mode-fourth",
+                "--tau", "0.03", "--n-steps", "400", "--T-window", "3"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: integration diverged")
+
 
 class TestExperimentHelpers:
     def test_setup_experiment_twin_start(self):

@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from waveassim.exact import (
-    ModeSpec,
-    exact_mode,
-    exact_superposition,
-    project_initial,
-    sample_observations,
-)
+from conftest import exact_mode
+from waveassim.exact import ModeSpec, project_initial, sample_observations
 from waveassim.wave import GridSpec
 
 
@@ -52,39 +47,53 @@ class TestExactMode:
             assert r1 < 1e-8 and r2 < 1e-8
 
 
+def sampled(modes, N, tau, t):
+    """sample_observations at time t (a multiple of tau): x_nodes, x_half, u, p."""
+    level = int(round(t / tau))
+    grid = GridSpec(N, tau, max(level, 1))
+    obs = sample_observations(modes, grid)
+    return grid.x_nodes, grid.x_half, obs.u[level], obs.p[level]
+
+
 class TestSuperposition:
     def test_single_mode_reduces_to_exact_mode(self):
-        x = np.linspace(0.0, 1.0, 50)
+        # 50 nodes as in np.linspace(0, 1, 50); every t is a level of tau = 0.01.
         for t in (0.0, 0.37, 5.1):
-            u1, p1 = exact_mode(3, x, t)
-            u2, p2 = exact_superposition([ModeSpec(3, 1.0, 1.0)], x, t)
+            x, x_half, u2, p2 = sampled([ModeSpec(3, 1.0, 1.0)], 49, 0.01, t)
+            u1, _ = exact_mode(3, x, t)
+            _, p1 = exact_mode(3, x_half, t)
             np.testing.assert_allclose(u2, u1, atol=1e-13)
             np.testing.assert_allclose(p2, p1, atol=1e-13)
 
     def test_two_modes_at_t0(self):
-        x = np.linspace(0.0, 1.0, 50)
-        u, p = exact_superposition([ModeSpec(2, 1, 1), ModeSpec(5, 1, 1)], x, 0.0)
+        x, x_half, u, p = sampled([ModeSpec(2, 1, 1), ModeSpec(5, 1, 1)], 49, 0.01, 0.0)
         np.testing.assert_allclose(u, np.sin(2 * np.pi * x) + np.sin(5 * np.pi * x), atol=1e-14)
-        np.testing.assert_allclose(p, np.cos(2 * np.pi * x) + np.cos(5 * np.pi * x), atol=1e-14)
+        np.testing.assert_allclose(
+            p, np.cos(2 * np.pi * x_half) + np.cos(5 * np.pi * x_half), atol=1e-14
+        )
 
     def test_two_modes_satisfy_wave_system(self):
+        # Centered differences on the staggered grid with tau = h/2: both
+        # sides of each equation span h, so for these travelling-wave
+        # solutions the truncation errors cancel and only rounding is left.
         modes = [ModeSpec(2, 1, 1), ModeSpec(5, 1, 1)]
-        u_f = lambda x, t: exact_superposition(modes, x, t)[0]
-        p_f = lambda x, t: exact_superposition(modes, x, t)[1]
-        x = np.linspace(0.1, 0.9, 5)
-        r1, r2 = pde_residual(u_f, p_f, x, 0.6)
-        assert r1 < 1e-7 and r2 < 1e-7
+        N, tau, level = 1000, 0.0005, 1200  # t = 0.6
+        obs = sample_observations(modes, GridSpec(N, tau, level + 1))
+        u, p = obs.u, obs.p
+        i = np.round(np.linspace(0.1, 0.9, 5) * N).astype(int)
+        h = 1.0 / N
+        r1 = (u[level + 1, i] - u[level - 1, i]) / (2 * tau) - (p[level, i] - p[level, i - 1]) / h
+        r2 = (p[level + 1, i] - p[level - 1, i]) / (2 * tau) - (u[level, i + 1] - u[level, i]) / h
+        assert np.abs(r1).max() < 1e-7 and np.abs(r2).max() < 1e-7
 
     def test_linear_in_coefficients(self):
-        x = np.linspace(0.0, 1.0, 33)
-        u1, p1 = exact_superposition([ModeSpec(4, 0.3, -1.1)], x, 0.8)
-        u2, p2 = exact_superposition([ModeSpec(4, 0.6, -2.2)], x, 0.8)
+        _, _, u1, p1 = sampled([ModeSpec(4, 0.3, -1.1)], 32, 0.01, 0.8)
+        _, _, u2, p2 = sampled([ModeSpec(4, 0.6, -2.2)], 32, 0.01, 0.8)
         np.testing.assert_allclose(u2, 2 * u1, rtol=1e-13, atol=1e-15)
         np.testing.assert_allclose(p2, 2 * p1, rtol=1e-13, atol=1e-15)
 
     def test_steady_mode(self):
-        x = np.linspace(0.0, 1.0, 11)
-        u, p = exact_superposition([ModeSpec(0, 0.0, 0.7)], x, 4.2)
+        _, _, u, p = sampled([ModeSpec(0, 0.0, 0.7)], 10, 0.01, 4.2)
         np.testing.assert_allclose(u, 0.0, atol=1e-15)
         np.testing.assert_allclose(p, 0.7, atol=1e-15)
 

@@ -1,11 +1,14 @@
 """Cost function, norm, regularization, and their assembly."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_setup, observations_from_trajectory
+from waveassim.adjoint import misfit_gradient
 from waveassim.exact import Observations
 from waveassim.objective import (
     BLOWUP_PENALTY,
@@ -13,10 +16,9 @@ from waveassim.objective import (
     CostReport,
     evaluate,
     make_objective,
-    state_norm2,
     window_steps,
 )
-from waveassim.wave import BoundaryScheme, GridSpec, State, integrate
+from waveassim.wave import BoundaryScheme, GridSpec, State, integrate, second_order
 
 
 @pytest.fixture
@@ -24,7 +26,19 @@ def grid30():
     return GridSpec(30, 1.0 / 120.0, 720)
 
 
+def state_norm2(du, dp, grid):
+    """Per-level misfit of a zero trajectory against observations (-du, -dp)."""
+    one = replace(grid, n_steps=1)
+    zero = State(np.zeros(grid.N + 1), np.zeros(grid.N))
+    traj = integrate(zero, second_order(), BoundaryScheme.classical(1), one)
+    obs = Observations(one, one.times, -np.array([du, du]), -np.array([dp, dp]))
+    return misfit_gradient(traj, obs)[0][0]
+
+
 class TestStateNorm:
+    """The per-level misfit is the discrete state norm of the residual fields:
+    weight h on the p half-nodes and interior u nodes, zero on the walls."""
+
     def test_zero_fields(self, grid30):
         assert state_norm2(np.zeros(31), np.zeros(30), grid30) == 0.0
 
@@ -154,7 +168,7 @@ class TestEvaluate:
         grid, stencil, _, modes, obs, ic = make_setup(n_steps=240)
         cfg = CostConfig(T_window=2.0)
         bs = BoundaryScheme([-1.0, 1.05], [-1.1, 1.02], [-0.97, 1.01], [-1.03, 0.99])
-        ic_m = State(ic.u[::-1].copy(), -ic.p[::-1].copy(), 0.0)
+        ic_m = State(ic.u[::-1].copy(), -ic.p[::-1].copy())
         obs_m = Observations(grid, obs.times, obs.u[:, ::-1].copy(), -obs.p[:, ::-1].copy())
         bs_m = BoundaryScheme(bs.alpha_u_tilde, bs.alpha_p_tilde, bs.alpha_u, bs.alpha_p)
         r1, _ = evaluate(bs.to_control_vector(), cfg, obs, ic, stencil, grid, 1)

@@ -1,11 +1,19 @@
 """Discrete operators and time stepping."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_setup, naive_derivative_p, naive_derivative_u, naive_first_step
+from conftest import (
+    make_setup,
+    naive_derivative_p,
+    naive_derivative_u,
+    naive_first_step,
+    naive_leapfrog_step,
+)
 from waveassim import analysis
 from waveassim.exact import ModeSpec, sample_observations
 from waveassim.wave import (
@@ -14,16 +22,37 @@ from waveassim.wave import (
     IntegrationDiverged,
     InteriorStencil,
     State,
-    derivative_matrices,
-    derivative_p,
-    derivative_u,
-    first_step,
     fourth_order,
     integrate,
     interior_stencil,
-    leapfrog_step,
     second_order,
+    stacked_operator,
 )
+
+
+def blocks(stencil, bs, grid):
+    """The D_p and D_u blocks of the stacked operator."""
+    A = stacked_operator(stencil, bs, grid)
+    N = grid.N
+    return A[1:N, N + 1 :], A[N + 1 :, : N + 1]
+
+
+def apply_D_p(p, stencil, bs, grid):
+    """dp/dx at the interior u nodes through the D_p block."""
+    return blocks(stencil, bs, grid)[0] @ p
+
+
+def apply_D_u(u, stencil, bs, grid):
+    """du/dx at the half nodes through the D_u block."""
+    return blocks(stencil, bs, grid)[1] @ u
+
+
+def first_levels(u0, p0, stencil, bs, grid):
+    """integrate's half state and levels 1 and 2 as (u, p) pairs."""
+    traj = integrate(State(u0, p0), stencil, bs, replace(grid, n_steps=2))
+    N = grid.N
+    half = (traj.z_half[: N + 1], traj.z_half[N + 1 :])
+    return half, (traj.u[1], traj.p[1]), (traj.u[2], traj.p[2])
 
 
 @pytest.fixture
@@ -90,18 +119,18 @@ class TestTypes:
 
     def test_state_boundary_condition_enforced(self):
         with pytest.raises(ValueError):
-            State(np.ones(31), np.zeros(30), 0.0)
+            State(np.ones(31), np.zeros(30))
 
 
 class TestDerivativeP:
     def test_constant_field_zero_sum_stencil(self, grid30, classical):
         p = np.full(30, 2.7)
-        out = derivative_p(p, second_order(), classical, grid30)
+        out = apply_D_p(p, second_order(), classical, grid30)
         np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
     def test_linear_field_exact(self, grid30, classical):
         p = grid30.x_half.copy()
-        out = derivative_p(p, second_order(), classical, grid30)
+        out = apply_D_p(p, second_order(), classical, grid30)
         np.testing.assert_allclose(out, 1.0, rtol=1e-12)
 
     def test_boundary_row_cosine_field(self, grid30):
@@ -111,7 +140,7 @@ class TestDerivativeP:
             [-1.0, 1.0], [-1.023, 1.023], [-1.0, 1.0], [-1.023, 1.023]
         )
         p = np.cos(3 * np.pi * grid30.x_half)
-        out = derivative_p(p, second_order(), bs, grid30)
+        out = apply_D_p(p, second_order(), bs, grid30)
         direct = 1.023 * (p[1] - p[0]) / grid30.h
         assert out[0] == pytest.approx(direct, rel=1e-14)
         assert out[0] == pytest.approx(-2.9671649455237694, rel=1e-12)
@@ -125,28 +154,28 @@ class TestDerivativeP:
         st_ = interior_stencil(order)
         expected = naive_derivative_p(p, st_.a, bs.alpha_p, bs.alpha_p_tilde, 16, grid.h)
         np.testing.assert_allclose(
-            derivative_p(p, st_, bs, grid), expected, rtol=1e-13, atol=1e-13
+            apply_D_p(p, st_, bs, grid), expected, rtol=1e-13, atol=1e-13
         )
 
     def test_dimension_mismatch(self, grid30, classical):
         with pytest.raises(ValueError):
-            derivative_p(np.zeros(29), second_order(), classical, grid30)
+            apply_D_p(np.zeros(29), second_order(), classical, grid30)
 
     def test_wide_stencil_rejected(self, classical):
         grid = GridSpec(5, 0.05, 5)
         wide = BoundaryScheme.classical(4)
         with pytest.raises(ValueError):
-            derivative_p(np.zeros(5), second_order(), wide, grid)
+            apply_D_p(np.zeros(5), second_order(), wide, grid)
 
 
 class TestDerivativeU:
     def test_zero_field(self, grid30, classical):
-        out = derivative_u(np.zeros(31), second_order(), classical, grid30)
+        out = apply_D_u(np.zeros(31), second_order(), classical, grid30)
         np.testing.assert_array_equal(out, 0.0)
 
     def test_linear_field_exact(self, grid30, classical):
         u = grid30.x_nodes.copy()
-        out = derivative_u(u, second_order(), classical, grid30)
+        out = apply_D_u(u, second_order(), classical, grid30)
         np.testing.assert_allclose(out, 1.0, rtol=1e-12)
 
     def test_boundary_row_sine_field(self, grid30):
@@ -154,7 +183,7 @@ class TestDerivativeU:
             [-1.048, 1.048], [-1.0, 1.0], [-1.048, 1.048], [-1.0, 1.0]
         )
         u = np.sin(3 * np.pi * grid30.x_nodes)
-        out = derivative_u(u, second_order(), bs, grid30)
+        out = apply_D_u(u, second_order(), bs, grid30)
         direct = 1.048 * (u[1] - u[0]) / grid30.h
         assert out[0] == pytest.approx(direct, rel=1e-14)
         assert out[0] == pytest.approx(9.715494303148347, rel=1e-12)
@@ -168,7 +197,7 @@ class TestDerivativeU:
         st_ = interior_stencil(order)
         expected = naive_derivative_u(u, st_.a, bs.alpha_u, bs.alpha_u_tilde, 16, grid.h)
         np.testing.assert_allclose(
-            derivative_u(u, st_, bs, grid), expected, rtol=1e-13, atol=1e-13
+            apply_D_u(u, st_, bs, grid), expected, rtol=1e-13, atol=1e-13
         )
 
 
@@ -177,19 +206,19 @@ class TestClassicalExactness:
         u = 2.0 * grid30.x_nodes - 0.3
         p = -1.5 * grid30.x_half + 0.7
         np.testing.assert_allclose(
-            derivative_u(u, second_order(), classical, grid30), 2.0, rtol=1e-12
+            apply_D_u(u, second_order(), classical, grid30), 2.0, rtol=1e-12
         )
         np.testing.assert_allclose(
-            derivative_p(p, second_order(), classical, grid30), -1.5, rtol=1e-12
+            apply_D_p(p, second_order(), classical, grid30), -1.5, rtol=1e-12
         )
 
     def test_fourth_order_cubic_at_interior_rows(self, grid30, classical):
         p = grid30.x_half**3
-        out = derivative_p(p, fourth_order(), classical, grid30)
+        out = apply_D_p(p, fourth_order(), classical, grid30)
         interior = 3.0 * (grid30.x_nodes[2:-2]) ** 2
         np.testing.assert_allclose(out[1:-1], interior, rtol=1e-11, atol=1e-13)
         u = grid30.x_nodes**3
-        out_u = derivative_u(u, fourth_order(), classical, grid30)
+        out_u = apply_D_u(u, fourth_order(), classical, grid30)
         np.testing.assert_allclose(
             out_u[1:-1], 3.0 * grid30.x_half[1:-1] ** 2, rtol=1e-11, atol=1e-13
         )
@@ -197,23 +226,23 @@ class TestClassicalExactness:
 
 class TestFirstStep:
     def test_zero_initial_condition(self, grid30, classical):
-        ic = State(np.zeros(31), np.zeros(30), 0.0)
-        half, one = first_step(ic, second_order(), classical, grid30)
-        assert not half.u.any() and not half.p.any()
-        assert not one.u.any() and not one.p.any()
-        assert one.t == pytest.approx(grid30.tau)
+        zero = State(np.zeros(31), np.zeros(30))
+        traj = integrate(zero, second_order(), classical, replace(grid30, n_steps=1))
+        assert not traj.z_half.any()
+        assert not traj.z[1].any()
+        assert traj.times[1] == pytest.approx(grid30.tau)
 
     def test_matches_naive_two_stage_oracle(self, grid30, classical):
         u0 = np.sin(3 * np.pi * grid30.x_nodes)
         u0[0] = u0[-1] = 0.0
         p0 = np.cos(3 * np.pi * grid30.x_half)
-        half, one = first_step(State(u0, p0, 0.0), second_order(), classical, grid30)
+        half, one, _ = first_levels(u0, p0, second_order(), classical, grid30)
         st_ = second_order()
         (uh, ph), (u1, p1) = naive_first_step(u0, p0, st_.a, classical, 30, grid30.h, grid30.tau)
-        np.testing.assert_allclose(half.u, uh, rtol=1e-13, atol=1e-15)
-        np.testing.assert_allclose(half.p, ph, rtol=1e-13, atol=1e-15)
-        np.testing.assert_allclose(one.u, u1, rtol=1e-13, atol=1e-15)
-        np.testing.assert_allclose(one.p, p1, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(half[0], uh, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(half[1], ph, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(one[0], u1, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(one[1], p1, rtol=1e-13, atol=1e-15)
 
     @pytest.mark.filterwarnings("ignore:tau/h")
     def test_start_is_locally_third_order(self):
@@ -226,10 +255,10 @@ class TestFirstStep:
             x = grid.x_nodes
             u0 = np.sin(np.pi * x)
             u0[0] = u0[-1] = 0.0
-            ic = State(u0, np.cos(np.pi * grid.x_half), 0.0)
-            _, one = first_step(ic, second_order(), BoundaryScheme.classical(1), grid)
+            ic = State(u0, np.cos(np.pi * grid.x_half))
+            one = integrate(ic, second_order(), BoundaryScheme.classical(1), grid).u[1]
             u_exact = -np.sqrt(2.0) * np.sin(np.pi * tau - np.pi / 4) * np.sin(np.pi * x)
-            errs.append(np.abs(one.u - u_exact).max())
+            errs.append(np.abs(one - u_exact).max())
         ratios = [errs[i + 1] / errs[i] for i in range(2)]
         # halving tau divides a tau^3 error by 8
         assert all(0.09 < r < 0.17 for r in ratios)
@@ -240,24 +269,20 @@ class TestFirstStep:
 
 class TestLeapfrogStep:
     def test_zero_states(self, grid30, classical):
-        z = State(np.zeros(31), np.zeros(30), 0.0)
-        z1 = State(np.zeros(31), np.zeros(30), grid30.tau)
-        out = leapfrog_step(z, z1, second_order(), classical, grid30)
-        assert not out.u.any() and not out.p.any()
+        _, _, two = first_levels(np.zeros(31), np.zeros(30), second_order(), classical, grid30)
+        assert not two[0].any() and not two[1].any()
 
     def test_matches_direct_formula(self, grid30, classical):
         st_ = second_order()
         u0 = np.sin(3 * np.pi * grid30.x_nodes)
         u0[0] = u0[-1] = 0.0
-        ic = State(u0, np.cos(3 * np.pi * grid30.x_half), 0.0)
-        _, one = first_step(ic, st_, classical, grid30)
-        two = leapfrog_step(ic, one, st_, classical, grid30)
-        expect_u = ic.u.copy()
-        expect_u[1:-1] += 2 * grid30.tau * derivative_p(one.p, st_, classical, grid30)
-        expect_p = ic.p + 2 * grid30.tau * derivative_u(one.u, st_, classical, grid30)
-        np.testing.assert_allclose(two.u, expect_u, rtol=1e-14)
-        np.testing.assert_allclose(two.p, expect_p, rtol=1e-14)
-        assert two.t == pytest.approx(2 * grid30.tau)
+        p0 = np.cos(3 * np.pi * grid30.x_half)
+        _, one, two = first_levels(u0, p0, st_, classical, grid30)
+        expect_u, expect_p = naive_leapfrog_step(
+            u0, p0, one[0], one[1], st_.a, classical, 30, grid30.h, grid30.tau
+        )
+        np.testing.assert_allclose(two[0], expect_u, rtol=1e-14)
+        np.testing.assert_allclose(two[1], expect_p, rtol=1e-14)
 
     def test_linearity_over_superposition(self, grid30, classical):
         st_ = second_order()
@@ -265,26 +290,18 @@ class TestLeapfrogStep:
         obs5 = sample_observations([ModeSpec(5, 1, 1)], grid30)
 
         def step_pair(u0, p0):
-            ic = State(u0, p0, 0.0)
-            _, one = first_step(ic, st_, classical, grid30)
-            return leapfrog_step(ic, one, st_, classical, grid30)
+            return first_levels(u0, p0, st_, classical, grid30)[2]
 
         s2 = step_pair(obs2.u[0], obs2.p[0])
         s5 = step_pair(obs5.u[0], obs5.p[0])
         s_sum = step_pair(obs2.u[0] + obs5.u[0], obs2.p[0] + obs5.p[0])
-        np.testing.assert_allclose(s_sum.u, s2.u + s5.u, rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(s_sum.p, s2.p + s5.p, rtol=1e-12, atol=1e-14)
-
-    def test_time_spacing_checked(self, grid30, classical):
-        z = State(np.zeros(31), np.zeros(30), 0.0)
-        z_wrong = State(np.zeros(31), np.zeros(30), 0.5)
-        with pytest.raises(ValueError):
-            leapfrog_step(z, z_wrong, second_order(), classical, grid30)
+        np.testing.assert_allclose(s_sum[0], s2[0] + s5[0], rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(s_sum[1], s2[1] + s5[1], rtol=1e-12, atol=1e-14)
 
 
 class TestIntegrate:
     def test_zero_ic_zero_trajectory(self, grid30, classical):
-        traj = integrate(State(np.zeros(31), np.zeros(30), 0.0), second_order(), classical, grid30)
+        traj = integrate(State(np.zeros(31), np.zeros(30)), second_order(), classical, grid30)
         assert not traj.u.any() and not traj.p.any()
         assert traj.n_steps == grid30.n_steps
 
@@ -292,14 +309,14 @@ class TestIntegrate:
         grid = GridSpec(30, 1.0 / 120.0, 3)
         _, st_, bs, _, obs, ic = make_setup(n_steps=3)
         traj = integrate(ic, st_, bs, grid)
-        half, one = first_step(ic, st_, bs, grid)
-        # matvec vs sliced evaluation differ by summation order only
-        np.testing.assert_allclose(traj.u_half, half.u, rtol=1e-14, atol=1e-15)
-        np.testing.assert_allclose(traj.p_half, half.p, rtol=1e-14, atol=1e-15)
-        np.testing.assert_allclose(traj.u[1], one.u, rtol=1e-14, atol=1e-15)
-        np.testing.assert_allclose(traj.p[1], one.p, rtol=1e-14, atol=1e-15)
-        two = leapfrog_step(ic, one, st_, bs, grid)
-        np.testing.assert_allclose(traj.u[2], two.u, rtol=1e-14, atol=1e-15)
+        (uh, ph), (u1, p1) = naive_first_step(ic.u, ic.p, st_.a, bs, 30, grid.h, grid.tau)
+        # matvec vs loop evaluation differ by summation order only
+        np.testing.assert_allclose(traj.z_half[:31], uh, rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(traj.z_half[31:], ph, rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(traj.u[1], u1, rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(traj.p[1], p1, rtol=1e-14, atol=1e-15)
+        u2, _ = naive_leapfrog_step(ic.u, ic.p, u1, p1, st_.a, bs, 30, grid.h, grid.tau)
+        np.testing.assert_allclose(traj.u[2], u2, rtol=1e-14, atol=1e-15)
 
     def test_boundary_values_stay_zero(self):
         _, st_, bs, _, obs, ic = make_setup(n_steps=500)
@@ -315,10 +332,10 @@ class TestIntegrate:
         obs2 = sample_observations([ModeSpec(2, 1, 1)], grid)
         obs5 = sample_observations([ModeSpec(5, 1, 1)], grid)
         a, b = 1.7, -0.4
-        t2 = integrate(State(obs2.u[0], obs2.p[0], 0.0), st_, bs, grid)
-        t5 = integrate(State(obs5.u[0], obs5.p[0], 0.0), st_, bs, grid)
+        t2 = integrate(State(obs2.u[0], obs2.p[0]), st_, bs, grid)
+        t5 = integrate(State(obs5.u[0], obs5.p[0]), st_, bs, grid)
         t_mix = integrate(
-            State(a * obs2.u[0] + b * obs5.u[0], a * obs2.p[0] + b * obs5.p[0], 0.0),
+            State(a * obs2.u[0] + b * obs5.u[0], a * obs2.p[0] + b * obs5.p[0]),
             st_,
             bs,
             grid,
@@ -333,9 +350,9 @@ class TestIntegrate:
         _, st_, bs, _, obs, ic = make_setup(n_steps=50)
         traj = integrate(ic, st_, bs, grid)
         n = traj.n_steps
-        u_rec = traj.u[n].copy()
-        u_rec[1:-1] += 2.0 * (-grid.tau) * derivative_p(traj.p[n - 1], st_, bs, grid)
-        p_rec = traj.p[n] + 2.0 * (-grid.tau) * derivative_u(traj.u[n - 1], st_, bs, grid)
+        u_rec, p_rec = naive_leapfrog_step(
+            traj.u[n], traj.p[n], traj.u[n - 1], traj.p[n - 1], st_.a, bs, 30, grid.h, -grid.tau
+        )
         np.testing.assert_allclose(u_rec, traj.u[n - 2], rtol=0, atol=1e-13)
         np.testing.assert_allclose(p_rec, traj.p[n - 2], rtol=0, atol=1e-13)
 
@@ -365,7 +382,7 @@ class TestIntegrate:
         stencil = fourth_order()
         bs = BoundaryScheme.classical(1)
         obs = sample_observations([ModeSpec(3, 1, 1)], grid)
-        ic = State(obs.u[0].copy(), obs.p[0].copy(), 0.0)
+        ic = State(obs.u[0].copy(), obs.p[0].copy())
         traj = integrate(ic, stencil, bs, grid)
         times, xi = analysis.xi_series(traj, [ModeSpec(3, 1, 1)])
         i_peak = int(np.argmax(xi))
@@ -386,23 +403,65 @@ def test_integrate_linearity_property(a, b, k1, k2):
     bs = BoundaryScheme.classical(1)
     o1 = sample_observations([ModeSpec(k1, 1, 1)], grid)
     o2 = sample_observations([ModeSpec(k2, 1, 1)], grid)
-    t1 = integrate(State(o1.u[0], o1.p[0], 0.0), st_, bs, grid)
-    t2 = integrate(State(o2.u[0], o2.p[0], 0.0), st_, bs, grid)
+    t1 = integrate(State(o1.u[0], o1.p[0]), st_, bs, grid)
+    t2 = integrate(State(o2.u[0], o2.p[0]), st_, bs, grid)
     t_mix = integrate(
-        State(a * o1.u[0] + b * o2.u[0], a * o1.p[0] + b * o2.p[0], 0.0), st_, bs, grid
+        State(a * o1.u[0] + b * o2.u[0], a * o1.p[0] + b * o2.p[0]), st_, bs, grid
     )
     np.testing.assert_allclose(t_mix.u, a * t1.u + b * t2.u, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(t_mix.p, a * t1.p + b * t2.p, rtol=1e-12, atol=1e-12)
 
 
 def test_derivative_matrices_consistent_with_functions():
+    # The D_p and D_u blocks of the stacked operator against the loop oracles.
     rng = np.random.default_rng(9)
     grid = GridSpec(12, 1.0 / 48.0, 5)
     bs = BoundaryScheme(*(rng.standard_normal(3) for _ in range(4)))
     for order in (2, 4):
         st_ = interior_stencil(order)
-        D_p, D_u = derivative_matrices(st_, bs, grid)
+        D_p, D_u = blocks(st_, bs, grid)
         p = rng.standard_normal(12)
         u = rng.standard_normal(13)
-        np.testing.assert_allclose(D_p @ p, derivative_p(p, st_, bs, grid), rtol=1e-13)
-        np.testing.assert_allclose(D_u @ u, derivative_u(u, st_, bs, grid), rtol=1e-13)
+        np.testing.assert_allclose(
+            D_p @ p, naive_derivative_p(p, st_.a, bs.alpha_p, bs.alpha_p_tilde, 12, grid.h),
+            rtol=1e-13,
+        )
+        np.testing.assert_allclose(
+            D_u @ u, naive_derivative_u(u, st_.a, bs.alpha_u, bs.alpha_u_tilde, 12, grid.h),
+            rtol=1e-13,
+        )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    N=st.integers(6, 40),
+    order=st.sampled_from([2, 4]),
+    J=st.integers(1, 4),
+    seed=st.integers(0, 2**31),
+)
+def test_stacked_operator_property(N, order, J, seed):
+    # J + 1 <= N - 1 holds for every drawn pair.
+    rng = np.random.default_rng(seed)
+    grid = GridSpec(N, 1.0 / (4 * N), 20)
+    st_ = interior_stencil(order)
+    bs = BoundaryScheme(*(rng.standard_normal(J + 1) for _ in range(4)))
+    A = stacked_operator(st_, bs, grid)
+    D_p, D_u = A[1:N, N + 1 :], A[N + 1 :, : N + 1]
+    p = rng.standard_normal(N)
+    u = rng.standard_normal(N + 1)
+    np.testing.assert_allclose(
+        D_p @ p, naive_derivative_p(p, st_.a, bs.alpha_p, bs.alpha_p_tilde, N, grid.h),
+        rtol=1e-13, atol=1e-13,
+    )
+    np.testing.assert_allclose(
+        D_u @ u, naive_derivative_u(u, st_.a, bs.alpha_u, bs.alpha_u_tilde, N, grid.h),
+        rtol=1e-13, atol=1e-13,
+    )
+    # Outside the two blocks A is exactly zero: no u row reads u, no p row
+    # reads p, and the wall u rows are empty.
+    assert not A[: N + 1, : N + 1].any() and not A[N + 1 :, N + 1 :].any()
+    assert not A[[0, N]].any()
+    u0 = rng.standard_normal(N + 1)
+    u0[0] = u0[-1] = 0.0
+    traj = integrate(State(u0, rng.standard_normal(N)), st_, bs, grid, blowup_threshold=1e300)
+    assert not traj.u[:, 0].any() and not traj.u[:, -1].any()
