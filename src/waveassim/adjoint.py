@@ -153,16 +153,15 @@ def time_weights(m: int, tau: float) -> np.ndarray:
     return w
 
 
-def misfit_gradient(traj: Trajectory, obs: Observations) -> tuple[np.ndarray, np.ndarray]:
-    """Per-level misfit and the gradient of the windowed misfit cost.
+def misfit_gradient(traj: Trajectory, obs: Observations) -> tuple[float, np.ndarray]:
+    """Windowed misfit cost and its gradient with respect to the control vector.
 
     The cost is the trapezoid time integral over the trajectory's levels of
-    the spatial integral of (u - u_obs)^2 + (p - p_obs)^2, so the adjoint
-    forcing at level t is 2 w_t h (misfit fields).  Returns (level_misfit,
-    grad): the spatial integral at each level before time weighting (weight
-    h on the p half-nodes and interior u nodes; u vanishes at the walls)
-    and the gradient with respect to the control vector.  The observations
-    must cover at least as many levels as the trajectory stores.
+    the spatial integral of (u - u_obs)^2 + (p - p_obs)^2 (weight h on the
+    p half-nodes and interior u nodes; u vanishes at the walls), so the
+    adjoint forcing at level t is 2 w_t h (misfit fields).  The
+    observations must cover at least as many levels as the trajectory
+    stores.
     """
     m, N = traj.n_steps, traj.N
     if obs.n_levels < m + 1:
@@ -170,11 +169,12 @@ def misfit_gradient(traj: Trajectory, obs: Observations) -> tuple[np.ndarray, np
             f"observations cover {obs.n_levels} levels, trajectory needs {m + 1}"
         )
     h = 1.0 / N
+    w = time_weights(m, traj.tau)
     res = traj.z.copy()
     res[:, : N + 1] -= obs.u[: m + 1]
     res[:, N + 1 :] -= obs.p[: m + 1]
     core = res[:, 1:N]
     dp = res[:, N + 1 :]
     level_misfit = h * ((core * core).sum(axis=1) + (dp * dp).sum(axis=1))
-    res *= 2.0 * h * time_weights(m, traj.tau)[:, None]
-    return level_misfit, _sweep(traj, res)
+    res *= 2.0 * h * w[:, None]
+    return float(w @ level_misfit), _sweep(traj, res)

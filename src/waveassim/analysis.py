@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .exact import ModeSpec, Observations, sample_observations
 from .wave import GridSpec, Trajectory
@@ -117,9 +116,11 @@ def compensation_coefficient(kappa: float, h: float, tau: float) -> float:
     c(kappa) = h^2 sin(kappa tau) / ((h^2 - h/2) sin(kappa tau)
                + tau sin(kappa h / 2)); second-order interior scheme.
     """
-    num = h * h * np.sin(kappa * tau)
-    den = (h * h - 0.5 * h) * np.sin(kappa * tau) + tau * np.sin(0.5 * kappa * h)
-    return num / den
+    return h * h * np.sin(kappa * tau) / _compensation_denominator(kappa, h, tau)
+
+
+def _compensation_denominator(kappa, h: float, tau: float):
+    return (h * h - 0.5 * h) * np.sin(kappa * tau) + tau * np.sin(0.5 * kappa * h)
 
 
 def second_order_c_singularity(h: float, tau: float) -> float:
@@ -129,21 +130,24 @@ def second_order_c_singularity(h: float, tau: float) -> float:
     ``compensation_coefficient``; modes beyond it would need a negative,
     unstable boundary coefficient and cannot be compensated.
     """
-
-    def den(kappa):
-        return (h * h - 0.5 * h) * np.sin(kappa * tau) + tau * np.sin(0.5 * kappa * h)
+    # Imported here, not at module level: this is the package's only scipy
+    # use, and loading scipy.optimize adds about 0.5 s and 49 MB to every
+    # command, while only ``dispersion`` needs it.
+    from scipy.optimize import brentq
 
     # The denominator starts positive (~ kappa tau h^2); scan for the first
     # sign change at a resolution finer than both oscillation scales.
     k_max = np.pi / min(tau, 0.5 * h)
     grid = np.linspace(0.0, k_max, 20001)[1:]
-    values = den(grid)
+    values = _compensation_denominator(grid, h, tau)
     sign_flip = np.nonzero(values <= 0.0)[0]
     if sign_flip.size == 0:
         raise ValueError(f"no singularity below kappa = {k_max:.3g} for h = {h}, tau = {tau}")
     i = sign_flip[0]
     lo = grid[i - 1] if i > 0 else grid[0] * 0.5
-    return float(brentq(den, lo, grid[i], xtol=1e-13, rtol=8.9e-16))
+    return float(
+        brentq(_compensation_denominator, lo, grid[i], args=(h, tau), xtol=1e-13, rtol=8.9e-16)
+    )
 
 
 @dataclass(frozen=True)

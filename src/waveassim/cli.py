@@ -78,7 +78,7 @@ class ExperimentConfig:
     J: int = 1
     eta: float = 0.0
     T_window: float = 6.0
-    modes: tuple[tuple[float, float, float], ...] | None = ((3, 1.0, 1.0),)
+    modes: tuple[tuple[float, float, float], ...] | None = ((3.0, 1.0, 1.0),)
     ic: str | None = None
     window_start: int = 600
     window_end: int = 2400
@@ -90,6 +90,9 @@ class ExperimentConfig:
             raise ValueError(f"interior order must be 2 or 4, got {self.order}")
         if (self.modes is None) == (self.ic is None):
             raise ValueError("specify exactly one of 'modes' or 'ic'")
+        for k, _, _ in self.modes or ():
+            if not (k >= 0 and float(k).is_integer()):
+                raise ValueError(f"mode number must be a non-negative integer, got k = {k}")
         if self.ic is not None and self.ic not in NAMED_INITIAL:
             raise ValueError(
                 f"unknown initial condition {self.ic!r}; known: {sorted(NAMED_INITIAL)}"
@@ -107,70 +110,30 @@ class ExperimentConfig:
             raise ValueError(f"window_count must be >= 1, got {self.window_count}")
 
 
+# Each preset lists only the fields that differ from ExperimentConfig.
 PRESETS: dict[str, dict] = {
     # Single sine mode k = 3 on the reference grid, both interior orders.
-    "single-mode-second": dict(
-        name="single-mode-second",
-        N=30,
-        tau=1.0 / 120.0,
-        n_steps=36000,
-        order=2,
-        J=1,
-        eta=0.0,
-        T_window=6.0,
-        modes=((3, 1.0, 1.0),),
-        window_start=600,
-        window_end=2400,
-        window_count=10,
-    ),
-    "single-mode-fourth": dict(
-        name="single-mode-fourth",
-        N=30,
-        tau=1.0 / 120.0,
-        n_steps=36000,
-        order=4,
-        J=1,
-        eta=0.0,
-        T_window=6.0,
-        modes=((3, 1.0, 1.0),),
-        window_start=600,
-        window_end=2400,
-        window_count=10,
-    ),
+    "single-mode-second": dict(name="single-mode-second"),
+    "single-mode-fourth": dict(name="single-mode-fourth", order=4),
     # Superposition of k = 2 and k = 5.  The 20-unit window sits inside the
     # sweep range and is long enough that both identified schemes hold their
     # error plateau over the full horizon.
     "two-modes": dict(
         name="two-modes",
-        N=30,
-        tau=1.0 / 120.0,
         n_steps=12000,
-        order=2,
-        J=1,
-        eta=0.0,
         T_window=20.0,
         modes=((2, 1.0, 1.0), (5, 1.0, 1.0)),
-        window_start=600,
-        window_end=2400,
-        window_count=10,
     ),
     # Analytic initial data with all resolvable modes present.  Low modes
     # need a window of at least ~20 units to register their slow phase
     # drift in the misfit; shorter windows leave them under-constrained.
     "rich-spectrum": dict(
         name="rich-spectrum",
-        N=30,
-        tau=1.0 / 120.0,
         n_steps=9600,
-        order=2,
-        J=1,
-        eta=0.0,
         T_window=20.0,
-        modes=None,
         ic="polyexp",
         window_start=800,
         window_end=5000,
-        window_count=10,
     ),
 }
 
@@ -284,20 +247,12 @@ def _scheme_dict(bs: BoundaryScheme) -> dict:
     }
 
 
-def _config_dict(cfg: ExperimentConfig) -> dict:
-    payload = asdict(cfg)
-    if payload["modes"] is not None:
-        payload["modes"] = [list(row) for row in payload["modes"]]
-    return payload
-
-
-def _predictions(exp: Experiment) -> dict:
+def _predictions(ks: Sequence[int], N: int, tau: float) -> dict:
+    """Dispersion-theory predictions for each mode number in ks."""
     out = {}
-    for mode in exp.modes:
-        if mode.k < 1:
-            continue
-        rep = analysis.dispersion_report(mode.k, exp.config.N, exp.config.tau)
-        out[str(mode.k)] = {
+    for k in ks:
+        rep = analysis.dispersion_report(k, N, tau)
+        out[str(k)] = {
             "beta2_minus_1": rep.beta2 - 1.0,
             "beta4_minus_1": rep.beta4 - 1.0,
             "h_mod_ratio": rep.h_mod_ratio,
@@ -336,11 +291,11 @@ def cmd_assimilate(cfg: ExperimentConfig, out_dir: Path) -> int:
     _write_csv(out_dir / "xi.csv", "t,xi", zip(times, xi))
 
     payload = {
-        "config": _config_dict(cfg),
+        "config": asdict(cfg),
         "start": _scheme_dict(BoundaryScheme.classical(cfg.J)),
         "recovered": _scheme_dict(bs),
         "group_sums": bs.group_sums(),
-        "predicted": _predictions(exp),
+        "predicted": _predictions([m.k for m in exp.modes if m.k >= 1], cfg.N, cfg.tau),
         "cost_history": result.cost_history.tolist(),
         "grad_norm_history": result.grad_norm_history.tolist(),
         "n_evaluations": result.n_evaluations,
@@ -382,12 +337,11 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
         row += bs.alpha_u.tolist() + bs.alpha_u_tilde.tolist()
         row += bs.alpha_p.tolist() + bs.alpha_p_tilde.tolist()
         rows.append(row)
-        if cfg.J >= 1:
-            pairs.append((bs.alpha_p[0], bs.alpha_p[1]))
+        pairs.append((bs.alpha_p[0], bs.alpha_p[1]))
     _write_csv(out_dir / "alphas.csv", "window_steps,T_window,cost," + ",".join(names), rows)
 
     payload: dict = {"n_windows": len(rows)}
-    if cfg.J >= 1 and len(rows) >= 2:
+    if len(rows) >= 2:
         slope, intercept, residual = analysis.fit_kernel_line(pairs)
         payload["kernel_line"] = {
             "slope": slope,
@@ -488,21 +442,11 @@ def cmd_dispersion(cfg: ExperimentConfig, out_dir: Path) -> int:
     _write_csv(out_dir / "beta.csv", "k,tau_over_h,beta2_minus_1,beta4_minus_1", rows)
 
     kappa = analysis.second_order_c_singularity(h, cfg.tau)
-    markers: dict = {
+    markers = {
         "singularity_kappa": kappa,
         "singularity_kappa_over_pi": kappa / np.pi,
-        "modes": {},
+        "modes": _predictions(exp_modes, cfg.N, cfg.tau),
     }
-    for k in exp_modes:
-        rep = analysis.dispersion_report(k, cfg.N, cfg.tau)
-        markers["modes"][str(k)] = {
-            "beta2_minus_1": rep.beta2 - 1.0,
-            "beta4_minus_1": rep.beta4 - 1.0,
-            "c_u": rep.c_u,
-            "c_p": rep.c_p,
-            "T_shift": rep.T_shift,
-            "kernel_tangent": rep.kernel_tangent,
-        }
     _write_json(out_dir / "markers.json", markers)
     return 0
 

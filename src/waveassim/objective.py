@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .adjoint import control_dim, misfit_gradient, time_weights
+from .adjoint import control_dim, misfit_gradient
 from .exact import Observations
 from .wave import (
     BoundaryScheme,
@@ -28,7 +28,6 @@ from .wave import (
 
 __all__ = [
     "BLOWUP_PENALTY",
-    "GROUP_NAMES",
     "CostConfig",
     "CostReport",
     "evaluate",
@@ -38,39 +37,28 @@ __all__ = [
 
 BLOWUP_PENALTY = 1.0e12
 
-GROUP_NAMES = ("alpha_u", "alpha_u_tilde", "alpha_p", "alpha_p_tilde")
-
 
 @dataclass(frozen=True)
 class CostConfig:
-    """Assimilation window length, regularization weight, regularized groups."""
+    """Assimilation window length and regularization weight."""
 
     T_window: float
     eta: float = 0.0
-    groups: tuple[str, ...] = GROUP_NAMES
 
     def __post_init__(self):
         if self.T_window <= 0.0:
             raise ValueError(f"window length must be positive, got {self.T_window}")
         if self.eta < 0.0:
             raise ValueError(f"regularization weight must be >= 0, got {self.eta}")
-        unknown = set(self.groups) - set(GROUP_NAMES)
-        if unknown:
-            raise ValueError(f"unknown stencil groups: {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
 class CostReport:
-    """Cost breakdown; total = misfit + regularization.
-
-    ``level_misfit`` holds the spatial misfit norm at each window level
-    (before time weighting); it is empty when the run diverged.
-    """
+    """Cost breakdown; total = misfit + regularization."""
 
     total: float
     misfit: float
     regularization: float
-    level_misfit: np.ndarray
 
     def __post_init__(self):
         if self.total < 0.0 or self.misfit < 0.0 or self.regularization < 0.0:
@@ -106,36 +94,21 @@ def evaluate(
     which makes any line search backtrack out of the unstable region.
     """
     bs = BoundaryScheme.from_control_vector(x, J)
-    m = window_steps(cfg, grid)
-    if obs.n_levels < m + 1:
-        raise ValueError(
-            f"observations cover {obs.n_levels} levels, window needs {m + 1}"
-        )
-    wgrid = replace(grid, n_steps=m)
-
+    wgrid = replace(grid, n_steps=window_steps(cfg, grid))
     try:
         traj = integrate(ic, stencil, bs, wgrid)
     except IntegrationDiverged:
-        report = CostReport(BLOWUP_PENALTY, BLOWUP_PENALTY, 0.0, np.empty(0))
+        report = CostReport(BLOWUP_PENALTY, BLOWUP_PENALTY, 0.0)
         return report, np.zeros(control_dim(J))
+    misfit, grad = misfit_gradient(traj, obs)
 
-    level_misfit, grad = misfit_gradient(traj, obs)
-    w = time_weights(m, grid.tau)
-    misfit = float(w @ level_misfit)
-
-    reg = 0.0
-    if cfg.eta > 0.0:
-        sums = bs.group_sums()
-        width = J + 1
-        offsets = {name: i * width for i, name in enumerate(GROUP_NAMES)}
-        for name in cfg.groups:
-            s = sums[name]
-            reg += cfg.eta * s * s
-            # d/d alpha_j of eta * (sum alpha)^2 is the same for every j.
-            lo = offsets[name]
-            grad[lo : lo + width] += 2.0 * cfg.eta * s
-
-    return CostReport(misfit + reg, misfit, reg, level_misfit), grad
+    # One row per stencil group; a sum does not depend on the reversed
+    # order of the tilde groups.  d/d alpha_j of eta * (sum alpha)^2 is the
+    # same for every j of the group.
+    sums = np.reshape(x, (4, J + 1)).sum(axis=1)
+    reg = float(cfg.eta * (sums @ sums))
+    grad += np.repeat(2.0 * cfg.eta * sums, J + 1)
+    return CostReport(misfit + reg, misfit, reg), grad
 
 
 def make_objective(

@@ -2,6 +2,9 @@
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,11 +27,12 @@ REMOVED = {
         "_project_p_control",
         "_project_u_control",
     ],
-    "objective": ["state_norm2"],
+    "objective": ["state_norm2", "GROUP_NAMES"],
     "exact": ["exact_mode", "exact_superposition"],
 }
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def test_all_names_import():
@@ -48,6 +52,29 @@ def test_removed_names_are_gone(module):
 def test_removed_trajectory_and_state_members():
     assert not hasattr(waveassim.Trajectory, "state")
     assert "t" not in waveassim.State.__dataclass_fields__
+
+
+def test_cost_dataclass_fields():
+    assert list(waveassim.CostConfig.__dataclass_fields__) == ["T_window", "eta"]
+    assert list(waveassim.CostReport.__dataclass_fields__) == [
+        "total",
+        "misfit",
+        "regularization",
+    ]
+
+
+def test_import_leaves_scipy_unloaded():
+    # Only the dispersion analysis needs scipy; every other command should
+    # not pay for loading it.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    code = "import sys, waveassim, waveassim.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_traced_names_resolve():

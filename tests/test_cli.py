@@ -79,6 +79,9 @@ class TestConfigResolution:
             ExperimentConfig(modes=None, ic=None)
         with pytest.raises(ValueError):
             ExperimentConfig(ic="unknown", modes=None)
+        for k in (-1.0, 2.5, float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                ExperimentConfig(modes=((k, 1.0, 1.0),))
 
 
 class TestForward:
@@ -190,6 +193,14 @@ class TestExitCodes:
 
     def test_bad_modes_syntax(self, tmp_path):
         assert main(["forward", "--out", str(tmp_path), "--modes", "3:1"]) == 1
+
+    def test_fractional_mode_number_rejected(self, tmp_path, capsys):
+        # k = 2.5 has no sine mode; it must not be truncated to k = 2.
+        argv = ["forward", "--out", str(tmp_path), "--modes", "2.5:1:1",
+                "--n-steps", "100", "--T-window", "0.5"]
+        assert main(argv) == 1
+        assert "mode number" in capsys.readouterr().err
+        assert not (tmp_path / "xi.csv").exists()
 
     def test_unstable_run_fails_with_message(self, tmp_path, capsys):
         # tau/h = 0.9 is unstable for the fourth-order interior: the post-run
