@@ -5,13 +5,15 @@ Each time level of the forward model adds a tendency that is bilinear in
 injects, at every level, a field that is zero except at the four
 controlled derivative rows, with weights read from the unperturbed
 trajectory.  ``tlm_run`` propagates such a perturbation forward with the
-trajectory's stacked operator A (products of the perturbations between
-coefficients and state are dropped, so the map is linear in d_alpha).
-``adjoint_sweep`` applies the exact transpose of that linear map: one
-backward pass with A^T that carries the per-level forcing fields, then
-one projection of the adjoint states onto coefficient space.  A single
-sweep is mathematically identical to summing one backward integration
-per forcing level, at a fraction of the cost.
+trajectory's block propagator F, BLOCK_LEVELS levels and their sources
+per product (products of the perturbations between coefficients and
+state are dropped, so the map is linear in d_alpha).  ``adjoint_sweep``
+applies the exact transpose of that linear map: one backward pass with
+one F^T product per block that carries the per-level forcing fields and
+yields the adjoint at the controlled rows, then one projection of those
+values onto coefficient space.  A single sweep is mathematically
+identical to summing one backward integration per forcing level, at a
+fraction of the cost.
 
 Control vector layout (length 4(J+1)), matching
 ``BoundaryScheme.to_control_vector``:
@@ -28,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .exact import Observations
-from .wave import Trajectory
+from .wave import BLOCK_LEVELS, Trajectory, controlled_rows
 
 __all__ = [
     "adjoint_sweep",
@@ -66,17 +68,19 @@ def _sensitivity(traj: Trajectory) -> tuple[list[int], np.ndarray, np.ndarray]:
     values it gives their transpose.
     """
     N, J = traj.N, traj.bs.J
-    z = np.vstack([traj.z_half, traj.z[:-1]])
-    S = np.stack(
-        [
-            z[:, : J + 1],  # alpha_u: du/dx at the first half-node
-            -z[:, N - J : N + 1],  # alpha_u_tilde: du/dx at the last half-node
-            z[:, N + 1 : N + 2 + J],  # alpha_p: dp/dx at node 1
-            -z[:, 2 * N - J :],  # alpha_p_tilde: dp/dx at node N-1
-        ],
-        axis=1,
-    ) / (1.0 / N)
-    return [N + 1, 2 * N, 1, N - 1], S[0], S[1:]
+
+    def read(z: np.ndarray) -> np.ndarray:
+        return np.stack(
+            [
+                z[..., : J + 1],  # alpha_u: du/dx at the first half-node
+                -z[..., N - J : N + 1],  # alpha_u_tilde: du/dx at the last half-node
+                z[..., N + 1 : N + 2 + J],  # alpha_p: dp/dx at node 1
+                -z[..., 2 * N - J :],  # alpha_p_tilde: dp/dx at node N-1
+            ],
+            axis=-2,
+        ) / (1.0 / N)
+
+    return controlled_rows(N), read(traj.z_half), read(traj.z[:-1])
 
 
 def tlm_run(traj: Trajectory, dalpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -87,39 +91,50 @@ def tlm_run(traj: Trajectory, dalpha: np.ndarray) -> tuple[np.ndarray, np.ndarra
     (n_steps+1, N+1) (boundary columns stay zero) and dp of shape
     (n_steps+1, N).
     """
-    n, N, tau, A = traj.n_steps, traj.N, traj.tau, traj.A
+    n, N, tau, A, F = traj.n_steps, traj.N, traj.tau, traj.A, traj.F
+    d = 2 * N + 1
     # One row per stencil group, in control-vector order.
-    d = np.reshape(split_control(dalpha, traj.bs.J), (4, -1))
+    dg = np.reshape(split_control(dalpha, traj.bs.J), (4, -1))
     rows, S_half, S = _sensitivity(traj)
 
+    # src[t] is the controlled-row source that the tendency of level t-1
+    # adds to level t >= 2.
+    src = np.zeros((n + 1, 4))
+    src[2:] = 2.0 * tau * (S[1:] * dg).sum(axis=-1)
     dz = np.zeros_like(traj.z)
-    two_tau = 2.0 * tau
-    # The source of level t enters level t+1; put them all in place first.
-    dz[2:, rows] = two_tau * (S[1:] * d).sum(axis=-1)
-    dz_half = np.zeros(2 * N + 1)
-    dz_half[rows] = 0.5 * tau * (S[0] * d).sum(axis=-1)
+    dz_half = np.zeros(d)
+    dz_half[rows] = 0.5 * tau * (S[0] * dg).sum(axis=-1)
     dz[1] = tau * (A @ dz_half)
-    dz[1, rows] += tau * (S_half * d).sum(axis=-1)
-    for t in range(1, n):
-        dz[t + 1] += dz[t - 1] + two_tau * (A @ dz[t])
+    dz[1, rows] += tau * (S_half * dg).sum(axis=-1)
+    for t in range(1, n, BLOCK_LEVELS):
+        k = min(BLOCK_LEVELS, n - t)
+        block = dz[t + 1 : t + 1 + k].reshape(-1)
+        np.matmul(F[: k * d, : 2 * d], dz[t - 1 : t + 1].reshape(-1), out=block)
+        block += F[: k * d, 2 * d : 2 * d + 4 * k] @ src[t + 1 : t + 1 + k].reshape(-1)
     return dz[:, : N + 1], dz[:, N + 1 :]
 
 
 def _sweep(traj: Trajectory, a: np.ndarray) -> np.ndarray:
     """Adjoint of tlm_run for the stacked forcing a, which is overwritten."""
-    n, tau = traj.n_steps, traj.tau
-    AT = np.ascontiguousarray(traj.A.T)
-    two_tau = 2.0 * tau
-    for t in range(n, 1, -1):
-        a[t - 2] += a[t]
-        a[t - 1] += two_tau * (AT @ a[t])
-
-    # Transpose of the sources: level t feeds a[t+1] with weight 2 tau, and
-    # the split first step feeds a[1] through z_half and through z_0.
+    n, tau, F = traj.n_steps, traj.tau, traj.F
+    d = a.shape[1]
     rows, S_half, S = _sensitivity(traj)
+
+    # Blocks in reverse: F^T maps the block's adjoint onto the carry to its
+    # two input levels and onto lam, the adjoint at the controlled rows of
+    # each of its levels (the full adjoint there, later levels included).
+    lam = np.empty((n + 1, 4))
+    for t in reversed(range(1, n, BLOCK_LEVELS)):
+        k = min(BLOCK_LEVELS, n - t)
+        c = F[: k * d, : 2 * d + 4 * k].T @ a[t + 1 : t + 1 + k].reshape(-1)
+        a[t - 1 : t + 1] += c[: 2 * d].reshape(2, d)
+        lam[t + 1 : t + 1 + k] = c[2 * d :].reshape(k, 4)
+
+    # Transpose of the sources: level t feeds level t+1 with weight 2 tau,
+    # and the split first step feeds a[1] through z_half and through z_0.
     w = np.empty((n, 4))
-    w[0] = 0.5 * tau * (tau * (AT @ a[1]))[rows]
-    w[1:] = two_tau * a[2:, rows]
+    w[0] = 0.5 * tau * (tau * (a[1] @ traj.A[:, rows]))
+    w[1:] = 2.0 * tau * lam[2:]
     g = np.einsum("tgj,tg->gj", S, w) + S_half * (tau * a[1, rows])[:, None]
     return g.ravel()
 

@@ -26,7 +26,7 @@ from . import analysis
 from .adjoint import adjoint_sweep, control_dim, tlm_run
 from .exact import ModeSpec, Observations, project_initial, sample_observations
 from .minimize import MinimizeConfig, OptimResult, lbfgs
-from .objective import CostConfig, evaluate, make_objective, window_steps
+from .objective import BLOWUP_PENALTY, CostConfig, evaluate, make_objective, window_steps
 from .wave import (
     BoundaryScheme,
     GridSpec,
@@ -209,15 +209,27 @@ def run_assimilation(
     eta: float | None = None,
     minimize_config: MinimizeConfig | None = None,
 ) -> tuple[OptimResult, BoundaryScheme]:
-    """Minimize the windowed misfit from the classical starting scheme."""
+    """Minimize the windowed misfit from the classical starting scheme.
+
+    Raises
+    ------
+    IntegrationDiverged
+        If the starting scheme diverges inside the window, where the cost
+        is only the blow-up penalty and there is nothing to minimize.
+    """
     cfg = exp.config
     cost_cfg = CostConfig(
         T_window=cfg.T_window if T_window is None else T_window,
         eta=cfg.eta if eta is None else eta,
     )
     f_and_grad = make_objective(cost_cfg, exp.obs, exp.ic, exp.stencil, exp.grid, cfg.J)
-    x0 = BoundaryScheme.classical(cfg.J).to_control_vector()
-    result = lbfgs(f_and_grad, x0, minimize_config or MinimizeConfig())
+    start = BoundaryScheme.classical(cfg.J)
+    result = lbfgs(f_and_grad, start.to_control_vector(), minimize_config or MinimizeConfig())
+    if result.f >= BLOWUP_PENALTY:
+        # L-BFGS accepts only decreasing steps, so the start itself diverged;
+        # integrate it again to raise with the level at which it did.
+        wgrid = replace(exp.grid, n_steps=window_steps(cost_cfg, exp.grid))
+        integrate(exp.ic, exp.stencil, start, wgrid)
     return result, BoundaryScheme.from_control_vector(result.x, cfg.J)
 
 

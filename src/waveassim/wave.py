@@ -16,7 +16,10 @@ The state is one stacked vector z = (u_0..u_N, p_1/2..p_N-1/2) and the
 semi-discrete system is dz/dt = A z with one operator A per scheme; see
 :func:`stacked_operator`.  Time stepping is leapfrog; the first step is
 split into two forward Euler half-stages so the start is second-order
-accurate and does not excite the odd/even leapfrog mode.
+accurate and does not excite the odd/even leapfrog mode.  The leapfrog
+levels advance BLOCK_LEVELS at a time: :func:`block_propagator` unrolls
+the recurrence into one matrix per scheme, so each block costs two
+matvecs instead of one per level.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "BLOCK_LEVELS",
     "DEFAULT_BLOWUP_THRESHOLD",
     "BoundaryScheme",
     "GridSpec",
@@ -42,6 +46,9 @@ __all__ = [
 ]
 
 DEFAULT_BLOWUP_THRESHOLD = 1.0e6
+
+# Leapfrog levels advanced per block propagator product.
+BLOCK_LEVELS = 8
 
 # Offsets j = -1..2 of the interior stencil relative to the output row.
 _OFFSETS = np.array([-1.0, 0.0, 1.0, 2.0])
@@ -264,14 +271,16 @@ class Trajectory:
     z has shape (n_steps+1, 2N+1); ``u`` (n_steps+1, N+1) and ``p``
     (n_steps+1, N) are views into it.  z_half holds the intermediate state
     at t = tau/2 that the split first step produces, A the stacked operator
-    the run was integrated with and bs the scheme it was built from: the
-    sensitivity model reads all three.
+    the run was integrated with, F its block propagator (see
+    :func:`block_propagator`) and bs the scheme they were built from: the
+    sensitivity model reads all of them.
     """
 
     z: np.ndarray
     z_half: np.ndarray
     tau: float
     A: np.ndarray
+    F: np.ndarray
     bs: BoundaryScheme
 
     @property
@@ -327,6 +336,46 @@ def stacked_operator(
     return A / grid.h
 
 
+def controlled_rows(N: int) -> list[int]:
+    """Rows of z set by the boundary stencils, in control-vector group order.
+
+    alpha_u and alpha_u_tilde give du/dx at the first and last half-node
+    (the first and last p rows), alpha_p and alpha_p_tilde dp/dx at nodes
+    1 and N-1.
+    """
+    return [N + 1, 2 * N, 1, N - 1]
+
+
+def block_propagator(A: np.ndarray, tau: float, levels: int) -> np.ndarray:
+    """The leapfrog recurrence unrolled over ``levels`` levels.
+
+    With B = 2 tau A and E placing a 4-vector on the controlled rows, the
+    step z_{t+1} = z_{t-1} + B z_t + E s_{t+1} unrolls to
+
+        z_{t+k} = P_{k-1} z_{t-1} + P_k z_t + sum_{i=1..k} P_{k-i} E s_{t+i},
+
+    P_0 = I, P_1 = B, P_k = P_{k-2} + B P_{k-1}.  Row block k-1 of the
+    returned (levels*d, 2d + 4*levels) matrix F holds those coefficients,
+    so F @ [z_{t-1}; z_t; s_{t+1}; ...; s_{t+levels}] stacks levels
+    t+1..t+levels.  The source columns are block lower triangular: the
+    first k row blocks do not read the sources past s_{t+k}.
+    """
+    d = A.shape[0]
+    # P[k + 1] holds P_k, so P[0] = P_{-1} = 0 starts the recurrence exactly.
+    P = np.zeros((levels + 2, d, d))
+    P[1] = np.eye(d)
+    B = 2.0 * tau * A
+    for k in range(2, levels + 2):
+        P[k] = P[k - 2] + B @ P[k - 1]
+    F = np.zeros((levels, d, 2 * d + 4 * levels))
+    F[:, :, :d] = P[1:-1]
+    F[:, :, d : 2 * d] = P[2:]
+    PE = P[1:-1][:, :, controlled_rows(d // 2)]
+    for i in range(levels):
+        F[i:, :, 2 * d + 4 * i : 2 * d + 4 * i + 4] = PE[: levels - i]
+    return F.reshape(levels * d, 2 * d + 4 * levels)
+
+
 def integrate(
     ic: State,
     stencil: InteriorStencil,
@@ -340,27 +389,36 @@ def integrate(
     ------
     IntegrationDiverged
         If max(|u|, |p|) exceeds ``blowup_threshold`` (or turns non-finite)
-        at any level.  Unstable boundary schemes reached during a
-        minimization line search end up here.
+        at any level; the exception names the first such level.  Unstable
+        boundary schemes reached during a minimization line search end up
+        here.
     """
     A = stacked_operator(stencil, bs, grid)
     N, tau, n = grid.N, grid.tau, grid.n_steps
+    d = 2 * N + 1
+    F = block_propagator(A, tau, min(BLOCK_LEVELS, n - 1))
 
-    Z = np.empty((n + 1, 2 * N + 1))
+    Z = np.empty((n + 1, d))
     Z[0, : N + 1] = ic.u
     Z[0, 0] = Z[0, N] = 0.0
     Z[0, N + 1 :] = ic.p
     z_half = Z[0] + 0.5 * tau * (A @ Z[0])
     Z[1] = Z[0] + tau * (A @ z_half)
 
-    def _check(level: int) -> None:
-        amp = np.abs(Z[level]).max()
+    def _check(levels: np.ndarray, first: int) -> None:
+        amp = np.abs(levels).max()
         if not amp <= blowup_threshold:  # also catches NaN
-            raise IntegrationDiverged(level, level * tau, amp)
+            amps = np.abs(levels).max(axis=1)
+            i = int(np.argmin(amps <= blowup_threshold))
+            raise IntegrationDiverged(first + i, (first + i) * tau, amps[i])
 
-    _check(1)
-    two_tau = 2.0 * tau
-    for t in range(1, n):
-        np.add(Z[t - 1], two_tau * (A @ Z[t]), out=Z[t + 1])
-        _check(t + 1)
-    return Trajectory(Z, z_half, tau, A, bs)
+    _check(Z[1:2], 1)
+    for t in range(1, n, BLOCK_LEVELS):
+        k = min(BLOCK_LEVELS, n - t)
+        block = Z[t + 1 : t + 1 + k].reshape(-1)
+        # The z_t product first, then the z_{t-1} term, so that the first
+        # level of a block rounds as z_{t-1} + 2 tau A z_t.
+        np.matmul(F[: k * d, d : 2 * d], Z[t], out=block)
+        block += F[: k * d, :d] @ Z[t - 1]
+        _check(Z[t + 1 : t + 1 + k], t + 1)
+    return Trajectory(Z, z_half, tau, A, F, bs)

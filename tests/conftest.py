@@ -76,6 +76,17 @@ def naive_leapfrog_step(u_prev, p_prev, u_curr, p_curr, a, bs, N, h, tau):
     return u_new, p_new
 
 
+def naive_integrate(u0, p0, a, bs, N, h, tau, n_steps):
+    """Levels 0..n_steps as (u, p) arrays, one longhand step per level."""
+    _, (u1, p1) = naive_first_step(u0, p0, a, bs, N, h, tau)
+    us, ps = [u0, u1], [p0, p1]
+    for _ in range(1, n_steps):
+        u, p = naive_leapfrog_step(us[-2], ps[-2], us[-1], ps[-1], a, bs, N, h, tau)
+        us.append(u)
+        ps.append(p)
+    return np.array(us), np.array(ps)
+
+
 def exact_mode(k, x, t):
     """Unit-amplitude mode with u(x,0) = sin(k pi x), p(x,0) = cos(k pi x), in closed form."""
     x = np.asarray(x, dtype=float)

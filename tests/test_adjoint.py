@@ -17,6 +17,7 @@ from waveassim.adjoint import (
 from waveassim.exact import ModeSpec, sample_observations
 from waveassim.objective import CostConfig, evaluate
 from waveassim.wave import (
+    BLOCK_LEVELS,
     BoundaryScheme,
     GridSpec,
     State,
@@ -115,6 +116,41 @@ class TestAdjointSweep:
         np.testing.assert_allclose(
             adjoint_sweep(traj, fu, fp), A.T @ w, rtol=1e-12, atol=1e-13
         )
+
+    @pytest.mark.parametrize(
+        "n_steps", [1, 2, BLOCK_LEVELS, BLOCK_LEVELS + 2, 2 * BLOCK_LEVELS + 3]
+    )
+    def test_matches_dense_transpose_at_block_edges(self, n_steps):
+        # Runs whose leapfrog levels (n_steps - 1 of them) fill no block,
+        # one, a block and a remainder, and two blocks and a remainder.
+        rng = np.random.default_rng(6)
+        grid, stencil, bs, obs, ic, traj = small_case(N=8, J=2, n_steps=n_steps)
+        dim = control_dim(2)
+        A = np.column_stack(
+            [np.concatenate([r.ravel() for r in tlm_run(traj, e)]) for e in np.eye(dim)]
+        )
+        fu = rng.standard_normal(traj.u.shape)
+        fp = rng.standard_normal(traj.p.shape)
+        w = np.concatenate([fu.ravel(), fp.ravel()])
+        np.testing.assert_allclose(
+            adjoint_sweep(traj, fu, fp), A.T @ w, rtol=1e-12, atol=1e-13
+        )
+
+    @pytest.mark.parametrize("n_steps", [BLOCK_LEVELS + 2, 3 * BLOCK_LEVELS + 2])
+    @pytest.mark.parametrize("J,order", [(1, 2), (4, 4)])
+    def test_dot_product_identity_at_block_edges(self, J, order, n_steps):
+        rng = np.random.default_rng(5)
+        grid, stencil, bs, obs, ic, traj = small_case(
+            N=14, J=J, n_steps=n_steps, order=order
+        )
+        for _ in range(5):
+            d = rng.standard_normal(control_dim(J))
+            fu = rng.standard_normal(traj.u.shape)
+            fp = rng.standard_normal(traj.p.shape)
+            du, dp = tlm_run(traj, d)
+            lhs = float((du * fu).sum() + (dp * fp).sum())
+            rhs = float(d @ adjoint_sweep(traj, fu, fp))
+            assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
 
     def test_equals_sum_of_per_level_sweeps(self):
         # One backward pass carrying every forcing level at once must agree

@@ -210,6 +210,16 @@ class TestExitCodes:
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: integration diverged")
 
+    def test_diverged_start_fails_sweep(self, tmp_path, capsys):
+        # The classical start diverges inside every window: no fit exists,
+        # so no alphas.csv with penalty costs and start coefficients.
+        argv = ["sweep", "--out", str(tmp_path), "--preset", "single-mode-fourth",
+                "--tau", "0.03", "--n-steps", "400", "--window-start", "50",
+                "--window-end", "100", "--window-count", "2"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: integration diverged at step 19")
+        assert not (tmp_path / "alphas.csv").exists()
+
 
 class TestExperimentHelpers:
     def test_setup_experiment_twin_start(self):

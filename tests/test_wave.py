@@ -12,11 +12,13 @@ from conftest import (
     naive_derivative_p,
     naive_derivative_u,
     naive_first_step,
+    naive_integrate,
     naive_leapfrog_step,
 )
 from waveassim import analysis
 from waveassim.exact import ModeSpec, sample_observations
 from waveassim.wave import (
+    BLOCK_LEVELS,
     BoundaryScheme,
     GridSpec,
     IntegrationDiverged,
@@ -465,3 +467,64 @@ def test_stacked_operator_property(N, order, J, seed):
     u0[0] = u0[-1] = 0.0
     traj = integrate(State(u0, rng.standard_normal(N)), st_, bs, grid, blowup_threshold=1e300)
     assert not traj.u[:, 0].any() and not traj.u[:, -1].any()
+
+
+K = BLOCK_LEVELS
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    N=st.integers(6, 24),
+    order=st.sampled_from([2, 4]),
+    J=st.integers(1, 4),
+    n_steps=st.sampled_from([1, 2, K - 1, K, K + 1, 3 * K + 2]),
+    seed=st.integers(0, 2**31),
+)
+def test_integrate_matches_level_loop_at_block_edges(N, order, J, n_steps, seed):
+    # The block propagator against one longhand step per level, for runs
+    # that end before, on and just past a block boundary.
+    rng = np.random.default_rng(seed)
+    grid = GridSpec(N, 1.0 / (4 * N), n_steps)
+    st_ = interior_stencil(order)
+    bs = BoundaryScheme(*(rng.standard_normal(J + 1) for _ in range(4)))
+    u0 = rng.standard_normal(N + 1)
+    u0[0] = u0[-1] = 0.0
+    p0 = rng.standard_normal(N)
+    traj = integrate(State(u0, p0), st_, bs, grid, blowup_threshold=1e300)
+    u, p = naive_integrate(u0, p0, st_.a, bs, N, grid.h, grid.tau, n_steps)
+    assert traj.u.shape == u.shape and traj.p.shape == p.shape
+    scale = max(np.abs(u).max(), np.abs(p).max())
+    assert np.abs(traj.u - u).max() <= 1e-12 * scale
+    assert np.abs(traj.p - p).max() <= 1e-12 * scale
+
+
+def test_divergence_reports_first_level_over_threshold():
+    # A flipped boundary scheme grows by about 19 % per level from level 9
+    # on.  For every level L that sets a new amplitude record, a threshold
+    # between the old record and amps[L] must trip at L exactly, wherever L
+    # falls in its block.
+    N, n = 12, 40
+    grid = GridSpec(N, 1.0 / 48.0, n)
+    st_ = second_order()
+    flipped = BoundaryScheme([1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, 1.0])
+    u0 = np.sin(np.pi * grid.x_nodes)
+    u0[0] = u0[-1] = 0.0
+    p0 = np.cos(np.pi * grid.x_half)
+    u, p = naive_integrate(u0, p0, st_.a, flipped, N, grid.h, grid.tau, n)
+    amps = np.maximum(np.abs(u).max(axis=1), np.abs(p).max(axis=1))
+    checked = []
+    for L in range(1, n + 1):
+        record = amps[1:L].max(initial=0.5 * amps[1])
+        if amps[L] <= record * (1.0 + 1e-9):
+            continue
+        threshold = np.sqrt(record * amps[L])
+        with pytest.raises(IntegrationDiverged) as err:
+            integrate(State(u0, p0), st_, flipped, grid, blowup_threshold=threshold)
+        assert err.value.step == L
+        assert err.value.time == pytest.approx(L * grid.tau)
+        assert err.value.amplitude == pytest.approx(amps[L], rel=1e-12)
+        checked.append(L)
+    # Level 1 (the split first step), the first level of a block and every
+    # position inside one are covered.
+    assert 1 in checked and 2 in checked
+    assert {(L - 2) % K for L in checked if L >= 2} == set(range(K))
