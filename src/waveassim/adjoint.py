@@ -4,16 +4,13 @@ Each time level of the forward model adds a tendency that is bilinear in
 (coefficients, state): perturbing the boundary coefficients by d_alpha
 injects, at every level, a field that is zero except at the four
 controlled derivative rows, with weights read from the unperturbed
-trajectory.  ``tlm_run`` propagates such a perturbation forward with the
-trajectory's block propagator F, BLOCK_LEVELS levels and their sources
-per product (products of the perturbations between coefficients and
-state are dropped, so the map is linear in d_alpha).  ``adjoint_sweep``
-applies the exact transpose of that linear map: one backward pass with
-one F^T product per block that carries the per-level forcing fields and
-yields the adjoint at the controlled rows, then one projection of those
-values onto coefficient space.  A single sweep is mathematically
-identical to summing one backward integration per forcing level, at a
-fraction of the cost.
+trajectory.  ``tlm_run`` propagates such a perturbation forward along the
+trajectory's two staggered chains with its chain stack W, sources
+included (products of the perturbations between coefficients and state
+are dropped, so the map is linear in d_alpha).  ``adjoint_sweep`` applies
+the exact transpose of that linear map: one backward pass over the same
+chains with W^T that yields the adjoint at the controlled rows, then one
+projection of those values onto coefficient space.
 
 Control vector layout (length 4(J+1)), matching
 ``BoundaryScheme.to_control_vector``:
@@ -30,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .exact import Observations
-from .wave import BLOCK_LEVELS, Trajectory, controlled_rows
+from .wave import BLOCK_LEVELS, Trajectory, advance_chains, controlled_rows, transpose_chains
 
 __all__ = [
     "adjoint_sweep",
@@ -91,50 +88,35 @@ def tlm_run(traj: Trajectory, dalpha: np.ndarray) -> tuple[np.ndarray, np.ndarra
     (n_steps+1, N+1) (boundary columns stay zero) and dp of shape
     (n_steps+1, N).
     """
-    n, N, tau, A, F = traj.n_steps, traj.N, traj.tau, traj.A, traj.F
-    d = 2 * N + 1
+    n, N, tau, A = traj.n_steps, traj.N, traj.tau, traj.A
     # One row per stencil group, in control-vector order.
     dg = np.reshape(split_control(dalpha, traj.bs.J), (4, -1))
     rows, S_half, S = _sensitivity(traj)
 
     # src[t] is the controlled-row source that the tendency of level t-1
     # adds to level t >= 2.
-    src = np.zeros((n + 1, 4))
-    src[2:] = 2.0 * tau * (S[1:] * dg).sum(axis=-1)
-    dz = np.zeros_like(traj.z)
-    dz_half = np.zeros(d)
+    src = np.zeros((n + 2 * BLOCK_LEVELS + 1, 4))
+    src[2 : n + 1] = 2.0 * tau * (S[1:] * dg).sum(axis=-1)
+    dz = np.zeros((n + 2 * BLOCK_LEVELS + 1, 2 * N + 1))
+    dz_half = np.zeros(2 * N + 1)
     dz_half[rows] = 0.5 * tau * (S[0] * dg).sum(axis=-1)
     dz[1] = tau * (A @ dz_half)
     dz[1, rows] += tau * (S_half * dg).sum(axis=-1)
-    for t in range(1, n, BLOCK_LEVELS):
-        k = min(BLOCK_LEVELS, n - t)
-        block = dz[t + 1 : t + 1 + k].reshape(-1)
-        np.matmul(F[: k * d, : 2 * d], dz[t - 1 : t + 1].reshape(-1), out=block)
-        block += F[: k * d, 2 * d : 2 * d + 4 * k] @ src[t + 1 : t + 1 + k].reshape(-1)
-    return dz[:, : N + 1], dz[:, N + 1 :]
+    advance_chains(dz, traj.W, n, src)
+    return dz[: n + 1, : N + 1], dz[: n + 1, N + 1 :]
 
 
 def _sweep(traj: Trajectory, a: np.ndarray) -> np.ndarray:
     """Adjoint of tlm_run for the stacked forcing a, which is overwritten."""
-    n, tau, F = traj.n_steps, traj.tau, traj.F
-    d = a.shape[1]
+    n, tau = traj.n_steps, traj.tau
     rows, S_half, S = _sensitivity(traj)
-
-    # Blocks in reverse: F^T maps the block's adjoint onto the carry to its
-    # two input levels and onto lam, the adjoint at the controlled rows of
-    # each of its levels (the full adjoint there, later levels included).
-    lam = np.empty((n + 1, 4))
-    for t in reversed(range(1, n, BLOCK_LEVELS)):
-        k = min(BLOCK_LEVELS, n - t)
-        c = F[: k * d, : 2 * d + 4 * k].T @ a[t + 1 : t + 1 + k].reshape(-1)
-        a[t - 1 : t + 1] += c[: 2 * d].reshape(2, d)
-        lam[t + 1 : t + 1 + k] = c[2 * d :].reshape(k, 4)
+    lam = transpose_chains(a, traj.W, n)
 
     # Transpose of the sources: level t feeds level t+1 with weight 2 tau,
     # and the split first step feeds a[1] through z_half and through z_0.
     w = np.empty((n, 4))
     w[0] = 0.5 * tau * (tau * (a[1] @ traj.A[:, rows]))
-    w[1:] = 2.0 * tau * lam[2:]
+    w[1:] = 2.0 * tau * lam[2 : n + 1]
     g = np.einsum("tgj,tg->gj", S, w) + S_half * (tau * a[1, rows])[:, None]
     return g.ravel()
 

@@ -298,10 +298,6 @@ def cmd_assimilate(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Identify boundary coefficients and report them with the predictions."""
     exp = setup_experiment(cfg)
     result, bs = run_assimilation(exp)
-    traj = integrate(exp.ic, exp.stencil, bs, exp.grid)
-    times, xi = analysis.grid_misfit_series(traj, exp.obs)
-    _write_csv(out_dir / "xi.csv", "t,xi", zip(times, xi))
-
     payload = {
         "config": asdict(cfg),
         "start": _scheme_dict(BoundaryScheme.classical(cfg.J)),
@@ -313,10 +309,23 @@ def cmd_assimilate(cfg: ExperimentConfig, out_dir: Path) -> int:
         "n_evaluations": result.n_evaluations,
         "n_iterations": result.n_iterations,
         "termination": result.termination,
-        "post_window_xi": {
-            "plateau": analysis.plateau_level(times, xi, cfg.T_window),
-            "max": float(xi[times >= cfg.T_window].max()),
-        },
+    }
+    try:
+        traj = integrate(exp.ic, exp.stencil, bs, exp.grid)
+    except IntegrationDiverged as exc:
+        # Keep the fit: record where the recovered scheme blew up, then fail.
+        payload["post_run_diverged"] = {
+            "step": exc.step,
+            "time": float(exc.time),
+            "amplitude": float(exc.amplitude),
+        }
+        _write_json(out_dir / "result.json", payload)
+        raise
+    times, xi = analysis.grid_misfit_series(traj, exp.obs)
+    _write_csv(out_dir / "xi.csv", "t,xi", zip(times, xi))
+    payload["post_window_xi"] = {
+        "plateau": analysis.plateau_level(times, xi, cfg.T_window),
+        "max": float(xi[times >= cfg.T_window].max()),
     }
     _write_json(out_dir / "result.json", payload)
     return 0
@@ -415,7 +424,7 @@ def _gradient_check(
 
 
 def cmd_gradcheck(cfg: ExperimentConfig, out_dir: Path, tol: float = 1e-5) -> int:
-    """Print the verification table; exit 2 when any relative error exceeds tol."""
+    """Print and save (gradcheck.json) the checks; exit 2 when an error exceeds tol."""
     exp = setup_experiment(cfg)
     report = _gradient_check(exp)
     worst_dot = max(report["dot_residuals"])
@@ -430,6 +439,8 @@ def cmd_gradcheck(cfg: ExperimentConfig, out_dir: Path, tol: float = 1e-5) -> in
         print(f"{j:9d}  {ga: .10e}  {gf: .10e}  {r:.3e}")
     worst = max(worst_dot, float(report["relative_error"].max()))
     print(f"worst relative error: {worst:.3e} (tolerance {tol:.1e})")
+    record = {key: np.asarray(value).tolist() for key, value in report.items()}
+    _write_json(out_dir / "gradcheck.json", {**record, "worst": worst, "tolerance": tol})
     if worst > tol:
         print("FAILED")
         return 2

@@ -16,10 +16,12 @@ The state is one stacked vector z = (u_0..u_N, p_1/2..p_N-1/2) and the
 semi-discrete system is dz/dt = A z with one operator A per scheme; see
 :func:`stacked_operator`.  Time stepping is leapfrog; the first step is
 split into two forward Euler half-stages so the start is second-order
-accurate and does not excite the odd/even leapfrog mode.  The leapfrog
-levels advance BLOCK_LEVELS at a time: :func:`block_propagator` unrolls
-the recurrence into one matrix per scheme, so each block costs two
-matvecs instead of one per level.
+accurate and does not excite the odd/even leapfrog mode.  Since A only
+couples u with p, the leapfrog splits into two staggered chains with step
+2 tau; :func:`chain_stack` unrolls them over BLOCK_LEVELS steps into one
+matrix per scheme.  :func:`advance_chains` moves both chains a block per
+small product and fills a chunk of blocks' levels per large one, and
+:func:`transpose_chains` is its exact transpose for the adjoint.
 """
 
 from __future__ import annotations
@@ -47,8 +49,10 @@ __all__ = [
 
 DEFAULT_BLOWUP_THRESHOLD = 1.0e6
 
-# Leapfrog levels advanced per block propagator product.
+# Steps of each staggered chain per block (2 * BLOCK_LEVELS leapfrog
+# levels), and blocks per chunk filled by one product.
 BLOCK_LEVELS = 8
+CHUNK = 32
 
 # Offsets j = -1..2 of the interior stencil relative to the output row.
 _OFFSETS = np.array([-1.0, 0.0, 1.0, 2.0])
@@ -271,16 +275,16 @@ class Trajectory:
     z has shape (n_steps+1, 2N+1); ``u`` (n_steps+1, N+1) and ``p``
     (n_steps+1, N) are views into it.  z_half holds the intermediate state
     at t = tau/2 that the split first step produces, A the stacked operator
-    the run was integrated with, F its block propagator (see
-    :func:`block_propagator`) and bs the scheme they were built from: the
-    sensitivity model reads all of them.
+    the run was integrated with, W its chain stack (see :func:`chain_stack`)
+    and bs the scheme they were built from: the sensitivity model reads all
+    of them.
     """
 
     z: np.ndarray
     z_half: np.ndarray
     tau: float
     A: np.ndarray
-    F: np.ndarray
+    W: np.ndarray
     bs: BoundaryScheme
 
     @property
@@ -346,34 +350,136 @@ def controlled_rows(N: int) -> list[int]:
     return [N + 1, 2 * N, 1, N - 1]
 
 
-def block_propagator(A: np.ndarray, tau: float, levels: int) -> np.ndarray:
-    """The leapfrog recurrence unrolled over ``levels`` levels.
+def chain_stack(A: np.ndarray, tau: float, steps: int) -> np.ndarray:
+    """The two staggered leapfrog chains unrolled over ``steps`` steps.
 
-    With B = 2 tau A and E placing a 4-vector on the controlled rows, the
-    step z_{t+1} = z_{t-1} + B z_t + E s_{t+1} unrolls to
-
-        z_{t+k} = P_{k-1} z_{t-1} + P_k z_t + sum_{i=1..k} P_{k-i} E s_{t+i},
-
-    P_0 = I, P_1 = B, P_k = P_{k-2} + B P_{k-1}.  Row block k-1 of the
-    returned (levels*d, 2d + 4*levels) matrix F holds those coefficients,
-    so F @ [z_{t-1}; z_t; s_{t+1}; ...; s_{t+levels}] stacks levels
-    t+1..t+levels.  The source columns are block lower triangular: the
-    first k row blocks do not read the sources past s_{t+k}.
+    A couples u only with p, so z_{t+1} = z_{t-1} + B z_t (B = 2 tau A)
+    splits into the chains (u_even, p_odd) and (u_odd, p_even).  A step of
+    either maps y = (u_{t-1}, p_t) to (u_{t+1}, p_{t+2}) = M y + G s, with
+    M = I + E, E = [[0, B D_p], [B D_u, B D_u B D_p]], and G taking the
+    controlled-row sources s to u_{t+1} (and through B D_u to p_{t+2}) and
+    p_{t+2}.  Row block j-1 of the result holds M^j - I and M^{j-i} G for
+    i = 1..steps (zero for i > j), so y_j = y + (row block) @ [y; s_1; ...].
+    M^j - I, not M^j, keeps the first step's rounding u_{t-1} + B D_p p_t.
     """
     d = A.shape[0]
-    # P[k + 1] holds P_k, so P[0] = P_{-1} = 0 starts the recurrence exactly.
-    P = np.zeros((levels + 2, d, d))
-    P[1] = np.eye(d)
+    N = d // 2
+    rows = controlled_rows(N)
     B = 2.0 * tau * A
-    for k in range(2, levels + 2):
-        P[k] = P[k - 2] + B @ P[k - 1]
-    F = np.zeros((levels, d, 2 * d + 4 * levels))
-    F[:, :, :d] = P[1:-1]
-    F[:, :, d : 2 * d] = P[2:]
-    PE = P[1:-1][:, :, controlled_rows(d // 2)]
-    for i in range(levels):
-        F[i:, :, 2 * d + 4 * i : 2 * d + 4 * i + 4] = PE[: levels - i]
-    return F.reshape(levels * d, 2 * d + 4 * levels)
+    E = B.copy()
+    E[N + 1 :, N + 1 :] = B[N + 1 :, : N + 1] @ B[: N + 1, N + 1 :]
+    G = np.eye(d)[:, rows]
+    G[:, 2:] += B[:, rows[2:]]  # a u source reaches p_{t+2} through B D_u
+    W = np.zeros((steps, d, d + 4 * steps))
+    P = W[:, :, :d]  # P[j-1] = M^j - I, by P[j] = P[j-1] + E + E P[j-1]
+    P[0] = Pj = E
+    for j in range(1, steps):
+        P[j] = Pj = Pj + E + E @ Pj
+    MG = G + np.concatenate([np.zeros((1, d, d)), P[:-1]]) @ G  # M^q G, q < steps
+    for i in range(steps):
+        W[i:, :, d + 4 * i : d + 4 * i + 4] = MG[: steps - i]
+    return W.reshape(steps * d, d + 4 * steps)
+
+
+def _chain_view(levels: np.ndarray, m: int) -> np.ndarray:
+    """The 2*BLOCK_LEVELS*m rows of m blocks as (block, chain, step, column)."""
+    return levels.reshape(m, BLOCK_LEVELS, 2, -1).transpose(0, 2, 1, 3)
+
+
+def advance_chains(
+    Z: np.ndarray, W: np.ndarray, n: int, src: np.ndarray | None = None, threshold: float = np.inf
+) -> None:
+    """Fill levels 2..n of Z from levels 0 and 1 with the chain stack W.
+
+    p_2 = p_0 + B D_u u_1 starts the second chain.  Then per CHUNK blocks of
+    BLOCK_LEVELS steps, one product per block moves the two chain heads and
+    one product fills all the chunk's levels from them.  Z and src (the
+    controlled-row sources of each level, zero at levels 0, 1 and past n)
+    have n + 2*BLOCK_LEVELS + 1 rows, for what the last block overshoots.
+    Once the last head of a block is over threshold (or NaN) on the levels
+    the block completes, the levels past that block are left unset.
+    """
+    d = Z.shape[1]
+    N, K = d // 2, BLOCK_LEVELS
+    uu, pp = slice(0, N + 1), slice(N + 1, d)
+    cols = d if src is None else d + 4 * K
+    Z[2, pp] = Z[0, pp] + W[N + 1 : d, : N + 1] @ Z[1, uu]
+    if src is not None:
+        Z[2, controlled_rows(N)[:2]] += src[2, :2]
+    # X[b, c]: the head (u_{s-1+c}, p_{s+c}) of chain c at block b, then the
+    # sources of its K steps; out[b, c, j] is that head after j+1 steps.
+    X = np.zeros((CHUNK + 1, 2, cols))
+    X[0, :, uu], X[0, :, pp] = Z[0:2, uu], Z[1:3, pp]
+    out = np.empty((CHUNK, 2, K, d))
+    last, rest = W[(K - 1) * d :, :cols].T, W[: (K - 1) * d, :cols].T
+    nb, b0 = (n + 2 * K - 2) // (2 * K), 0
+    while b0 < nb:
+        s, m = 1 + 2 * K * b0, min(CHUNK, nb - b0)
+        if src is not None:
+            xs = X[:m, :, d:].reshape(m, 2, K, 4)
+            xs[..., :2] = _chain_view(src[s + 2 : s + 2 + 2 * K * m, :2], m)
+            xs[..., 2:] = _chain_view(src[s + 1 : s + 1 + 2 * K * m, 2:], m)
+        for b in range(m):
+            h = X[b + 1, :, :d]
+            np.matmul(X[b], last, out=h)
+            h += X[b, :, :d]
+            # All of the head but its last p, whose level the block leaves open.
+            if not np.abs(h.ravel()[:-N]).max() <= threshold:
+                m, nb = b + 1, b0 + b + 1
+                break
+        o = out[:m]
+        np.matmul(X[:m].reshape(2 * m, cols), rest, out=o[:, :, :-1].reshape(2 * m, -1))
+        o[:, :, :-1] += X[:m, :, None, :d]
+        o[:, :, -1] = X[1 : m + 1, :, :d]
+        _chain_view(Z[s + 1 : s + 1 + 2 * K * m, uu], m)[...] = o[..., uu]
+        _chain_view(Z[s + 2 : s + 2 + 2 * K * m, pp], m)[...] = o[..., pp]
+        X[0] = X[m]
+        b0 += m
+
+
+def transpose_chains(a: np.ndarray, W: np.ndarray, n: int) -> np.ndarray:
+    """The transpose of advance_chains from level 1 and the sources on.
+
+    a (n+1, 2N+1) holds the adjoint forcing of every level and is
+    overwritten: the adjoint reaching level 1 is added to a[1] (level 0,
+    where perturbations start from zero, gets none).  Returns lam (n+1, 4):
+    at levels 2..n the full adjoint at the controlled rows, which is the
+    adjoint of those levels' sources.
+    """
+    d = a.shape[1]
+    N, K = d // 2, BLOCK_LEVELS
+    uu, pp = slice(0, N + 1), slice(N + 1, d)
+    # Chunks and blocks in reverse.  W^T takes a chunk's forcing onto each
+    # block's share of the adjoint of its heads and of its sources; the
+    # carry from the next block adds through the last row block of W.
+    lam = np.zeros((n + 2 * K + 1, 4))
+    x = np.empty((CHUNK, 2, K, d))
+    last = W[(K - 1) * d :]
+    carry = np.zeros((2, d))
+    nb = (n + 2 * K - 2) // (2 * K)
+    for b0 in reversed(range(0, nb, CHUNK)):
+        s, m = 1 + 2 * K * b0, min(CHUNK, nb - b0)
+        f = a[s + 1 : s + 2 + 2 * K * m]
+        if len(f) < 2 * K * m + 1:  # the last block runs past level n
+            f = np.concatenate([f, np.zeros((2 * K * m + 1 - len(f), d))])
+        xm = x[:m]
+        xm[..., uu] = _chain_view(f[:-1, uu], m)
+        xm[..., pp] = _chain_view(f[1:, pp], m)
+        c = (xm.reshape(2 * m, K * d) @ W).reshape(m, 2, -1)
+        c[:, :, :d] += xm.sum(axis=2)
+        for b in reversed(range(m)):
+            c[b] += carry @ last
+            c[b, :, :d] += carry
+            carry = c[b, :, :d]
+        ls = c[:, :, d:].reshape(m, 2, K, 4)
+        _chain_view(lam[s + 2 : s + 2 + 2 * K * m, :2], m)[...] = ls[..., :2]
+        _chain_view(lam[s + 1 : s + 1 + 2 * K * m, 2:], m)[...] = ls[..., 2:]
+    if n > 1:  # the first heads (u_0, p_1) and (u_1, p_2 = p_0 + B D_u u_1)
+        lam_p2 = carry[1, pp] + a[2, pp]
+        lam[2, :2] = lam_p2[[0, N - 1]]
+        a[1, uu] += carry[1, uu] + W[N + 1 : d, : N + 1].T @ lam_p2
+        a[1, pp] += carry[0, pp]
+    return lam[: n + 1]
 
 
 def integrate(
@@ -395,30 +501,20 @@ def integrate(
     """
     A = stacked_operator(stencil, bs, grid)
     N, tau, n = grid.N, grid.tau, grid.n_steps
-    d = 2 * N + 1
-    F = block_propagator(A, tau, min(BLOCK_LEVELS, n - 1))
+    W = chain_stack(A, tau, BLOCK_LEVELS)
 
-    Z = np.empty((n + 1, d))
+    Z = np.empty((n + 2 * BLOCK_LEVELS + 1, 2 * N + 1))
     Z[0, : N + 1] = ic.u
     Z[0, 0] = Z[0, N] = 0.0
     Z[0, N + 1 :] = ic.p
     z_half = Z[0] + 0.5 * tau * (A @ Z[0])
     Z[1] = Z[0] + tau * (A @ z_half)
 
-    def _check(levels: np.ndarray, first: int) -> None:
-        amp = np.abs(levels).max()
-        if not amp <= blowup_threshold:  # also catches NaN
-            amps = np.abs(levels).max(axis=1)
-            i = int(np.argmin(amps <= blowup_threshold))
-            raise IntegrationDiverged(first + i, (first + i) * tau, amps[i])
-
-    _check(Z[1:2], 1)
-    for t in range(1, n, BLOCK_LEVELS):
-        k = min(BLOCK_LEVELS, n - t)
-        block = Z[t + 1 : t + 1 + k].reshape(-1)
-        # The z_t product first, then the z_{t-1} term, so that the first
-        # level of a block rounds as z_{t-1} + 2 tau A z_t.
-        np.matmul(F[: k * d, d : 2 * d], Z[t], out=block)
-        block += F[: k * d, :d] @ Z[t - 1]
-        _check(Z[t + 1 : t + 1 + k], t + 1)
-    return Trajectory(Z, z_half, tau, A, F, bs)
+    advance_chains(Z, W, n, threshold=blowup_threshold)
+    # Every level up to the first one over the threshold was filled.
+    levels = Z[1 : n + 1]
+    if not np.maximum(levels.max(), -levels.min()) <= blowup_threshold:  # or NaN
+        amps = np.maximum(levels.max(axis=1), -levels.min(axis=1))
+        i = int(np.argmin(amps <= blowup_threshold))
+        raise IntegrationDiverged(i + 1, (i + 1) * tau, amps[i])
+    return Trajectory(Z[: n + 1], z_half, tau, A, W, bs)

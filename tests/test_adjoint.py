@@ -18,12 +18,21 @@ from waveassim.exact import ModeSpec, sample_observations
 from waveassim.objective import CostConfig, evaluate
 from waveassim.wave import (
     BLOCK_LEVELS,
+    CHUNK,
     BoundaryScheme,
     GridSpec,
     State,
     integrate,
     interior_stencil,
 )
+
+
+K = BLOCK_LEVELS
+# Runs that end before, on and just past the edges of the 2K-level blocks
+# (n_steps = 2K + 1 fills exactly one), the old K-level block edges, and
+# the edge of a chunk of CHUNK blocks.
+CHAIN_EDGES = [1, 2, 3, K, K + 2, 2 * K - 1, 2 * K, 2 * K + 1, 2 * K + 2, 2 * K + 3, 4 * K + 3]
+CHUNK_EDGES = [2 * K * CHUNK + 1, 2 * K * CHUNK + 2]
 
 
 def small_case(N=12, J=1, n_steps=25, order=2, k=3):
@@ -78,6 +87,25 @@ class TestTangentLinearModel:
             assert 0.35 < r2 / r1 < 0.65
 
 
+    @pytest.mark.parametrize("n_steps", CHAIN_EDGES + CHUNK_EDGES)
+    @pytest.mark.parametrize("J,order", [(2, 2), (4, 4)])
+    def test_matches_central_difference_at_block_edges(self, J, order, n_steps):
+        # The trajectory is polynomial in the coefficients: its central
+        # difference matches the tangent response to O(eps^2) and rounding,
+        # measured at most 5e-10 of the response here.
+        rng = np.random.default_rng(9)
+        grid, stencil, bs, obs, ic, traj = small_case(N=12, J=J, n_steps=n_steps, order=order)
+        d = rng.standard_normal(control_dim(J))
+        x, eps = bs.to_control_vector(), 1e-6
+        plus, minus = (
+            integrate(ic, stencil, BoundaryScheme.from_control_vector(x + sign * eps * d, J), grid)
+            for sign in (1.0, -1.0)
+        )
+        tl = np.concatenate(tlm_run(traj, d), axis=1)
+        fd = (plus.z - minus.z) / (2.0 * eps)
+        assert np.abs(fd - tl).max() <= 1e-8 * np.abs(tl).max()
+
+
 class TestAdjointSweep:
     def test_zero_forcing(self):
         grid, stencil, bs, obs, ic, traj = small_case()
@@ -117,12 +145,8 @@ class TestAdjointSweep:
             adjoint_sweep(traj, fu, fp), A.T @ w, rtol=1e-12, atol=1e-13
         )
 
-    @pytest.mark.parametrize(
-        "n_steps", [1, 2, BLOCK_LEVELS, BLOCK_LEVELS + 2, 2 * BLOCK_LEVELS + 3]
-    )
+    @pytest.mark.parametrize("n_steps", CHAIN_EDGES + CHUNK_EDGES)
     def test_matches_dense_transpose_at_block_edges(self, n_steps):
-        # Runs whose leapfrog levels (n_steps - 1 of them) fill no block,
-        # one, a block and a remainder, and two blocks and a remainder.
         rng = np.random.default_rng(6)
         grid, stencil, bs, obs, ic, traj = small_case(N=8, J=2, n_steps=n_steps)
         dim = control_dim(2)
@@ -136,7 +160,7 @@ class TestAdjointSweep:
             adjoint_sweep(traj, fu, fp), A.T @ w, rtol=1e-12, atol=1e-13
         )
 
-    @pytest.mark.parametrize("n_steps", [BLOCK_LEVELS + 2, 3 * BLOCK_LEVELS + 2])
+    @pytest.mark.parametrize("n_steps", CHAIN_EDGES + [3 * K + 2] + CHUNK_EDGES)
     @pytest.mark.parametrize("J,order", [(1, 2), (4, 4)])
     def test_dot_product_identity_at_block_edges(self, J, order, n_steps):
         rng = np.random.default_rng(5)

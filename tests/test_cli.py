@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from waveassim import cli
 from waveassim.cli import (
     PRESETS,
     ExperimentConfig,
@@ -13,6 +14,7 @@ from waveassim.cli import (
     run_assimilation,
     setup_experiment,
 )
+from waveassim.wave import IntegrationDiverged
 
 # Small, fast configuration shared by the command tests.
 TINY = [
@@ -156,6 +158,15 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert rc == 0
         assert sum(1 for line in out.splitlines() if line.strip().startswith(tuple("0123456789"))) >= 12
+        # The same table, read back from gradcheck.json.
+        record = json.loads((tmp_path / "gradcheck.json").read_text())
+        assert len(record["dot_residuals"]) == 5
+        assert max(record["dot_residuals"]) <= 1e-12
+        for key in ("adjoint", "finite_difference", "relative_error"):
+            assert len(record[key]) == 12
+        assert record["worst"] == max(record["dot_residuals"] + record["relative_error"])
+        assert record["worst"] <= record["tolerance"] == 1e-5
+        assert f"worst relative error: {record['worst']:.3e}" in out
 
 
 class TestDispersion:
@@ -209,6 +220,27 @@ class TestExitCodes:
                 "--tau", "0.03", "--n-steps", "400", "--T-window", "3"]
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: integration diverged")
+
+    def test_post_run_divergence_keeps_the_fit(self, tmp_path, capsys, monkeypatch):
+        # The fit itself is real; only the horizon run of the recovered
+        # scheme is made to diverge.  result.json must still hold the fit.
+        def diverging(*args, **kwargs):
+            raise IntegrationDiverged(123, 123 / 64.0, 2.5e6)
+
+        monkeypatch.setattr(cli, "integrate", diverging)
+        assert main(["assimilate", "--out", str(tmp_path)] + TINY) == 1
+        assert capsys.readouterr().err.startswith("error: integration diverged at step 123")
+        payload = json.loads((tmp_path / "result.json").read_text())
+        assert payload["post_run_diverged"] == {
+            "step": 123, "time": 123 / 64.0, "amplitude": 2.5e6,
+        }
+        assert set(payload) == {
+            "config", "start", "recovered", "group_sums", "predicted", "cost_history",
+            "grad_norm_history", "n_evaluations", "n_iterations", "termination",
+            "post_run_diverged",
+        }
+        assert payload["cost_history"][-1] < payload["cost_history"][0]
+        assert not (tmp_path / "xi.csv").exists()
 
     def test_diverged_start_fails_sweep(self, tmp_path, capsys):
         # The classical start diverges inside every window: no fit exists,

@@ -19,6 +19,7 @@ from waveassim import analysis
 from waveassim.exact import ModeSpec, sample_observations
 from waveassim.wave import (
     BLOCK_LEVELS,
+    CHUNK,
     BoundaryScheme,
     GridSpec,
     IntegrationDiverged,
@@ -477,12 +478,16 @@ K = BLOCK_LEVELS
     N=st.integers(6, 24),
     order=st.sampled_from([2, 4]),
     J=st.integers(1, 4),
-    n_steps=st.sampled_from([1, 2, K - 1, K, K + 1, 3 * K + 2]),
+    n_steps=st.sampled_from(
+        [1, 2, 3, K - 1, K, K + 1, 2 * K - 1, 2 * K, 2 * K + 1, 2 * K + 2, 3 * K + 2, 4 * K + 3]
+        + [2 * K * CHUNK + 1, 2 * K * CHUNK + 2]
+    ),
     seed=st.integers(0, 2**31),
 )
 def test_integrate_matches_level_loop_at_block_edges(N, order, J, n_steps, seed):
-    # The block propagator against one longhand step per level, for runs
-    # that end before, on and just past a block boundary.
+    # The chain stack against one longhand step per level, for runs that
+    # end before, on and just past the edge of a 2K-level block (2K + 1
+    # levels fill one) and of a chunk of blocks.
     rng = np.random.default_rng(seed)
     grid = GridSpec(N, 1.0 / (4 * N), n_steps)
     st_ = interior_stencil(order)
@@ -502,8 +507,8 @@ def test_divergence_reports_first_level_over_threshold():
     # A flipped boundary scheme grows by about 19 % per level from level 9
     # on.  For every level L that sets a new amplitude record, a threshold
     # between the old record and amps[L] must trip at L exactly, wherever L
-    # falls in its block.
-    N, n = 12, 40
+    # falls in its block or chunk.
+    N, n = 12, 2 * K * CHUNK + 40
     grid = GridSpec(N, 1.0 / 48.0, n)
     st_ = second_order()
     flipped = BoundaryScheme([1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, 1.0])
@@ -513,7 +518,8 @@ def test_divergence_reports_first_level_over_threshold():
     u, p = naive_integrate(u0, p0, st_.a, flipped, N, grid.h, grid.tau, n)
     amps = np.maximum(np.abs(u).max(axis=1), np.abs(p).max(axis=1))
     checked = []
-    for L in range(1, n + 1):
+    edge = 2 * K * CHUNK + 1  # the last level of the first chunk
+    for L in [*range(1, 4 * K + 9), *range(edge - 2 * K, edge + 2 * K + 2)]:
         record = amps[1:L].max(initial=0.5 * amps[1])
         if amps[L] <= record * (1.0 + 1e-9):
             continue
@@ -524,7 +530,9 @@ def test_divergence_reports_first_level_over_threshold():
         assert err.value.time == pytest.approx(L * grid.tau)
         assert err.value.amplitude == pytest.approx(amps[L], rel=1e-12)
         checked.append(L)
-    # Level 1 (the split first step), the first level of a block and every
-    # position inside one are covered.
+    # Level 1 (the split first step), the first level of a block, every
+    # position inside one, and the levels around the first chunk edge are
+    # covered.
     assert 1 in checked and 2 in checked
-    assert {(L - 2) % K for L in checked if L >= 2} == set(range(K))
+    assert {(L - 2) % (2 * K) for L in checked if L >= 2} == set(range(2 * K))
+    assert set(range(edge - 2 * K, edge + 2 * K + 2)) <= set(checked)
