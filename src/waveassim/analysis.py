@@ -199,7 +199,9 @@ def grid_misfit_series(traj: Trajectory, obs: Observations) -> tuple[np.ndarray,
         raise ValueError(f"observations cover {obs.n_levels} levels, need {m + 1}")
     du = traj.u - obs.u[: m + 1]
     dp = traj.p - obs.p[: m + 1]
-    return traj.times, (du * du).sum(axis=1) + (dp * dp).sum(axis=1)
+    xi = np.square(du, out=du).sum(axis=1)
+    xi += np.square(dp, out=dp).sum(axis=1)
+    return traj.times, xi
 
 
 def fit_kernel_line(points: Sequence[tuple[float, float]]) -> tuple[float, float, float]:

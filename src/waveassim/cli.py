@@ -108,6 +108,8 @@ class ExperimentConfig:
             )
         if self.window_count < 1:
             raise ValueError(f"window_count must be >= 1, got {self.window_count}")
+        if self.xt_stride is not None and self.xt_stride < 1:
+            raise ValueError(f"xt_stride must be >= 1, got {self.xt_stride}")
 
 
 # Each preset lists only the fields that differ from ExperimentConfig.
@@ -233,15 +235,13 @@ def run_assimilation(
     return result, BoundaryScheme.from_control_vector(result.x, cfg.J)
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
-def _write_csv(path: Path, header: str, rows) -> None:
+def _write_csv(path: Path, header: str, *columns) -> None:
+    """One row per index of the equal-length columns, each value repr(float(v))."""
+    texts = [map(repr, np.asarray(c, dtype=float).tolist()) for c in columns]
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for row in zip(*texts):
+            fh.write(",".join(row) + "\n")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -282,15 +282,14 @@ def cmd_forward(cfg: ExperimentConfig, out_dir: Path) -> int:
     bs = BoundaryScheme.classical(cfg.J)
     traj = integrate(exp.ic, exp.stencil, bs, exp.grid)
     times, xi = analysis.grid_misfit_series(traj, exp.obs)
-    _write_csv(out_dir / "xi.csv", "t,xi", zip(times, xi))
+    _write_csv(out_dir / "xi.csv", "t,xi", times, xi)
 
     stride = cfg.xt_stride or max(1, cfg.n_steps // 400)
     x_nodes = exp.grid.x_nodes
     du = traj.u[::stride] - exp.obs.u[::stride]
-    rows = (
-        (t, x, e) for t, du_t in zip(times[::stride], du) for x, e in zip(x_nodes, du_t)
-    )
-    _write_csv(out_dir / "error_xt.csv", "t,x,du", rows)
+    t_col = np.repeat(times[::stride], x_nodes.size)
+    x_col = np.tile(x_nodes, len(du))
+    _write_csv(out_dir / "error_xt.csv", "t,x,du", t_col, x_col, du.ravel())
     return 0
 
 
@@ -322,7 +321,7 @@ def cmd_assimilate(cfg: ExperimentConfig, out_dir: Path) -> int:
         _write_json(out_dir / "result.json", payload)
         raise
     times, xi = analysis.grid_misfit_series(traj, exp.obs)
-    _write_csv(out_dir / "xi.csv", "t,xi", zip(times, xi))
+    _write_csv(out_dir / "xi.csv", "t,xi", times, xi)
     payload["post_window_xi"] = {
         "plateau": analysis.plateau_level(times, xi, cfg.T_window),
         "max": float(xi[times >= cfg.T_window].max()),
@@ -359,7 +358,8 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
         row += bs.alpha_p.tolist() + bs.alpha_p_tilde.tolist()
         rows.append(row)
         pairs.append((bs.alpha_p[0], bs.alpha_p[1]))
-    _write_csv(out_dir / "alphas.csv", "window_steps,T_window,cost," + ",".join(names), rows)
+    header = "window_steps,T_window,cost," + ",".join(names)
+    _write_csv(out_dir / "alphas.csv", header, *zip(*rows))
 
     payload: dict = {"n_windows": len(rows)}
     if len(rows) >= 2:
@@ -462,7 +462,7 @@ def cmd_dispersion(cfg: ExperimentConfig, out_dir: Path) -> int:
         for r in ratios:
             tau = r * h
             rows.append((k, r, analysis.beta2(k, h, tau) - 1.0, analysis.beta4(k, h, tau) - 1.0))
-    _write_csv(out_dir / "beta.csv", "k,tau_over_h,beta2_minus_1,beta4_minus_1", rows)
+    _write_csv(out_dir / "beta.csv", "k,tau_over_h,beta2_minus_1,beta4_minus_1", *zip(*rows))
 
     kappa = analysis.second_order_c_singularity(h, cfg.tau)
     markers = {

@@ -396,8 +396,9 @@ def advance_chains(
     one product fills all the chunk's levels from them.  Z and src (the
     controlled-row sources of each level, zero at levels 0, 1 and past n)
     have n + 2*BLOCK_LEVELS + 1 rows, for what the last block overshoots.
-    Once the last head of a block is over threshold (or NaN) on the levels
-    the block completes, the levels past that block are left unset.
+    The heads are checked once per chunk: past the first block whose last
+    head is over a finite threshold (or NaN) on the levels the block
+    completes, the levels are left unset.
     """
     d = Z.shape[1]
     N, K = d // 2, BLOCK_LEVELS
@@ -419,14 +420,18 @@ def advance_chains(
             xs = X[:m, :, d:].reshape(m, 2, K, 4)
             xs[..., :2] = _chain_view(src[s + 2 : s + 2 + 2 * K * m, :2], m)
             xs[..., 2:] = _chain_view(src[s + 1 : s + 1 + 2 * K * m, 2:], m)
-        for b in range(m):
-            h = X[b + 1, :, :d]
-            np.matmul(X[b], last, out=h)
-            h += X[b, :, :d]
-            # All of the head but its last p, whose level the block leaves open.
-            if not np.abs(h.ravel()[:-N]).max() <= threshold:
-                m, nb = b + 1, b0 + b + 1
-                break
+        # An unstable trial scheme may overflow before the chunk's check.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for b in range(m):
+                h = X[b + 1, :, :d]
+                np.matmul(X[b], last, out=h)
+                h += X[b, :, :d]
+        if threshold < np.inf:
+            # All of each head but its last p, whose level the block leaves open.
+            ok = np.abs(X[1 : m + 1, :, :d].reshape(m, -1)[:, :-N]).max(axis=1) <= threshold
+            if not ok.all():
+                m = int(np.argmin(ok)) + 1
+                nb = b0 + m
         o = out[:m]
         np.matmul(X[:m].reshape(2 * m, cols), rest, out=o[:, :, :-1].reshape(2 * m, -1))
         o[:, :, :-1] += X[:m, :, None, :d]
@@ -455,7 +460,7 @@ def transpose_chains(a: np.ndarray, W: np.ndarray, n: int) -> np.ndarray:
     lam = np.zeros((n + 2 * K + 1, 4))
     x = np.empty((CHUNK, 2, K, d))
     last = W[(K - 1) * d :]
-    carry = np.zeros((2, d))
+    carry, carried = np.zeros((2, d)), np.empty((2, last.shape[1]))
     nb = (n + 2 * K - 2) // (2 * K)
     for b0 in reversed(range(0, nb, CHUNK)):
         s, m = 1 + 2 * K * b0, min(CHUNK, nb - b0)
@@ -468,7 +473,7 @@ def transpose_chains(a: np.ndarray, W: np.ndarray, n: int) -> np.ndarray:
         c = (xm.reshape(2 * m, K * d) @ W).reshape(m, 2, -1)
         c[:, :, :d] += xm.sum(axis=2)
         for b in reversed(range(m)):
-            c[b] += carry @ last
+            c[b] += np.matmul(carry, last, out=carried)
             c[b, :, :d] += carry
             carry = c[b, :, :d]
         ls = c[:, :, d:].reshape(m, 2, K, 4)

@@ -107,6 +107,29 @@ class TestForward:
         assert (a / "error_xt.csv").read_bytes() == (b / "error_xt.csv").read_bytes()
 
 
+class TestWriteCsv:
+    def test_each_value_is_its_float_repr(self, tmp_path):
+        # Shortest round-trip repr of every value, integers written as
+        # floats (window_steps in alphas.csv), numpy floats as Python ones.
+        specials = [-0.0, 5e-324, 1e16, 1e-05, 0.1 + 0.2, float("nan"), float("inf"), -np.inf]
+        ints = list(range(len(specials)))
+        npfloats = np.linspace(-1.0, 1.0, len(specials)) / 3.0
+        path = tmp_path / "out.csv"
+        cli._write_csv(path, "a,b,c", specials, ints, npfloats)
+        expected = "a,b,c\n" + "".join(
+            ",".join(repr(float(v)) for v in row) + "\n"
+            for row in zip(specials, ints, npfloats)
+        )
+        assert path.read_bytes() == expected.encode()
+        _, back = read_csv(path)
+        assert np.array_equal(back[:, 2], npfloats)
+
+    def test_zero_rows_write_the_header_only(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        cli._write_csv(path, "k,tau_over_h", [], [])
+        assert path.read_bytes() == b"k,tau_over_h\n"
+
+
 class TestAssimilate:
     def test_result_payload(self, tmp_path):
         rc = main(["assimilate", "--out", str(tmp_path)] + TINY)
@@ -241,6 +264,17 @@ class TestExitCodes:
         }
         assert payload["cost_history"][-1] < payload["cost_history"][0]
         assert not (tmp_path / "xi.csv").exists()
+
+    @pytest.mark.parametrize("stride", [0, -90])
+    def test_xt_stride_below_one_rejected(self, tmp_path, capsys, stride):
+        # A negative stride used to write error_xt.csv in reverse time, and
+        # 0 fell back to the default stride.
+        with pytest.raises(ValueError, match="xt_stride"):
+            ExperimentConfig(xt_stride=stride)
+        argv = ["forward", "--out", str(tmp_path), f"--xt-stride={stride}"] + TINY
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: xt_stride must be >= 1")
+        assert not (tmp_path / "error_xt.csv").exists()
 
     def test_diverged_start_fails_sweep(self, tmp_path, capsys):
         # The classical start diverges inside every window: no fit exists,

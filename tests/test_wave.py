@@ -1,5 +1,6 @@
 """Discrete operators and time stepping."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -17,9 +18,11 @@ from conftest import (
 )
 from waveassim import analysis
 from waveassim.exact import ModeSpec, sample_observations
+from waveassim.objective import BLOWUP_PENALTY, CostConfig, evaluate
 from waveassim.wave import (
     BLOCK_LEVELS,
     CHUNK,
+    DEFAULT_BLOWUP_THRESHOLD,
     BoundaryScheme,
     GridSpec,
     IntegrationDiverged,
@@ -536,3 +539,28 @@ def test_divergence_reports_first_level_over_threshold():
     assert 1 in checked and 2 in checked
     assert {(L - 2) % (2 * K) for L in checked if L >= 2} == set(range(2 * K))
     assert set(range(edge - 2 * K, edge + 2 * K + 2)) <= set(checked)
+
+
+def test_divergence_past_float_range_inside_a_chunk():
+    # alpha_p scaled by 1e4 grows the field about 1000x per level: its chain
+    # heads overflow float64 well before the first chunk of blocks ends.
+    # The blow-up must still be reported at the first level over the
+    # threshold, and with no floating-point warning.
+    grid, st_, bs, _, obs, ic = make_setup(n_steps=720)
+    unstable = replace(bs, alpha_p=1e4 * bs.alpha_p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, p = naive_integrate(ic.u, ic.p, st_.a, unstable, grid.N, grid.h, grid.tau, grid.n_steps)
+        amps = np.maximum(np.abs(u).max(axis=1), np.abs(p).max(axis=1))
+    assert not np.isfinite(amps[: 2 * BLOCK_LEVELS * CHUNK + 1]).all()
+    L = int(np.argmin(amps <= DEFAULT_BLOWUP_THRESHOLD))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationDiverged) as err:
+            integrate(ic, st_, unstable, grid)
+        assert err.value.step == L
+        assert err.value.amplitude == pytest.approx(amps[L], rel=1e-12)
+        report, g = evaluate(
+            unstable.to_control_vector(), CostConfig(T_window=6.0), obs, ic, st_, grid, 1
+        )
+    assert report.total == BLOWUP_PENALTY
+    assert not g.any()
