@@ -167,9 +167,9 @@ def misfit_gradient(traj: Trajectory, obs: Observations) -> tuple[float, np.ndar
         )
     h = 1.0 / N
     w = time_weights(m, traj.tau)
-    res = traj.z.copy()
-    res[:, : N + 1] -= obs.u[: m + 1]
-    res[:, N + 1 :] -= obs.p[: m + 1]
+    res = np.empty_like(traj.z)
+    np.subtract(traj.u, obs.u[: m + 1], out=res[:, : N + 1])
+    np.subtract(traj.p, obs.p[: m + 1], out=res[:, N + 1 :])
     core = res[:, 1:N]
     dp = res[:, N + 1 :]
     level_misfit = h * ((core * core).sum(axis=1) + (dp * dp).sum(axis=1))

@@ -25,7 +25,7 @@ import numpy as np
 from . import analysis
 from .adjoint import adjoint_sweep, control_dim, tlm_run
 from .exact import ModeSpec, Observations, project_initial, sample_observations
-from .minimize import MinimizeConfig, OptimResult, lbfgs
+from .minimize import OptimResult, lbfgs
 from .objective import BLOWUP_PENALTY, CostConfig, evaluate, make_objective, window_steps
 from .wave import (
     BoundaryScheme,
@@ -206,28 +206,24 @@ def setup_experiment(cfg: ExperimentConfig) -> Experiment:
 
 
 def run_assimilation(
-    exp: Experiment,
-    T_window: float | None = None,
-    eta: float | None = None,
-    minimize_config: MinimizeConfig | None = None,
+    exp: Experiment, T_window: float | None = None
 ) -> tuple[OptimResult, BoundaryScheme]:
     """Minimize the windowed misfit from the classical starting scheme.
+
+    T_window overrides the configured window length (``sweep`` sets it).
 
     Raises
     ------
     IntegrationDiverged
         If the starting scheme diverges inside the window, where the cost
-        is only the blow-up penalty and there is nothing to minimize.
+        is +inf and there is nothing to minimize.
     """
     cfg = exp.config
-    cost_cfg = CostConfig(
-        T_window=cfg.T_window if T_window is None else T_window,
-        eta=cfg.eta if eta is None else eta,
-    )
+    cost_cfg = CostConfig(cfg.T_window if T_window is None else T_window, cfg.eta)
     f_and_grad = make_objective(cost_cfg, exp.obs, exp.ic, exp.stencil, exp.grid, cfg.J)
     start = BoundaryScheme.classical(cfg.J)
-    result = lbfgs(f_and_grad, start.to_control_vector(), minimize_config or MinimizeConfig())
-    if result.f >= BLOWUP_PENALTY:
+    result = lbfgs(f_and_grad, start.to_control_vector())
+    if result.f == BLOWUP_PENALTY:
         # L-BFGS accepts only decreasing steps, so the start itself diverged;
         # integrate it again to raise with the level at which it did.
         wgrid = replace(exp.grid, n_steps=window_steps(cost_cfg, exp.grid))
@@ -343,21 +339,14 @@ def _sweep_windows(cfg: ExperimentConfig) -> list[int]:
 def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     """One assimilation per window length; coefficients and the fitted line."""
     exp = setup_experiment(cfg)
-    width = cfg.J + 1
-    names = [f"alpha_u_{j}" for j in range(width)]
-    names += [f"alpha_u_tilde_{j}" for j in range(width)]
-    names += [f"alpha_p_{j}" for j in range(width)]
-    names += [f"alpha_p_tilde_{j}" for j in range(width)]
-
     rows = []
     pairs = []
     for steps in _sweep_windows(cfg):
         result, bs = run_assimilation(exp, T_window=steps * cfg.tau)
-        row = [steps, steps * cfg.tau, result.f]
-        row += bs.alpha_u.tolist() + bs.alpha_u_tilde.tolist()
-        row += bs.alpha_p.tolist() + bs.alpha_p_tilde.tolist()
-        rows.append(row)
+        groups = _scheme_dict(bs)
+        rows.append([steps, steps * cfg.tau, result.f] + [v for g in groups.values() for v in g])
         pairs.append((bs.alpha_p[0], bs.alpha_p[1]))
+    names = [f"{g}_{j}" for g, values in groups.items() for j in range(len(values))]
     header = "window_steps,T_window,cost," + ",".join(names)
     _write_csv(out_dir / "alphas.csv", header, *zip(*rows))
 
@@ -377,9 +366,12 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     return 0
 
 
-def _gradient_check(
-    exp: Experiment, n_pairs: int = 5, fd_step: float = 1e-5, seed: int = 0
-) -> dict:
+# Gradient check: random dot-product pairs and their seed, central-difference
+# step, and the largest relative error that passes.
+DOT_PAIRS, DOT_SEED, FD_STEP, GRADCHECK_TOL = 5, 0, 1e-5, 1e-5
+
+
+def _gradient_check(exp: Experiment) -> dict:
     """Dot-product residuals and adjoint-vs-finite-difference errors."""
     cfg = exp.config
     cost_cfg = CostConfig(T_window=cfg.T_window, eta=cfg.eta)
@@ -388,10 +380,10 @@ def _gradient_check(
     bs = BoundaryScheme.classical(cfg.J)
     traj = integrate(exp.ic, exp.stencil, bs, wgrid)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DOT_SEED)
     dim = control_dim(cfg.J)
     dot_residuals = []
-    for _ in range(n_pairs):
+    for _ in range(DOT_PAIRS):
         dalpha = rng.standard_normal(dim)
         fu = rng.standard_normal(traj.u.shape)
         fp = rng.standard_normal(traj.p.shape)
@@ -406,10 +398,10 @@ def _gradient_check(
     fd = np.empty(dim)
     for j in range(dim):
         e = np.zeros(dim)
-        e[j] = fd_step
+        e[j] = FD_STEP
         f_plus, _ = f_and_grad(x0 + e)
         f_minus, _ = f_and_grad(x0 - e)
-        fd[j] = (f_plus - f_minus) / (2.0 * fd_step)
+        fd[j] = (f_plus - f_minus) / (2.0 * FD_STEP)
     scale = max(float(np.abs(grad).max()), float(np.abs(fd).max()), 1e-300)
     rel = np.abs(grad - fd) / np.maximum.reduce(
         [np.abs(grad), np.abs(fd), np.full(dim, 1e-10 * scale)]
@@ -423,8 +415,8 @@ def _gradient_check(
     }
 
 
-def cmd_gradcheck(cfg: ExperimentConfig, out_dir: Path, tol: float = 1e-5) -> int:
-    """Print and save (gradcheck.json) the checks; exit 2 when an error exceeds tol."""
+def cmd_gradcheck(cfg: ExperimentConfig, out_dir: Path) -> int:
+    """Print and save (gradcheck.json) the checks; exit 2 when an error exceeds GRADCHECK_TOL."""
     exp = setup_experiment(cfg)
     report = _gradient_check(exp)
     worst_dot = max(report["dot_residuals"])
@@ -438,10 +430,12 @@ def cmd_gradcheck(cfg: ExperimentConfig, out_dir: Path, tol: float = 1e-5) -> in
     ):
         print(f"{j:9d}  {ga: .10e}  {gf: .10e}  {r:.3e}")
     worst = max(worst_dot, float(report["relative_error"].max()))
-    print(f"worst relative error: {worst:.3e} (tolerance {tol:.1e})")
+    print(f"worst relative error: {worst:.3e} (tolerance {GRADCHECK_TOL:.1e})")
     record = {key: np.asarray(value).tolist() for key, value in report.items()}
-    _write_json(out_dir / "gradcheck.json", {**record, "worst": worst, "tolerance": tol})
-    if worst > tol:
+    _write_json(
+        out_dir / "gradcheck.json", {**record, "worst": worst, "tolerance": GRADCHECK_TOL}
+    )
+    if worst > GRADCHECK_TOL:
         print("FAILED")
         return 2
     print("ok")

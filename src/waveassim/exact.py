@@ -111,14 +111,13 @@ def project_initial(
     u0: Callable,
     p0: Callable,
     k_max: int,
-    include_mean: bool = True,
     n_panels: int | None = None,
 ) -> list[ModeSpec]:
     """Expand initial data in the modal basis.
 
     a_k = 2 * int u0(x) sin(k pi x) dx and b_k = 2 * int p0(x) cos(k pi x) dx
-    for k = 1..k_max; with ``include_mean`` the list starts with the steady
-    component (0, 0, int p0 dx).  u0 and p0 must accept array arguments.
+    for k = 1..k_max, after the steady component (0, 0, int p0 dx) that
+    starts the list.  u0 and p0 must accept array arguments.
     Quadrature is composite Gauss-Legendre with enough panels to resolve
     mode k_max to machine accuracy for smooth integrands.
     """
@@ -126,10 +125,7 @@ def project_initial(
         raise ValueError(f"k_max must be at least 1, got {k_max}")
     if n_panels is None:
         n_panels = max(8, k_max)
-    modes = []
-    if include_mean:
-        b0 = _composite_gauss(p0, n_panels)
-        modes.append(ModeSpec(0, 0.0, b0))
+    modes = [ModeSpec(0, 0.0, _composite_gauss(p0, n_panels))]
     for k in range(1, k_max + 1):
         w = k * np.pi
         a_k = 2.0 * _composite_gauss(lambda x: u0(x) * np.sin(w * x), n_panels)

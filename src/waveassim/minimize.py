@@ -2,12 +2,12 @@
 
 Self-contained L-BFGS: two-loop recursion with s'y/y'y scaling of the
 initial inverse Hessian, and a strong-Wolfe line search (bracketing plus
-cubic-interpolation zoom).  Function values at or above
-``penalty_threshold`` are treated as infinite, so an objective that
-returns a large finite penalty inside an unstable parameter region is
-simply backtracked out of.  Everything is deterministic: identical
-inputs give bitwise identical iterates on one machine and BLAS build;
-another BLAS may round the objective differently and move the iterates.
+cubic-interpolation zoom).  A non-finite function value marks an
+infeasible step, so an objective that returns +inf inside an unstable
+parameter region is simply backtracked out of.  Everything is
+deterministic: identical inputs give bitwise identical iterates on one
+machine and BLAS build; another BLAS may round the objective differently
+and move the iterates.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ class MinimizeConfig:
     c1: float = 1e-4
     c2: float = 0.9
     max_line_search: int = 30
-    penalty_threshold: float = 1e11
 
     def __post_init__(self):
         if self.memory < 1:
@@ -82,15 +81,11 @@ def wolfe_line_search(
     ``phi(a)`` must return (f, dphi, payload) at x + a*d; payload is handed
     back untouched so callers keep the gradient of the accepted point.
     Returns (a, f, dphi, payload) or None when no acceptable step is found.
-    Values with f >= cfg.penalty_threshold (or non-finite) are treated as
-    +infinity: they always fail sufficient decrease and are never
-    interpolated through.
+    Non-finite values (an objective's infeasible region) always fail
+    sufficient decrease and are never interpolated through.
     """
     if dphi0 >= 0.0:
         raise ValueError(f"line search needs a descent direction, got slope {dphi0}")
-
-    def usable(f):
-        return math.isfinite(f) and f < cfg.penalty_threshold
 
     def zoom(a_lo, f_lo, d_lo, a_hi, f_hi, d_hi, hi_usable):
         # Invariant: a_lo satisfies sufficient decrease and is the best such
@@ -108,9 +103,9 @@ def wolfe_line_search(
             if width <= 1e-14 * max(1.0, abs(a_lo)):
                 return best
             f, d, payload = phi(a)
-            if not usable(f) or f > f0 + cfg.c1 * a * dphi0 or f >= f_lo:
+            if not math.isfinite(f) or f > f0 + cfg.c1 * a * dphi0 or f >= f_lo:
                 a_hi, f_hi, d_hi = a, f, d
-                hi_usable = usable(f)
+                hi_usable = math.isfinite(f)
             else:
                 if abs(d) <= -cfg.c2 * dphi0:
                     return a, f, d, payload
@@ -126,8 +121,8 @@ def wolfe_line_search(
     a = a_init
     for i in range(cfg.max_line_search):
         f, d, payload = phi(a)
-        if not usable(f) or f > f0 + cfg.c1 * a * dphi0 or (i > 0 and f >= f_prev):
-            return zoom(a_prev, f_prev, d_prev, a, f, d, usable(f))
+        if not math.isfinite(f) or f > f0 + cfg.c1 * a * dphi0 or (i > 0 and f >= f_prev):
+            return zoom(a_prev, f_prev, d_prev, a, f, d, math.isfinite(f))
         if abs(d) <= -cfg.c2 * dphi0:
             return a, f, d, payload
         if d >= 0.0:

@@ -11,6 +11,7 @@ gradient assembled from the adjoint sweep.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -35,7 +36,7 @@ __all__ = [
     "window_steps",
 ]
 
-BLOWUP_PENALTY = 1.0e12
+BLOWUP_PENALTY = math.inf
 
 
 @dataclass(frozen=True)
@@ -90,8 +91,9 @@ def evaluate(
 ) -> tuple[CostReport, np.ndarray]:
     """Cost and gradient at control vector x.
 
-    A diverged integration yields the blow-up penalty with a zero gradient,
-    which makes any line search backtrack out of the unstable region.
+    A diverged integration costs BLOWUP_PENALTY (+inf) with a zero
+    gradient: the line search treats a non-finite value as an infeasible
+    step and backtracks out of the unstable region.
     """
     bs = BoundaryScheme.from_control_vector(x, J)
     wgrid = replace(grid, n_steps=window_steps(cfg, grid))

@@ -386,9 +386,7 @@ def _chain_view(levels: np.ndarray, m: int) -> np.ndarray:
     return levels.reshape(m, BLOCK_LEVELS, 2, -1).transpose(0, 2, 1, 3)
 
 
-def advance_chains(
-    Z: np.ndarray, W: np.ndarray, n: int, src: np.ndarray | None = None, threshold: float = np.inf
-) -> None:
+def advance_chains(Z: np.ndarray, W: np.ndarray, n: int, src: np.ndarray | None = None) -> None:
     """Fill levels 2..n of Z from levels 0 and 1 with the chain stack W.
 
     p_2 = p_0 + B D_u u_1 starts the second chain.  Then per CHUNK blocks of
@@ -396,9 +394,8 @@ def advance_chains(
     one product fills all the chunk's levels from them.  Z and src (the
     controlled-row sources of each level, zero at levels 0, 1 and past n)
     have n + 2*BLOCK_LEVELS + 1 rows, for what the last block overshoots.
-    The heads are checked once per chunk: past the first block whose last
-    head is over a finite threshold (or NaN) on the levels the block
-    completes, the levels are left unset.
+    Every level is filled, however large it grows: blow-up is the caller's
+    check (see :func:`integrate`).
     """
     d = Z.shape[1]
     N, K = d // 2, BLOCK_LEVELS
@@ -413,25 +410,17 @@ def advance_chains(
     X[0, :, uu], X[0, :, pp] = Z[0:2, uu], Z[1:3, pp]
     out = np.empty((CHUNK, 2, K, d))
     last, rest = W[(K - 1) * d :, :cols].T, W[: (K - 1) * d, :cols].T
-    nb, b0 = (n + 2 * K - 2) // (2 * K), 0
-    while b0 < nb:
+    nb = (n + 2 * K - 2) // (2 * K)
+    for b0 in range(0, nb, CHUNK):
         s, m = 1 + 2 * K * b0, min(CHUNK, nb - b0)
         if src is not None:
             xs = X[:m, :, d:].reshape(m, 2, K, 4)
             xs[..., :2] = _chain_view(src[s + 2 : s + 2 + 2 * K * m, :2], m)
             xs[..., 2:] = _chain_view(src[s + 1 : s + 1 + 2 * K * m, 2:], m)
-        # An unstable trial scheme may overflow before the chunk's check.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for b in range(m):
-                h = X[b + 1, :, :d]
-                np.matmul(X[b], last, out=h)
-                h += X[b, :, :d]
-        if threshold < np.inf:
-            # All of each head but its last p, whose level the block leaves open.
-            ok = np.abs(X[1 : m + 1, :, :d].reshape(m, -1)[:, :-N]).max(axis=1) <= threshold
-            if not ok.all():
-                m = int(np.argmin(ok)) + 1
-                nb = b0 + m
+        for b in range(m):
+            h = X[b + 1, :, :d]
+            np.matmul(X[b], last, out=h)
+            h += X[b, :, :d]
         o = out[:m]
         np.matmul(X[:m].reshape(2 * m, cols), rest, out=o[:, :, :-1].reshape(2 * m, -1))
         o[:, :, :-1] += X[:m, :, None, :d]
@@ -439,7 +428,6 @@ def advance_chains(
         _chain_view(Z[s + 1 : s + 1 + 2 * K * m, uu], m)[...] = o[..., uu]
         _chain_view(Z[s + 2 : s + 2 + 2 * K * m, pp], m)[...] = o[..., pp]
         X[0] = X[m]
-        b0 += m
 
 
 def transpose_chains(a: np.ndarray, W: np.ndarray, n: int) -> np.ndarray:
@@ -500,9 +488,9 @@ def integrate(
     ------
     IntegrationDiverged
         If max(|u|, |p|) exceeds ``blowup_threshold`` (or turns non-finite)
-        at any level; the exception names the first such level.  Unstable
-        boundary schemes reached during a minimization line search end up
-        here.
+        at any level; one scan of the computed levels names the first
+        such level.  Unstable boundary schemes reached during a
+        minimization line search end up here.
     """
     A = stacked_operator(stencil, bs, grid)
     N, tau, n = grid.N, grid.tau, grid.n_steps
@@ -515,8 +503,9 @@ def integrate(
     z_half = Z[0] + 0.5 * tau * (A @ Z[0])
     Z[1] = Z[0] + tau * (A @ z_half)
 
-    advance_chains(Z, W, n, threshold=blowup_threshold)
-    # Every level up to the first one over the threshold was filled.
+    # An unstable scheme overflows; the scan below names where it passed the threshold.
+    with np.errstate(over="ignore", invalid="ignore"):
+        advance_chains(Z, W, n)
     levels = Z[1 : n + 1]
     if not np.maximum(levels.max(), -levels.min()) <= blowup_threshold:  # or NaN
         amps = np.maximum(levels.max(axis=1), -levels.min(axis=1))

@@ -279,6 +279,35 @@ class TestMisfitGradient:
         np.testing.assert_allclose(vec_u[w:][::-1], vec_u[:w], rtol=1e-10, atol=1e-14)
         np.testing.assert_allclose(vec_p[w:][::-1], vec_p[:w], rtol=1e-10, atol=1e-14)
 
+    @pytest.mark.parametrize("order, J", [(2, 1), (4, 3)])
+    def test_bit_identical_to_the_residual_formula(self, order, J):
+        # The residual goes straight into one buffer; cost and gradient must
+        # equal, bit for bit, a copy of the trajectory minus the observations
+        # weighted as the adjoint forcing.
+        obs = sample_observations(
+            [ModeSpec(2, 1.0, 0.5), ModeSpec(5, 0.3, 1.0)], GridSpec(30, 1.0 / 120.0, 300)
+        )
+        ic = State(obs.u[0].copy(), obs.p[0].copy())
+        x = BoundaryScheme.classical(J).to_control_vector()
+        x += 0.01 * np.random.default_rng(3).standard_normal(x.size)
+        bs = BoundaryScheme.from_control_vector(x, J)
+        traj = integrate(ic, interior_stencil(order), bs, GridSpec(30, 1.0 / 120.0, 250))
+        misfit, grad = misfit_gradient(traj, obs)
+
+        m, N, h = traj.n_steps, traj.N, 1.0 / traj.N
+        w = time_weights(m, traj.tau)
+        res = traj.z.copy()
+        res[:, : N + 1] -= obs.u[: m + 1]
+        res[:, N + 1 :] -= obs.p[: m + 1]
+        core, dp = res[:, 1:N], res[:, N + 1 :]
+        level_misfit = h * ((core * core).sum(axis=1) + (dp * dp).sum(axis=1))
+        res *= 2.0 * h * w[:, None]
+        assert misfit > 0.0
+        np.testing.assert_array_equal(misfit, float(w @ level_misfit))
+        np.testing.assert_array_equal(
+            grad, adjoint_sweep(traj, res[:, : N + 1], res[:, N + 1 :])
+        )
+
     def test_u_zero_columns_have_zero_gradient(self, k3_small):
         # u vanishes at both walls, so the leading coefficient of each
         # u stencil never enters the dynamics.

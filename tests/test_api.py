@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -61,6 +62,33 @@ def test_cost_dataclass_fields():
         "misfit",
         "regularization",
     ]
+
+
+def test_minimize_config_fields():
+    assert list(waveassim.MinimizeConfig.__dataclass_fields__) == [
+        "memory",
+        "max_iters",
+        "grad_tol",
+        "c1",
+        "c2",
+        "max_line_search",
+    ]
+
+
+# Each signature holds only parameters that some caller sets.
+SIGNATURES = [
+    ("cli", "run_assimilation", ["exp", "T_window"]),
+    ("cli", "cmd_gradcheck", ["cfg", "out_dir"]),
+    ("cli", "_gradient_check", ["exp"]),
+    ("wave", "advance_chains", ["Z", "W", "n", "src"]),
+    ("exact", "project_initial", ["u0", "p0", "k_max", "n_panels"]),
+]
+
+
+@pytest.mark.parametrize("module, name, params", SIGNATURES)
+def test_signature(module, name, params):
+    fn = getattr(importlib.import_module(f"waveassim.{module}"), name)
+    assert list(inspect.signature(fn).parameters) == params
 
 
 def test_import_leaves_scipy_unloaded():

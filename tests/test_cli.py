@@ -237,12 +237,14 @@ class TestExitCodes:
         assert not (tmp_path / "xi.csv").exists()
 
     def test_unstable_run_fails_with_message(self, tmp_path, capsys):
-        # tau/h = 0.9 is unstable for the fourth-order interior: the post-run
-        # integration over the horizon diverges and must end in exit code 1.
+        # tau/h = 0.9 is unstable for the fourth-order interior: the classical
+        # start already diverges at step 19, inside the 100-step window, so
+        # there is no fit to keep and no result.json.
         argv = ["assimilate", "--out", str(tmp_path), "--preset", "single-mode-fourth",
                 "--tau", "0.03", "--n-steps", "400", "--T-window", "3"]
         assert main(argv) == 1
-        assert capsys.readouterr().err.startswith("error: integration diverged")
+        assert capsys.readouterr().err.startswith("error: integration diverged at step 19")
+        assert not (tmp_path / "result.json").exists()
 
     def test_post_run_divergence_keeps_the_fit(self, tmp_path, capsys, monkeypatch):
         # The fit itself is real; only the horizon run of the recovered

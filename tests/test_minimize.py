@@ -1,5 +1,7 @@
 """L-BFGS minimizer and the strong-Wolfe line search."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -80,17 +82,25 @@ class TestLbfgs:
         assert res.grad_norm_history.size == res.n_iterations + 1
 
     def test_penalty_region_backtracked(self):
-        # A finite plateau standing in for an unstable region: the search
+        # An infinite cost standing in for an unstable region: the search
         # must stay out of it and keep the history monotone.
         def cliff(x):
             if x[0] > 1.0:
-                return 1e12, np.zeros(1)
+                return math.inf, np.zeros(1)
             return (x[0] - 3.0) ** 2, np.array([2.0 * (x[0] - 3.0)])
 
         res = lbfgs(cliff, np.zeros(1), MinimizeConfig(max_iters=50))
         assert res.x[0] <= 1.0
         assert res.f < cliff(np.zeros(1))[0]
         assert np.all(np.diff(res.cost_history) <= 0.0)
+
+    def test_infinite_start_returns_after_one_evaluation(self):
+        # A start inside the unstable region has nothing to minimize; the
+        # caller tells this case apart by f == inf.
+        res = lbfgs(lambda x: (math.inf, np.zeros(2)), np.ones(2))
+        assert res.f == math.inf
+        assert res.n_evaluations == 1 and res.n_iterations == 0
+        np.testing.assert_array_equal(res.x, np.ones(2))
 
     def test_unbounded_descent_hits_max_iters(self):
         res = lbfgs(
@@ -155,7 +165,7 @@ class TestWolfeLineSearch:
 
         def f(x):
             if x[0] > 2.0:
-                return 1e12, np.zeros(1)
+                return math.inf, np.zeros(1)
             return (x[0] - 10.0) ** 2, np.array([2.0 * (x[0] - 10.0)])
 
         x = np.zeros(1)
