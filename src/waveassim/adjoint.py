@@ -150,7 +150,9 @@ def time_weights(m: int, tau: float) -> np.ndarray:
     return w
 
 
-def misfit_gradient(traj: Trajectory, obs: Observations) -> tuple[float, np.ndarray]:
+def misfit_gradient(
+    traj: Trajectory, obs: Observations, out: np.ndarray | None = None
+) -> tuple[float, np.ndarray]:
     """Windowed misfit cost and its gradient with respect to the control vector.
 
     The cost is the trapezoid time integral over the trajectory's levels of
@@ -158,7 +160,7 @@ def misfit_gradient(traj: Trajectory, obs: Observations) -> tuple[float, np.ndar
     p half-nodes and interior u nodes; u vanishes at the walls), so the
     adjoint forcing at level t is 2 w_t h (misfit fields).  The
     observations must cover at least as many levels as the trajectory
-    stores.
+    stores.  out, if given, is the traj.z-shaped forcing storage.
     """
     m, N = traj.n_steps, traj.N
     if obs.n_levels < m + 1:
@@ -167,7 +169,7 @@ def misfit_gradient(traj: Trajectory, obs: Observations) -> tuple[float, np.ndar
         )
     h = 1.0 / N
     w = time_weights(m, traj.tau)
-    res = np.empty_like(traj.z)
+    res = np.empty_like(traj.z) if out is None else out
     np.subtract(traj.u, obs.u[: m + 1], out=res[:, : N + 1])
     np.subtract(traj.p, obs.p[: m + 1], out=res[:, N + 1 :])
     core = res[:, 1:N]

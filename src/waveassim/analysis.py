@@ -15,6 +15,7 @@ angular wavenumber k*pi internally.
 ``xi_series`` measures trajectory error against the exact solution as a
 plain grid-point sum of squares (no quadrature weight), the convention
 used for all quoted error levels; multiply by h for the integral norm.
+It samples the exact fields a chunk of levels at a time, not all at once.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact import ModeSpec, Observations, sample_observations
+from .exact import ModeSpec, exact_fields
 from .wave import GridSpec, Trajectory
 
 __all__ = [
@@ -35,7 +36,6 @@ __all__ = [
     "dispersion_report",
     "first_peak_and_return",
     "fit_kernel_line",
-    "grid_misfit_series",
     "h_modified_ratio",
     "kernel_tangent",
     "log_growth_rate",
@@ -180,6 +180,10 @@ def dispersion_report(k: int, N: int, tau: float) -> DispersionReport:
     )
 
 
+# Levels of exact fields that xi_series samples and reduces at a time.
+XI_CHUNK = 512
+
+
 def xi_series(
     traj: Trajectory, modes: Sequence[ModeSpec]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -189,19 +193,16 @@ def xi_series(
     an unweighted sum over grid points.
     """
     grid = GridSpec(traj.N, traj.tau, traj.n_steps)
-    return grid_misfit_series(traj, sample_observations(modes, grid))
-
-
-def grid_misfit_series(traj: Trajectory, obs: Observations) -> tuple[np.ndarray, np.ndarray]:
-    """Same grid-point error sum, but against stored observations."""
-    m = traj.n_steps
-    if obs.n_levels < m + 1:
-        raise ValueError(f"observations cover {obs.n_levels} levels, need {m + 1}")
-    du = traj.u - obs.u[: m + 1]
-    dp = traj.p - obs.p[: m + 1]
-    xi = np.square(du, out=du).sum(axis=1)
-    xi += np.square(dp, out=dp).sum(axis=1)
-    return traj.times, xi
+    times = traj.times
+    xi = np.empty(times.size)
+    for t0 in range(0, times.size, XI_CHUNK):
+        rows = slice(t0, t0 + XI_CHUNK)
+        u, p = exact_fields(modes, grid, times[rows])
+        du = np.subtract(traj.u[rows], u, out=u)
+        dp = np.subtract(traj.p[rows], p, out=p)
+        xi[rows] = np.square(du, out=du).sum(axis=1)
+        xi[rows] += np.square(dp, out=dp).sum(axis=1)
+    return times, xi
 
 
 def fit_kernel_line(points: Sequence[tuple[float, float]]) -> tuple[float, float, float]:

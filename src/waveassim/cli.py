@@ -24,7 +24,7 @@ import numpy as np
 
 from . import analysis
 from .adjoint import adjoint_sweep, control_dim, tlm_run
-from .exact import ModeSpec, Observations, project_initial, sample_observations
+from .exact import ModeSpec, Observations, exact_fields, project_initial, sample_observations
 from .minimize import OptimResult, lbfgs
 from .objective import BLOWUP_PENALTY, CostConfig, evaluate, make_objective, window_steps
 from .wave import (
@@ -199,7 +199,9 @@ def setup_experiment(cfg: ExperimentConfig) -> Experiment:
         modes = tuple(project_initial(u0, p0, k_max=cfg.N - 1))
     else:
         modes = tuple(ModeSpec(int(k), float(a), float(b)) for k, a, b in cfg.modes)
-    obs = sample_observations(modes, grid)
+    # Observations cover only the longest window a fit can read.
+    n_obs = min(cfg.n_steps, max(round(cfg.T_window / cfg.tau), cfg.window_end))
+    obs = sample_observations(modes, replace(grid, n_steps=n_obs))
     # Model and observations share the same t = 0 fields: a pure twin setup.
     ic = State(obs.u[0].copy(), obs.p[0].copy())
     return Experiment(cfg, grid, stencil, modes, obs, ic)
@@ -277,12 +279,12 @@ def cmd_forward(cfg: ExperimentConfig, out_dir: Path) -> int:
     exp = setup_experiment(cfg)
     bs = BoundaryScheme.classical(cfg.J)
     traj = integrate(exp.ic, exp.stencil, bs, exp.grid)
-    times, xi = analysis.grid_misfit_series(traj, exp.obs)
+    times, xi = analysis.xi_series(traj, exp.modes)
     _write_csv(out_dir / "xi.csv", "t,xi", times, xi)
 
     stride = cfg.xt_stride or max(1, cfg.n_steps // 400)
     x_nodes = exp.grid.x_nodes
-    du = traj.u[::stride] - exp.obs.u[::stride]
+    du = traj.u[::stride] - exact_fields(exp.modes, exp.grid, times[::stride])[0]
     t_col = np.repeat(times[::stride], x_nodes.size)
     x_col = np.tile(x_nodes, len(du))
     _write_csv(out_dir / "error_xt.csv", "t,x,du", t_col, x_col, du.ravel())
@@ -292,6 +294,9 @@ def cmd_forward(cfg: ExperimentConfig, out_dir: Path) -> int:
 def cmd_assimilate(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Identify boundary coefficients and report them with the predictions."""
     exp = setup_experiment(cfg)
+    m = window_steps(CostConfig(cfg.T_window, cfg.eta), exp.grid)
+    if cfg.n_steps <= m:
+        raise ValueError(f"n_steps must exceed the {m}-step window to leave a horizon")
     result, bs = run_assimilation(exp)
     payload = {
         "config": asdict(cfg),
@@ -316,7 +321,7 @@ def cmd_assimilate(cfg: ExperimentConfig, out_dir: Path) -> int:
         }
         _write_json(out_dir / "result.json", payload)
         raise
-    times, xi = analysis.grid_misfit_series(traj, exp.obs)
+    times, xi = analysis.xi_series(traj, exp.modes)
     _write_csv(out_dir / "xi.csv", "t,xi", times, xi)
     payload["post_window_xi"] = {
         "plateau": analysis.plateau_level(times, xi, cfg.T_window),

@@ -24,6 +24,7 @@ from .wave import GridSpec
 __all__ = [
     "ModeSpec",
     "Observations",
+    "exact_fields",
     "mode_time_factors",
     "project_initial",
     "sample_observations",
@@ -77,9 +78,8 @@ class Observations:
         return self.times.size
 
 
-def sample_observations(modes: Sequence[ModeSpec], grid: GridSpec) -> Observations:
-    """Evaluate the exact superposition on the grid at every leapfrog level."""
-    times = grid.times
+def exact_fields(modes: Sequence[ModeSpec], grid: GridSpec, times) -> tuple[np.ndarray, np.ndarray]:
+    """Exact u and p rows at the given times; each row depends on its time alone."""
     U = np.zeros((times.size, grid.N + 1))
     P = np.zeros((times.size, grid.N))
     x_nodes = grid.x_nodes
@@ -93,7 +93,13 @@ def sample_observations(modes: Sequence[ModeSpec], grid: GridSpec) -> Observatio
     # the stored fields satisfy the boundary condition identically.
     U[:, 0] = 0.0
     U[:, -1] = 0.0
-    return Observations(grid, times, U, P)
+    return U, P
+
+
+def sample_observations(modes: Sequence[ModeSpec], grid: GridSpec) -> Observations:
+    """Evaluate the exact superposition on the grid at every leapfrog level."""
+    times = grid.times
+    return Observations(grid, times, *exact_fields(modes, grid, times))
 
 
 def _composite_gauss(f: Callable, n_panels: int, n_points: int = 16) -> float:

@@ -19,6 +19,7 @@ import numpy as np
 from .adjoint import control_dim, misfit_gradient
 from .exact import Observations
 from .wave import (
+    BLOCK_LEVELS,
     BoundaryScheme,
     GridSpec,
     IntegrationDiverged,
@@ -88,21 +89,24 @@ def evaluate(
     stencil: InteriorStencil,
     grid: GridSpec,
     J: int,
+    buffers: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[CostReport, np.ndarray]:
     """Cost and gradient at control vector x.
 
     A diverged integration costs BLOWUP_PENALTY (+inf) with a zero
     gradient: the line search treats a non-finite value as an infeasible
-    step and backtracks out of the unstable region.
+    step and backtracks out of the unstable region.  buffers (see
+    ``make_objective``) are overwritten; nothing returned refers to them.
     """
     bs = BoundaryScheme.from_control_vector(x, J)
     wgrid = replace(grid, n_steps=window_steps(cfg, grid))
+    z_out, res_out = buffers or (None, None)
     try:
-        traj = integrate(ic, stencil, bs, wgrid)
+        traj = integrate(ic, stencil, bs, wgrid, out=z_out)
     except IntegrationDiverged:
         report = CostReport(BLOWUP_PENALTY, BLOWUP_PENALTY, 0.0)
         return report, np.zeros(control_dim(J))
-    misfit, grad = misfit_gradient(traj, obs)
+    misfit, grad = misfit_gradient(traj, obs, out=res_out)
 
     # One row per stencil group; a sum does not depend on the reversed
     # order of the tilde groups.  d/d alpha_j of eta * (sum alpha)^2 is the
@@ -121,10 +125,12 @@ def make_objective(
     grid: GridSpec,
     J: int,
 ):
-    """Bind everything but x; the result is the callback ``lbfgs`` consumes."""
+    """Bind everything but x for ``lbfgs``; all calls share one set of window buffers."""
+    m, d = window_steps(cfg, grid), 2 * grid.N + 1
+    buffers = (np.empty((m + 2 * BLOCK_LEVELS + 1, d)), np.empty((m + 1, d)))
 
     def f_and_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
-        report, grad = evaluate(x, cfg, obs, ic, stencil, grid, J)
+        report, grad = evaluate(x, cfg, obs, ic, stencil, grid, J, buffers)
         return report.total, grad
 
     return f_and_grad

@@ -481,8 +481,11 @@ def integrate(
     bs: BoundaryScheme,
     grid: GridSpec,
     blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD,
+    out: np.ndarray | None = None,
 ) -> Trajectory:
     """Integrate the model over grid.n_steps leapfrog levels.
+
+    out, if given, is the (n_steps + 2*BLOCK_LEVELS + 1, 2N+1) storage filled.
 
     Raises
     ------
@@ -496,7 +499,7 @@ def integrate(
     N, tau, n = grid.N, grid.tau, grid.n_steps
     W = chain_stack(A, tau, BLOCK_LEVELS)
 
-    Z = np.empty((n + 2 * BLOCK_LEVELS + 1, 2 * N + 1))
+    Z = np.empty((n + 2 * BLOCK_LEVELS + 1, 2 * N + 1)) if out is None else out
     Z[0, : N + 1] = ic.u
     Z[0, 0] = Z[0, N] = 0.0
     Z[0, N + 1 :] = ic.p

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_setup, observations_from_trajectory, phase_fit_speed
+from conftest import make_setup, phase_fit_speed
 from waveassim import analysis
 from waveassim.exact import ModeSpec, sample_observations
 from waveassim.wave import BoundaryScheme, GridSpec, State, integrate, interior_stencil
@@ -169,13 +169,6 @@ class TestSlipTime:
 
 
 class TestErrorSeries:
-    def test_twin_against_own_observations_is_zero(self):
-        grid, stencil, bs, modes, obs, ic = make_setup(n_steps=200)
-        traj = integrate(ic, stencil, bs, grid)
-        twin = observations_from_trajectory(traj, grid)
-        _, xi = analysis.grid_misfit_series(traj, twin)
-        assert xi.max() < 1e-20
-
     def test_xi_starts_at_zero_for_twin_start(self):
         grid, stencil, bs, modes, obs, ic = make_setup(n_steps=100)
         traj = integrate(ic, stencil, bs, grid)

@@ -30,6 +30,7 @@ REMOVED = {
     ],
     "objective": ["state_norm2", "GROUP_NAMES"],
     "exact": ["exact_mode", "exact_superposition"],
+    "analysis": ["grid_misfit_series"],
 }
 
 ROOT = Path(__file__).resolve().parents[1]

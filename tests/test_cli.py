@@ -1,11 +1,12 @@
 """Experiment runner: commands, config handling, determinism, exit codes."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from waveassim import cli
+from waveassim import analysis, cli
 from waveassim.cli import (
     PRESETS,
     ExperimentConfig,
@@ -14,7 +15,8 @@ from waveassim.cli import (
     run_assimilation,
     setup_experiment,
 )
-from waveassim.wave import IntegrationDiverged
+from waveassim.exact import mode_time_factors
+from waveassim.wave import BoundaryScheme, IntegrationDiverged, integrate
 
 # Small, fast configuration shared by the command tests.
 TINY = [
@@ -105,6 +107,49 @@ class TestForward:
             assert main(["forward", "--out", str(out)] + TINY) == 0
         assert (a / "xi.csv").read_bytes() == (b / "xi.csv").read_bytes()
         assert (a / "error_xt.csv").read_bytes() == (b / "error_xt.csv").read_bytes()
+
+    @pytest.mark.parametrize("n_steps", [1100, 300])
+    def test_sampled_errors_match_full_arrays(self, tmp_path, n_steps):
+        # The 13 polyexp modes on N = 13: 1100 steps span three chunks of
+        # xi_series, 300 stay inside one.  The exact fields written out at
+        # every level at once must give the same bits as the chunked series
+        # and the strided error_xt.csv samples.
+        overrides = {"ic": "polyexp", "N": 13, "n_steps": n_steps, "T_window": 1.0}
+        argv = ["forward", "--out", str(tmp_path), "--ic", "polyexp", "--N", "13",
+                "--n-steps", str(n_steps), "--T-window", "1.0", "--xt-stride", "7"]
+        assert main(argv) == 0
+        exp = setup_experiment(resolve_config(overrides=overrides))
+        grid = exp.grid
+        assert len(exp.modes) == 13
+        U, P = np.zeros((n_steps + 1, 14)), np.zeros((n_steps + 1, 13))
+        for mode in exp.modes:
+            f, g = mode_time_factors(mode, grid.times)
+            U += np.outer(f, np.sin(mode.k * np.pi * grid.x_nodes))
+            P += np.outer(g, np.cos(mode.k * np.pi * grid.x_half))
+        U[:, 0] = U[:, -1] = 0.0
+        traj = integrate(exp.ic, exp.stencil, BoundaryScheme.classical(1), grid)
+        du, dp = traj.u - U, traj.p - P
+        xi = np.square(du).sum(axis=1) + np.square(dp).sum(axis=1)
+        assert np.array_equal(analysis.xi_series(traj, exp.modes)[1], xi)
+        assert np.array_equal(read_csv(tmp_path / "xi.csv")[1][:, 1], xi)
+        assert np.array_equal(read_csv(tmp_path / "error_xt.csv")[1][:, 2], du[::7].ravel())
+
+
+class TestMemory:
+    @pytest.mark.parametrize("command", ["forward", "assimilate"])
+    def test_peak_holds_one_horizon_trajectory(self, tmp_path, command):
+        # Only the trajectory is stored at horizon length: the observations
+        # cover the window, and the error series samples the exact fields a
+        # chunk at a time.  Three horizon-sized arrays used to peak at 3.1x.
+        cfg = resolve_config(preset="single-mode-second")
+        trajectory_bytes = (cfg.n_steps + 1) * (2 * cfg.N + 1) * 8
+        tracemalloc.start()
+        try:
+            assert cli._COMMANDS[command](cfg, tmp_path) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * trajectory_bytes
 
 
 class TestWriteCsv:
@@ -277,6 +322,19 @@ class TestExitCodes:
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: xt_stride must be >= 1")
         assert not (tmp_path / "error_xt.csv").exists()
+
+    def test_window_filling_the_horizon_rejected(self, tmp_path, capsys):
+        # No level after the 720-step window is left to report on.  This
+        # used to run the whole fit, write xi.csv, and then fail in the
+        # post-window plateau without writing result.json.
+        argv = ["assimilate", "--out", str(tmp_path), "--preset", "single-mode-second",
+                "--n-steps", "720"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: n_steps must exceed the 720-step window to leave a horizon\n"
+        )
+        assert not (tmp_path / "result.json").exists()
+        assert not (tmp_path / "xi.csv").exists()
 
     def test_diverged_start_fails_sweep(self, tmp_path, capsys):
         # The classical start diverges inside every window: no fit exists,

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import make_setup, observations_from_trajectory
 from waveassim.adjoint import misfit_gradient
-from waveassim.analysis import grid_misfit_series
+from waveassim.analysis import xi_series
 from waveassim.exact import Observations
 from waveassim.objective import (
     BLOWUP_PENALTY,
@@ -174,7 +174,7 @@ class TestEvaluate:
         grid, stencil, bs, modes, obs, ic = make_setup(n_steps=240)
         cfg = CostConfig(T_window=2.0)
         report, _ = evaluate(bs.to_control_vector(), cfg, obs, ic, stencil, grid, 1)
-        _, xi = grid_misfit_series(integrate(ic, stencil, bs, grid), obs)
+        _, xi = xi_series(integrate(ic, stencil, bs, grid), modes)
         w = np.full(241, grid.tau)
         w[0] = w[-1] = grid.tau / 2
         assert xi.size == 241
@@ -191,3 +191,23 @@ def test_make_objective_matches_evaluate():
     report, g = evaluate(x, cfg, obs, ic, stencil, grid, 1)
     assert fx == report.total
     np.testing.assert_array_equal(gx, g)
+
+
+def test_make_objective_buffers_leave_no_trace():
+    # Every call refills the same window buffers, also after a diverged
+    # trial has left them full of overflow.  Each result must equal an
+    # evaluation with fresh storage bit for bit, and must not change when
+    # later calls overwrite the buffers.
+    grid, stencil, bs, modes, obs, ic = make_setup(n_steps=240)
+    cfg = CostConfig(T_window=2.0, eta=0.5)
+    f = make_objective(cfg, obs, ic, stencil, grid, 1)
+    x1 = bs.to_control_vector()
+    x2 = x1 + np.array([0.011, -0.007, 0.013, -0.009, 0.008, 0.012, -0.011, 0.009])
+    diverging = BoundaryScheme([1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, 1.0])
+    xs = [x1, diverging.to_control_vector(), x2, x1]
+    results = [f(x) for x in xs]
+    assert results[1][0] == math.inf and math.isfinite(results[2][0])
+    for x, (fx, gx) in zip(xs, results):
+        report, g = evaluate(x, cfg, obs, ic, stencil, grid, 1)
+        assert fx == report.total
+        assert np.array_equal(gx, g)
