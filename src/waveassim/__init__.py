@@ -20,7 +20,7 @@ from .analysis import (
     second_order_c_singularity,
     xi_series,
 )
-from .exact import ModeSpec, Observations, project_initial, sample_observations
+from .exact import ModeSpec, project_initial, sample_observations
 from .minimize import MinimizeConfig, OptimResult, lbfgs
 from .objective import CostConfig, CostReport, evaluate, make_objective
 from .wave import (
@@ -28,7 +28,6 @@ from .wave import (
     GridSpec,
     IntegrationDiverged,
     InteriorStencil,
-    State,
     Trajectory,
     integrate,
     interior_stencil,
@@ -46,9 +45,7 @@ __all__ = [
     "InteriorStencil",
     "MinimizeConfig",
     "ModeSpec",
-    "Observations",
     "OptimResult",
-    "State",
     "Trajectory",
     "adjoint_sweep",
     "beta2",

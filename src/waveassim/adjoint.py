@@ -10,7 +10,9 @@ included (products of the perturbations between coefficients and state
 are dropped, so the map is linear in d_alpha).  ``adjoint_sweep`` applies
 the exact transpose of that linear map: one backward pass over the same
 chains with W^T that yields the adjoint at the controlled rows, then one
-projection of those values onto coefficient space.
+projection of those values onto coefficient space.  Both keep the
+stacked layout of the trajectory: ``tlm_run`` returns dz shaped like
+traj.z and ``adjoint_sweep`` takes a forcing of that shape.
 
 Control vector layout (length 4(J+1)), matching
 ``BoundaryScheme.to_control_vector``:
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exact import Observations
 from .wave import BLOCK_LEVELS, Trajectory, advance_chains, controlled_rows, transpose_chains
 
 __all__ = [
@@ -80,13 +81,12 @@ def _sensitivity(traj: Trajectory) -> tuple[list[int], np.ndarray, np.ndarray]:
     return controlled_rows(N), read(traj.z_half), read(traj.z[:-1])
 
 
-def tlm_run(traj: Trajectory, dalpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def tlm_run(traj: Trajectory, dalpha: np.ndarray) -> np.ndarray:
     """Propagate a coefficient perturbation along a stored trajectory.
 
     The perturbation starts from zero fields, so the first step reduces to
-    the injected sources.  Returns (du, dp) with du of shape
-    (n_steps+1, N+1) (boundary columns stay zero) and dp of shape
-    (n_steps+1, N).
+    the injected sources.  Returns dz, shaped like traj.z (its u wall
+    columns stay zero).
     """
     n, N, tau, A = traj.n_steps, traj.N, traj.tau, traj.A
     # One row per stencil group, in control-vector order.
@@ -103,42 +103,34 @@ def tlm_run(traj: Trajectory, dalpha: np.ndarray) -> tuple[np.ndarray, np.ndarra
     dz[1] = tau * (A @ dz_half)
     dz[1, rows] += tau * (S_half * dg).sum(axis=-1)
     advance_chains(dz, traj.W, n, src)
-    return dz[: n + 1, : N + 1], dz[: n + 1, N + 1 :]
+    return dz[: n + 1]
 
 
-def _sweep(traj: Trajectory, a: np.ndarray) -> np.ndarray:
-    """Adjoint of tlm_run for the stacked forcing a, which is overwritten."""
+def adjoint_sweep(traj: Trajectory, forcing: np.ndarray) -> np.ndarray:
+    """Fold per-level forcing back onto coefficient space.
+
+    Returns the vector g with  <tlm_run(d), forcing> = <d, g>  for every
+    control perturbation d, where the left side is the plain Euclidean
+    product over all levels and grid points.  forcing is shaped like
+    traj.z (its u wall columns are ignored: the perturbation is identically
+    zero there).  Level 0 contributes nothing because the perturbation
+    trajectory starts at zero.
+    """
+    if np.shape(forcing) != traj.z.shape:
+        raise ValueError(
+            f"forcing shape {np.shape(forcing)} does not match the trajectory {traj.z.shape}"
+        )
     n, tau = traj.n_steps, traj.tau
     rows, S_half, S = _sensitivity(traj)
-    lam = transpose_chains(a, traj.W, n)
+    lam, a1 = transpose_chains(np.asarray(forcing, dtype=float), traj.W, n)
 
     # Transpose of the sources: level t feeds level t+1 with weight 2 tau,
-    # and the split first step feeds a[1] through z_half and through z_0.
+    # and the split first step feeds level 1 through z_half and through z_0.
     w = np.empty((n, 4))
-    w[0] = 0.5 * tau * (tau * (a[1] @ traj.A[:, rows]))
+    w[0] = 0.5 * tau * (tau * (a1 @ traj.A[:, rows]))
     w[1:] = 2.0 * tau * lam[2 : n + 1]
-    g = np.einsum("tgj,tg->gj", S, w) + S_half * (tau * a[1, rows])[:, None]
+    g = np.einsum("tgj,tg->gj", S, w) + S_half * (tau * a1[rows])[:, None]
     return g.ravel()
-
-
-def adjoint_sweep(
-    traj: Trajectory, forcing_u: np.ndarray, forcing_p: np.ndarray
-) -> np.ndarray:
-    """Fold per-level forcing fields back onto coefficient space.
-
-    Returns the vector g with  <tlm_run(d), (forcing_u, forcing_p)> = <d, g>
-    for every control perturbation d, where the left side is the plain
-    Euclidean product over all levels and grid points.  forcing_u has shape
-    (n_steps+1, N+1) (boundary columns are ignored: the perturbation is
-    identically zero there) and forcing_p (n_steps+1, N).  Level 0
-    contributes nothing because the perturbation trajectory starts at zero.
-    """
-    if forcing_u.shape != traj.u.shape or forcing_p.shape != traj.p.shape:
-        raise ValueError(
-            f"forcing shapes {forcing_u.shape}, {forcing_p.shape} do not match "
-            f"the trajectory {traj.u.shape}, {traj.p.shape}"
-        )
-    return _sweep(traj, np.concatenate([forcing_u, forcing_p], axis=1, dtype=float))
 
 
 def time_weights(m: int, tau: float) -> np.ndarray:
@@ -151,29 +143,28 @@ def time_weights(m: int, tau: float) -> np.ndarray:
 
 
 def misfit_gradient(
-    traj: Trajectory, obs: Observations, out: np.ndarray | None = None
+    traj: Trajectory, obs: np.ndarray, out: np.ndarray | None = None
 ) -> tuple[float, np.ndarray]:
     """Windowed misfit cost and its gradient with respect to the control vector.
 
     The cost is the trapezoid time integral over the trajectory's levels of
     the spatial integral of (u - u_obs)^2 + (p - p_obs)^2 (weight h on the
     p half-nodes and interior u nodes; u vanishes at the walls), so the
-    adjoint forcing at level t is 2 w_t h (misfit fields).  The
-    observations must cover at least as many levels as the trajectory
+    adjoint forcing at level t is 2 w_t h (misfit fields).  obs holds the
+    observed stacked states, at least as many levels as the trajectory
     stores.  out, if given, is the traj.z-shaped forcing storage.
     """
     m, N = traj.n_steps, traj.N
-    if obs.n_levels < m + 1:
+    if obs.shape[1:] != traj.z.shape[1:] or len(obs) < m + 1:
         raise ValueError(
-            f"observations cover {obs.n_levels} levels, trajectory needs {m + 1}"
+            f"observations of shape {obs.shape} do not cover the trajectory's "
+            f"{m + 1} levels of {traj.z.shape[1]} values"
         )
     h = 1.0 / N
     w = time_weights(m, traj.tau)
-    res = np.empty_like(traj.z) if out is None else out
-    np.subtract(traj.u, obs.u[: m + 1], out=res[:, : N + 1])
-    np.subtract(traj.p, obs.p[: m + 1], out=res[:, N + 1 :])
+    res = np.subtract(traj.z, obs[: m + 1], out=out)
     core = res[:, 1:N]
     dp = res[:, N + 1 :]
     level_misfit = h * ((core * core).sum(axis=1) + (dp * dp).sum(axis=1))
     res *= 2.0 * h * w[:, None]
-    return float(w @ level_misfit), _sweep(traj, res)
+    return float(w @ level_misfit), adjoint_sweep(traj, res)

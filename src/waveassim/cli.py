@@ -16,7 +16,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Sequence
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import analysis
 from .adjoint import adjoint_sweep, control_dim, tlm_run
-from .exact import ModeSpec, Observations, exact_fields, project_initial, sample_observations
+from .exact import ModeSpec, exact_fields, project_initial, sample_observations
 from .minimize import OptimResult, lbfgs
 from .objective import BLOWUP_PENALTY, CostConfig, evaluate, make_objective, window_steps
 from .wave import (
@@ -32,7 +33,6 @@ from .wave import (
     GridSpec,
     IntegrationDiverged,
     InteriorStencil,
-    State,
     integrate,
     interior_stencil,
 )
@@ -65,6 +65,9 @@ def _polyexp_p0(x):
 # ends; p0 has a nonzero mean, carried by the steady k = 0 component).
 NAMED_INITIAL = {"polyexp": (_polyexp_u0, _polyexp_p0)}
 
+# What each annotated field type admits: an int field takes no float.
+_FIELD_KINDS = {"int": Integral, "float": Real, "str": str}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -86,6 +89,14 @@ class ExperimentConfig:
     xt_stride: int | None = None
 
     def __post_init__(self):
+        # A JSON file can give any field any type; annotations are strings here.
+        for f in fields(self):
+            kind = _FIELD_KINDS.get(f.type.removesuffix(" | None"))
+            value = getattr(self, f.name)
+            if kind is None or (value is None and f.type.endswith(" | None")):
+                continue
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"config field {f.name} must be {f.type}, got {value!r}")
         if self.order not in (2, 4):
             raise ValueError(f"interior order must be 2 or 4, got {self.order}")
         if (self.modes is None) == (self.ic is None):
@@ -175,20 +186,22 @@ def resolve_config(
     if overrides:
         _apply_source(merged, {k: v for k, v in overrides.items() if v is not None})
     if merged.get("modes") is not None:
-        merged["modes"] = tuple(tuple(float(v) for v in row) for row in merged["modes"])
+        try:
+            merged["modes"] = tuple(tuple(float(v) for v in row) for row in merged["modes"])
+        except TypeError:
+            raise ValueError(f"config field modes must be [k, a, b] rows, got {merged['modes']!r}")
     return ExperimentConfig(**merged)
 
 
 @dataclass(frozen=True)
 class Experiment:
-    """A resolved configuration with grid, stencil, observations, and start state."""
+    """A resolved configuration with grid, stencil, modes, and stacked start state."""
 
     config: ExperimentConfig
     grid: GridSpec
     stencil: InteriorStencil
     modes: tuple[ModeSpec, ...]
-    obs: Observations
-    ic: State
+    ic: np.ndarray
 
 
 def setup_experiment(cfg: ExperimentConfig) -> Experiment:
@@ -199,12 +212,9 @@ def setup_experiment(cfg: ExperimentConfig) -> Experiment:
         modes = tuple(project_initial(u0, p0, k_max=cfg.N - 1))
     else:
         modes = tuple(ModeSpec(int(k), float(a), float(b)) for k, a, b in cfg.modes)
-    # Observations cover only the longest window a fit can read.
-    n_obs = min(cfg.n_steps, max(round(cfg.T_window / cfg.tau), cfg.window_end))
-    obs = sample_observations(modes, replace(grid, n_steps=n_obs))
     # Model and observations share the same t = 0 fields: a pure twin setup.
-    ic = State(obs.u[0].copy(), obs.p[0].copy())
-    return Experiment(cfg, grid, stencil, modes, obs, ic)
+    ic = exact_fields(modes, grid, np.zeros(1))[0]
+    return Experiment(cfg, grid, stencil, modes, ic)
 
 
 def run_assimilation(
@@ -222,13 +232,14 @@ def run_assimilation(
     """
     cfg = exp.config
     cost_cfg = CostConfig(cfg.T_window if T_window is None else T_window, cfg.eta)
-    f_and_grad = make_objective(cost_cfg, exp.obs, exp.ic, exp.stencil, exp.grid, cfg.J)
+    wgrid = replace(exp.grid, n_steps=window_steps(cost_cfg, exp.grid))
+    obs = sample_observations(exp.modes, wgrid)
+    f_and_grad = make_objective(cost_cfg, obs, exp.ic, exp.stencil, exp.grid, cfg.J)
     start = BoundaryScheme.classical(cfg.J)
     result = lbfgs(f_and_grad, start.to_control_vector())
     if result.f == BLOWUP_PENALTY:
         # L-BFGS accepts only decreasing steps, so the start itself diverged;
         # integrate it again to raise with the level at which it did.
-        wgrid = replace(exp.grid, n_steps=window_steps(cost_cfg, exp.grid))
         integrate(exp.ic, exp.stencil, start, wgrid)
     return result, BoundaryScheme.from_control_vector(result.x, cfg.J)
 
@@ -284,7 +295,7 @@ def cmd_forward(cfg: ExperimentConfig, out_dir: Path) -> int:
 
     stride = cfg.xt_stride or max(1, cfg.n_steps // 400)
     x_nodes = exp.grid.x_nodes
-    du = traj.u[::stride] - exact_fields(exp.modes, exp.grid, times[::stride])[0]
+    du = traj.u[::stride] - exact_fields(exp.modes, exp.grid, times[::stride])[:, : cfg.N + 1]
     t_col = np.repeat(times[::stride], x_nodes.size)
     x_col = np.tile(x_nodes, len(du))
     _write_csv(out_dir / "error_xt.csv", "t,x,du", t_col, x_col, du.ravel())
@@ -380,8 +391,8 @@ def _gradient_check(exp: Experiment) -> dict:
     """Dot-product residuals and adjoint-vs-finite-difference errors."""
     cfg = exp.config
     cost_cfg = CostConfig(T_window=cfg.T_window, eta=cfg.eta)
-    m = window_steps(cost_cfg, exp.grid)
-    wgrid = replace(exp.grid, n_steps=m)
+    wgrid = replace(exp.grid, n_steps=window_steps(cost_cfg, exp.grid))
+    obs = sample_observations(exp.modes, wgrid)
     bs = BoundaryScheme.classical(cfg.J)
     traj = integrate(exp.ic, exp.stencil, bs, wgrid)
 
@@ -392,14 +403,14 @@ def _gradient_check(exp: Experiment) -> dict:
         dalpha = rng.standard_normal(dim)
         fu = rng.standard_normal(traj.u.shape)
         fp = rng.standard_normal(traj.p.shape)
-        du, dp = tlm_run(traj, dalpha)
+        du, dp = np.hsplit(tlm_run(traj, dalpha), [cfg.N + 1])
         lhs = float((du * fu).sum() + (dp * fp).sum())
-        rhs = float(dalpha @ adjoint_sweep(traj, fu, fp))
+        rhs = float(dalpha @ adjoint_sweep(traj, np.hstack([fu, fp])))
         dot_residuals.append(abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
 
     x0 = bs.to_control_vector()
-    _, grad = evaluate(x0, cost_cfg, exp.obs, exp.ic, exp.stencil, exp.grid, cfg.J)
-    f_and_grad = make_objective(cost_cfg, exp.obs, exp.ic, exp.stencil, exp.grid, cfg.J)
+    _, grad = evaluate(x0, cost_cfg, obs, exp.ic, exp.stencil, exp.grid, cfg.J)
+    f_and_grad = make_objective(cost_cfg, obs, exp.ic, exp.stencil, exp.grid, cfg.J)
     fd = np.empty(dim)
     for j in range(dim):
         e = np.zeros(dim)

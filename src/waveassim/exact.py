@@ -8,8 +8,9 @@ that a p initial condition with nonzero mean requires; the cosine series
 over k >= 1 alone cannot carry it.
 
 Observations for assimilation are these exact solutions sampled on the
-model grid at every leapfrog level, so every misfit in a twin experiment
-is attributable to the numerics.
+model grid at every leapfrog level, in the stacked (levels, 2N+1) layout
+of the model trajectory, so every misfit in a twin experiment is
+attributable to the numerics and compares the two arrays row by row.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .wave import GridSpec
 
 __all__ = [
     "ModeSpec",
-    "Observations",
     "exact_fields",
     "mode_time_factors",
     "project_initial",
@@ -53,53 +53,29 @@ def mode_time_factors(mode: ModeSpec, t) -> tuple[np.ndarray, np.ndarray]:
     return mode.a * c - mode.b * s, mode.b * c + mode.a * s
 
 
-@dataclass(frozen=True)
-class Observations:
-    """Exact-solution samples on the model grid at every leapfrog level."""
-
-    grid: GridSpec
-    times: np.ndarray
-    u: np.ndarray  # (n_levels, N+1)
-    p: np.ndarray  # (n_levels, N)
-
-    def __post_init__(self):
-        n_levels = self.times.size
-        if self.u.shape != (n_levels, self.grid.N + 1) or self.p.shape != (
-            n_levels,
-            self.grid.N,
-        ):
-            raise ValueError(
-                f"observation shapes {self.u.shape}, {self.p.shape} do not match "
-                f"{n_levels} levels on an N = {self.grid.N} grid"
-            )
-
-    @property
-    def n_levels(self) -> int:
-        return self.times.size
-
-
-def exact_fields(modes: Sequence[ModeSpec], grid: GridSpec, times) -> tuple[np.ndarray, np.ndarray]:
-    """Exact u and p rows at the given times; each row depends on its time alone."""
-    U = np.zeros((times.size, grid.N + 1))
-    P = np.zeros((times.size, grid.N))
-    x_nodes = grid.x_nodes
-    x_half = grid.x_half
+def exact_fields(modes: Sequence[ModeSpec], grid: GridSpec, times) -> np.ndarray:
+    """Exact stacked rows z = (u, p) at the given times; each row depends on its time alone."""
+    N = grid.N
+    Z = np.zeros((times.size, 2 * N + 1))
+    # Row 0 the u shape sin(k pi x), row 1 the p shape cos(k pi x), each
+    # zero on the other field's columns: every entry of (f, g) @ shapes has
+    # one nonzero term, so it is exactly f*sin or g*cos in any BLAS.
+    shapes = np.zeros((2, 2 * N + 1))
     for mode in modes:
-        f, g = mode_time_factors(mode, times)
         w = mode.k * np.pi
-        U += np.outer(f, np.sin(w * x_nodes))
-        P += np.outer(g, np.cos(w * x_half))
+        shapes[0, : N + 1] = np.sin(w * grid.x_nodes)
+        shapes[1, N + 1 :] = np.cos(w * grid.x_half)
+        Z += np.column_stack(mode_time_factors(mode, times)) @ shapes
     # sin(k pi) is exactly zero analytically; clear the rounding residue so
     # the stored fields satisfy the boundary condition identically.
-    U[:, 0] = 0.0
-    U[:, -1] = 0.0
-    return U, P
+    Z[:, 0] = 0.0
+    Z[:, N] = 0.0
+    return Z
 
 
-def sample_observations(modes: Sequence[ModeSpec], grid: GridSpec) -> Observations:
-    """Evaluate the exact superposition on the grid at every leapfrog level."""
-    times = grid.times
-    return Observations(grid, times, *exact_fields(modes, grid, times))
+def sample_observations(modes: Sequence[ModeSpec], grid: GridSpec) -> np.ndarray:
+    """The exact stacked state at every leapfrog level, shape (n_steps+1, 2N+1)."""
+    return exact_fields(modes, grid, grid.times)
 
 
 def _composite_gauss(f: Callable, n_panels: int, n_points: int = 16) -> float:

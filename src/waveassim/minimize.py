@@ -54,8 +54,8 @@ class OptimResult:
 
 
 def _cubic_step(a_lo, f_lo, d_lo, a_hi, f_hi, d_hi):
-    """Minimizer of the cubic through (a_lo, f_lo, d_lo), (a_hi, f_hi, d_hi)."""
-    if a_lo == a_hi:
+    """Minimizer of the cubic through (a_lo, f_lo, d_lo), (a_hi, f_hi, d_hi), or None."""
+    if a_lo == a_hi or not math.isfinite(f_hi):
         return None
     d1 = d_lo + d_hi - 3.0 * (f_lo - f_hi) / (a_lo - a_hi)
     disc = d1 * d1 - d_lo * d_hi
@@ -87,15 +87,12 @@ def wolfe_line_search(
     if dphi0 >= 0.0:
         raise ValueError(f"line search needs a descent direction, got slope {dphi0}")
 
-    def zoom(a_lo, f_lo, d_lo, a_hi, f_hi, d_hi, hi_usable):
+    def zoom(a_lo, f_lo, d_lo, a_hi, f_hi, d_hi):
         # Invariant: a_lo satisfies sufficient decrease and is the best such
         # point; the interval [a_lo, a_hi] brackets an acceptable step.
         best = None
         for _ in range(cfg.max_line_search):
-            if hi_usable:
-                a = _cubic_step(a_lo, f_lo, d_lo, a_hi, f_hi, d_hi)
-            else:
-                a = None
+            a = _cubic_step(a_lo, f_lo, d_lo, a_hi, f_hi, d_hi)
             lo, hi = min(a_lo, a_hi), max(a_lo, a_hi)
             width = hi - lo
             if a is None or not (lo + 0.1 * width <= a <= hi - 0.1 * width):
@@ -105,14 +102,12 @@ def wolfe_line_search(
             f, d, payload = phi(a)
             if not math.isfinite(f) or f > f0 + cfg.c1 * a * dphi0 or f >= f_lo:
                 a_hi, f_hi, d_hi = a, f, d
-                hi_usable = math.isfinite(f)
             else:
                 if abs(d) <= -cfg.c2 * dphi0:
                     return a, f, d, payload
                 best = (a, f, d, payload)
                 if d * (a_hi - a_lo) >= 0.0:
                     a_hi, f_hi, d_hi = a_lo, f_lo, d_lo
-                    hi_usable = True
                 a_lo, f_lo, d_lo = a, f, d
         return best
 
@@ -122,11 +117,11 @@ def wolfe_line_search(
     for i in range(cfg.max_line_search):
         f, d, payload = phi(a)
         if not math.isfinite(f) or f > f0 + cfg.c1 * a * dphi0 or (i > 0 and f >= f_prev):
-            return zoom(a_prev, f_prev, d_prev, a, f, d, math.isfinite(f))
+            return zoom(a_prev, f_prev, d_prev, a, f, d)
         if abs(d) <= -cfg.c2 * dphi0:
             return a, f, d, payload
         if d >= 0.0:
-            return zoom(a, f, d, a_prev, f_prev, d_prev, True)
+            return zoom(a, f, d, a_prev, f_prev, d_prev)
         a_prev, f_prev, d_prev, payload_prev = a, f, d, payload
         a *= 2.0
     # Slope stayed negative and finite for every expanded step: accept the

@@ -17,14 +17,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .adjoint import control_dim, misfit_gradient
-from .exact import Observations
 from .wave import (
     BLOCK_LEVELS,
     BoundaryScheme,
     GridSpec,
     IntegrationDiverged,
     InteriorStencil,
-    State,
     integrate,
 )
 
@@ -84,14 +82,14 @@ def window_steps(cfg: CostConfig, grid: GridSpec) -> int:
 def evaluate(
     x: np.ndarray,
     cfg: CostConfig,
-    obs: Observations,
-    ic: State,
+    obs: np.ndarray,
+    ic: np.ndarray,
     stencil: InteriorStencil,
     grid: GridSpec,
     J: int,
     buffers: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[CostReport, np.ndarray]:
-    """Cost and gradient at control vector x.
+    """Cost and gradient at control vector x from the stacked start state ic.
 
     A diverged integration costs BLOWUP_PENALTY (+inf) with a zero
     gradient: the line search treats a non-finite value as an infeasible
@@ -119,8 +117,8 @@ def evaluate(
 
 def make_objective(
     cfg: CostConfig,
-    obs: Observations,
-    ic: State,
+    obs: np.ndarray,
+    ic: np.ndarray,
     stencil: InteriorStencil,
     grid: GridSpec,
     J: int,

@@ -14,13 +14,15 @@ variables identified by assimilation; see :class:`BoundaryScheme`.
 
 The state is one stacked vector z = (u_0..u_N, p_1/2..p_N-1/2) and the
 semi-discrete system is dz/dt = A z with one operator A per scheme; see
-:func:`stacked_operator`.  Time stepping is leapfrog; the first step is
-split into two forward Euler half-stages so the start is second-order
-accurate and does not excite the odd/even leapfrog mode.  Since A only
-couples u with p, the leapfrog splits into two staggered chains with step
-2 tau; :func:`chain_stack` unrolls them over BLOCK_LEVELS steps into one
-matrix per scheme.  :func:`advance_chains` moves both chains a block per
-small product and fills a chunk of blocks' levels per large one, and
+:func:`stacked_operator`.  The start state, trajectory, exact fields,
+tangent-linear output and adjoint forcing all use this layout.  Time
+stepping is leapfrog; the first step is split into two forward Euler
+half-stages so the start is second-order accurate and does not excite
+the odd/even leapfrog mode.  Since A only couples u with p, the
+leapfrog splits into two staggered chains with step 2 tau;
+:func:`chain_stack` unrolls them over BLOCK_LEVELS steps into one matrix
+per scheme.  :func:`advance_chains` moves both chains a block per small
+product and fills a chunk of blocks' levels per large one, and
 :func:`transpose_chains` is its exact transpose for the adjoint.
 """
 
@@ -38,7 +40,6 @@ __all__ = [
     "GridSpec",
     "IntegrationDiverged",
     "InteriorStencil",
-    "State",
     "Trajectory",
     "fourth_order",
     "integrate",
@@ -249,26 +250,6 @@ class BoundaryScheme:
 
 
 @dataclass(frozen=True)
-class State:
-    """u and p fields at one time level."""
-
-    u: np.ndarray
-    p: np.ndarray
-
-    def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
-        p = np.asarray(self.p, dtype=float)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "p", p)
-        if u.ndim != 1 or p.ndim != 1 or u.size != p.size + 1:
-            raise ValueError(
-                f"need u at N+1 nodes and p at N half-nodes, got {u.shape}, {p.shape}"
-            )
-        if max(abs(u[0]), abs(u[-1])) > 1e-9:
-            raise ValueError("u must vanish at both boundaries")
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Stacked states z = (u_0..u_N, p_1/2..p_N-1/2) at every leapfrog level.
 
@@ -430,14 +411,14 @@ def advance_chains(Z: np.ndarray, W: np.ndarray, n: int, src: np.ndarray | None 
         X[0] = X[m]
 
 
-def transpose_chains(a: np.ndarray, W: np.ndarray, n: int) -> np.ndarray:
+def transpose_chains(a: np.ndarray, W: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The transpose of advance_chains from level 1 and the sources on.
 
-    a (n+1, 2N+1) holds the adjoint forcing of every level and is
-    overwritten: the adjoint reaching level 1 is added to a[1] (level 0,
-    where perturbations start from zero, gets none).  Returns lam (n+1, 4):
-    at levels 2..n the full adjoint at the controlled rows, which is the
-    adjoint of those levels' sources.
+    a (n+1, 2N+1) holds the adjoint forcing of every level.  Returns lam
+    (n+1, 4), at levels 2..n the full adjoint at the controlled rows, which
+    is the adjoint of those levels' sources, and a1, the full adjoint at
+    level 1: a[1] plus what the chains carry back to it (level 0, where
+    perturbations start from zero, gets none).
     """
     d = a.shape[1]
     N, K = d // 2, BLOCK_LEVELS
@@ -467,42 +448,49 @@ def transpose_chains(a: np.ndarray, W: np.ndarray, n: int) -> np.ndarray:
         ls = c[:, :, d:].reshape(m, 2, K, 4)
         _chain_view(lam[s + 2 : s + 2 + 2 * K * m, :2], m)[...] = ls[..., :2]
         _chain_view(lam[s + 1 : s + 1 + 2 * K * m, 2:], m)[...] = ls[..., 2:]
+    a1 = a[1].copy()
     if n > 1:  # the first heads (u_0, p_1) and (u_1, p_2 = p_0 + B D_u u_1)
         lam_p2 = carry[1, pp] + a[2, pp]
         lam[2, :2] = lam_p2[[0, N - 1]]
-        a[1, uu] += carry[1, uu] + W[N + 1 : d, : N + 1].T @ lam_p2
-        a[1, pp] += carry[0, pp]
-    return lam[: n + 1]
+        a1[uu] += carry[1, uu] + W[N + 1 : d, : N + 1].T @ lam_p2
+        a1[pp] += carry[0, pp]
+    return lam[: n + 1], a1
 
 
 def integrate(
-    ic: State,
+    z0: np.ndarray,
     stencil: InteriorStencil,
     bs: BoundaryScheme,
     grid: GridSpec,
     blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD,
     out: np.ndarray | None = None,
 ) -> Trajectory:
-    """Integrate the model over grid.n_steps leapfrog levels.
+    """Integrate the model from the stacked start state z0 over grid.n_steps levels.
 
     out, if given, is the (n_steps + 2*BLOCK_LEVELS + 1, 2N+1) storage filled.
 
     Raises
     ------
+    ValueError
+        If z0 is not a (2N+1,) row or u does not vanish at the walls.
     IntegrationDiverged
         If max(|u|, |p|) exceeds ``blowup_threshold`` (or turns non-finite)
         at any level; one scan of the computed levels names the first
         such level.  Unstable boundary schemes reached during a
         minimization line search end up here.
     """
-    A = stacked_operator(stencil, bs, grid)
     N, tau, n = grid.N, grid.tau, grid.n_steps
+    z0 = np.asarray(z0, dtype=float)
+    if z0.shape != (2 * N + 1,):
+        raise ValueError(f"start state must be a ({2 * N + 1},) row, got {z0.shape}")
+    if max(abs(z0[0]), abs(z0[N])) > 1e-9:
+        raise ValueError("u must vanish at both boundaries")
+    A = stacked_operator(stencil, bs, grid)
     W = chain_stack(A, tau, BLOCK_LEVELS)
 
     Z = np.empty((n + 2 * BLOCK_LEVELS + 1, 2 * N + 1)) if out is None else out
-    Z[0, : N + 1] = ic.u
+    Z[0] = z0
     Z[0, 0] = Z[0, N] = 0.0
-    Z[0, N + 1 :] = ic.p
     z_half = Z[0] + 0.5 * tau * (A @ Z[0])
     Z[1] = Z[0] + tau * (A @ z_half)
 

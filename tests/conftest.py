@@ -9,8 +9,8 @@ other.
 import numpy as np
 import pytest
 
-from waveassim.exact import ModeSpec, Observations, sample_observations
-from waveassim.wave import BoundaryScheme, GridSpec, State, interior_stencil
+from waveassim.exact import ModeSpec, sample_observations
+from waveassim.wave import BoundaryScheme, GridSpec, interior_stencil
 
 
 def make_setup(k=3, N=30, tau=1.0 / 120.0, n_steps=720, order=2, J=1):
@@ -20,13 +20,13 @@ def make_setup(k=3, N=30, tau=1.0 / 120.0, n_steps=720, order=2, J=1):
     bs = BoundaryScheme.classical(J)
     modes = (ModeSpec(k, 1.0, 1.0),)
     obs = sample_observations(modes, grid)
-    ic = State(obs.u[0].copy(), obs.p[0].copy())
+    ic = obs[0].copy()
     return grid, stencil, bs, modes, obs, ic
 
 
-def observations_from_trajectory(traj, grid) -> Observations:
-    """Wrap a model trajectory as observations (perfect-twin construction)."""
-    return Observations(grid, traj.times, traj.u.copy(), traj.p.copy())
+def split(z, N):
+    """The u and p parts of stacked rows."""
+    return z[..., : N + 1], z[..., N + 1 :]
 
 
 def naive_derivative_p(p, a, alpha_p, alpha_p_tilde, N, h):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import observations_from_trajectory
 from waveassim.adjoint import (
     adjoint_sweep,
     control_dim,
@@ -21,7 +20,6 @@ from waveassim.wave import (
     CHUNK,
     BoundaryScheme,
     GridSpec,
-    State,
     integrate,
     interior_stencil,
 )
@@ -35,12 +33,17 @@ CHAIN_EDGES = [1, 2, 3, K, K + 2, 2 * K - 1, 2 * K, 2 * K + 1, 2 * K + 2, 2 * K 
 CHUNK_EDGES = [2 * K * CHUNK + 1, 2 * K * CHUNK + 2]
 
 
+def random_forcing(rng, traj):
+    """Random stacked forcing shaped like traj.z, drawn as the u rows then the p rows."""
+    return np.hstack([rng.standard_normal(traj.u.shape), rng.standard_normal(traj.p.shape)])
+
+
 def small_case(N=12, J=1, n_steps=25, order=2, k=3):
     grid = GridSpec(N, 1.0 / (4 * N), n_steps)
     stencil = interior_stencil(order)
     bs = BoundaryScheme.classical(J)
     obs = sample_observations([ModeSpec(k, 1, 1)], grid)
-    ic = State(obs.u[0].copy(), obs.p[0].copy())
+    ic = obs[0].copy()
     traj = integrate(ic, stencil, bs, grid)
     return grid, stencil, bs, obs, ic, traj
 
@@ -48,8 +51,14 @@ def small_case(N=12, J=1, n_steps=25, order=2, k=3):
 class TestTangentLinearModel:
     def test_zero_perturbation(self):
         grid, stencil, bs, obs, ic, traj = small_case()
-        du, dp = tlm_run(traj, np.zeros(control_dim(1)))
-        assert not du.any() and not dp.any()
+        assert not tlm_run(traj, np.zeros(control_dim(1))).any()
+
+    def test_output_is_stacked_like_the_trajectory(self):
+        grid, stencil, bs, obs, ic, traj = small_case()
+        dz = tlm_run(traj, np.random.default_rng(1).standard_normal(8))
+        assert dz.shape == traj.z.shape
+        assert np.abs(dz[1:, 1:12]).max() > 0.0 and np.abs(dz[1:, 13:]).max() > 0.0
+        assert not dz[:, 0].any() and not dz[:, 12].any()
 
     def test_linearity(self):
         rng = np.random.default_rng(2)
@@ -57,11 +66,10 @@ class TestTangentLinearModel:
         d1 = rng.standard_normal(8)
         d2 = rng.standard_normal(8)
         a, b = 1.3, -0.8
-        du1, dp1 = tlm_run(traj, d1)
-        du2, dp2 = tlm_run(traj, d2)
-        du, dp = tlm_run(traj, a * d1 + b * d2)
-        np.testing.assert_allclose(du, a * du1 + b * du2, rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(dp, a * dp1 + b * dp2, rtol=1e-12, atol=1e-14)
+        dz1 = tlm_run(traj, d1)
+        dz2 = tlm_run(traj, d2)
+        dz = tlm_run(traj, a * d1 + b * d2)
+        np.testing.assert_allclose(dz, a * dz1 + b * dz2, rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("comp", range(8))
     def test_finite_difference_consistency(self, comp):
@@ -70,18 +78,17 @@ class TestTangentLinearModel:
         grid, stencil, bs, obs, ic, traj = small_case(N=16, n_steps=40)
         e = np.zeros(8)
         e[comp] = 1.0
-        du, dp = tlm_run(traj, e)
+        dz = tlm_run(traj, e)
         x0 = bs.to_control_vector()
 
         def residual(eps):
             bs_p = BoundaryScheme.from_control_vector(x0 + eps * e, 1)
             traj_p = integrate(ic, stencil, bs_p, grid)
-            ru = (traj_p.u - traj.u) / eps - du
-            rp = (traj_p.p - traj.p) / eps - dp
-            return np.sqrt((ru * ru).sum() + (rp * rp).sum())
+            r = (traj_p.z - traj.z) / eps - dz
+            return np.sqrt((r * r).sum())
 
         r1, r2 = residual(1e-6), residual(5e-7)
-        scale = np.sqrt((du * du).sum() + (dp * dp).sum())
+        scale = np.sqrt((dz * dz).sum())
         assert r1 < 1e-5 * max(scale, 1.0)
         if r1 > 1e-12 * max(scale, 1.0):  # ratio is meaningful above rounding
             assert 0.35 < r2 / r1 < 0.65
@@ -101,7 +108,7 @@ class TestTangentLinearModel:
             integrate(ic, stencil, BoundaryScheme.from_control_vector(x + sign * eps * d, J), grid)
             for sign in (1.0, -1.0)
         )
-        tl = np.concatenate(tlm_run(traj, d), axis=1)
+        tl = tlm_run(traj, d)
         fd = (plus.z - minus.z) / (2.0 * eps)
         assert np.abs(fd - tl).max() <= 1e-8 * np.abs(tl).max()
 
@@ -109,8 +116,18 @@ class TestTangentLinearModel:
 class TestAdjointSweep:
     def test_zero_forcing(self):
         grid, stencil, bs, obs, ic, traj = small_case()
-        g = adjoint_sweep(traj, np.zeros_like(traj.u), np.zeros_like(traj.p))
+        g = adjoint_sweep(traj, np.zeros_like(traj.z))
         assert not g.any()
+
+    def test_forcing_shape_checked_and_left_unchanged(self):
+        grid, stencil, bs, obs, ic, traj = small_case()
+        for bad in (traj.u, traj.z[1:], traj.z.T):
+            with pytest.raises(ValueError, match="forcing shape"):
+                adjoint_sweep(traj, bad)
+        f = random_forcing(np.random.default_rng(4), traj)
+        kept = f.copy()
+        adjoint_sweep(traj, f)
+        np.testing.assert_array_equal(f, kept)
 
     @pytest.mark.parametrize("J,order", [(1, 2), (4, 2), (1, 4), (4, 4)])
     def test_dot_product_identity(self, J, order):
@@ -118,11 +135,9 @@ class TestAdjointSweep:
         grid, stencil, bs, obs, ic, traj = small_case(N=14, J=J, n_steps=30, order=order)
         for _ in range(5):
             d = rng.standard_normal(control_dim(J))
-            fu = rng.standard_normal(traj.u.shape)
-            fp = rng.standard_normal(traj.p.shape)
-            du, dp = tlm_run(traj, d)
-            lhs = float((du * fu).sum() + (dp * fp).sum())
-            rhs = float(d @ adjoint_sweep(traj, fu, fp))
+            f = random_forcing(rng, traj)
+            lhs = float((tlm_run(traj, d) * f).sum())
+            rhs = float(d @ adjoint_sweep(traj, f))
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
 
     def test_matches_dense_transpose(self):
@@ -131,34 +146,18 @@ class TestAdjointSweep:
         rng = np.random.default_rng(6)
         grid, stencil, bs, obs, ic, traj = small_case(N=8, n_steps=12)
         dim = control_dim(1)
-        cols = []
-        for j in range(dim):
-            e = np.zeros(dim)
-            e[j] = 1.0
-            du, dp = tlm_run(traj, e)
-            cols.append(np.concatenate([du.ravel(), dp.ravel()]))
-        A = np.column_stack(cols)
-        fu = rng.standard_normal(traj.u.shape)
-        fp = rng.standard_normal(traj.p.shape)
-        w = np.concatenate([fu.ravel(), fp.ravel()])
-        np.testing.assert_allclose(
-            adjoint_sweep(traj, fu, fp), A.T @ w, rtol=1e-12, atol=1e-13
-        )
+        A = np.column_stack([tlm_run(traj, e).ravel() for e in np.eye(dim)])
+        f = random_forcing(rng, traj)
+        np.testing.assert_allclose(adjoint_sweep(traj, f), A.T @ f.ravel(), rtol=1e-12, atol=1e-13)
 
     @pytest.mark.parametrize("n_steps", CHAIN_EDGES + CHUNK_EDGES)
     def test_matches_dense_transpose_at_block_edges(self, n_steps):
         rng = np.random.default_rng(6)
         grid, stencil, bs, obs, ic, traj = small_case(N=8, J=2, n_steps=n_steps)
         dim = control_dim(2)
-        A = np.column_stack(
-            [np.concatenate([r.ravel() for r in tlm_run(traj, e)]) for e in np.eye(dim)]
-        )
-        fu = rng.standard_normal(traj.u.shape)
-        fp = rng.standard_normal(traj.p.shape)
-        w = np.concatenate([fu.ravel(), fp.ravel()])
-        np.testing.assert_allclose(
-            adjoint_sweep(traj, fu, fp), A.T @ w, rtol=1e-12, atol=1e-13
-        )
+        A = np.column_stack([tlm_run(traj, e).ravel() for e in np.eye(dim)])
+        f = random_forcing(rng, traj)
+        np.testing.assert_allclose(adjoint_sweep(traj, f), A.T @ f.ravel(), rtol=1e-12, atol=1e-13)
 
     @pytest.mark.parametrize("n_steps", CHAIN_EDGES + [3 * K + 2] + CHUNK_EDGES)
     @pytest.mark.parametrize("J,order", [(1, 2), (4, 4)])
@@ -169,11 +168,9 @@ class TestAdjointSweep:
         )
         for _ in range(5):
             d = rng.standard_normal(control_dim(J))
-            fu = rng.standard_normal(traj.u.shape)
-            fp = rng.standard_normal(traj.p.shape)
-            du, dp = tlm_run(traj, d)
-            lhs = float((du * fu).sum() + (dp * fp).sum())
-            rhs = float(d @ adjoint_sweep(traj, fu, fp))
+            f = random_forcing(rng, traj)
+            lhs = float((tlm_run(traj, d) * f).sum())
+            rhs = float(d @ adjoint_sweep(traj, f))
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
 
     def test_equals_sum_of_per_level_sweeps(self):
@@ -181,16 +178,13 @@ class TestAdjointSweep:
         # with running one backward integration per forcing level.
         rng = np.random.default_rng(7)
         grid, stencil, bs, obs, ic, traj = small_case(N=10, n_steps=20)
-        fu = rng.standard_normal(traj.u.shape)
-        fp = rng.standard_normal(traj.p.shape)
+        f = random_forcing(rng, traj)
         total = np.zeros(control_dim(1))
         for level in range(traj.n_steps + 1):
-            fu_l = np.zeros_like(fu)
-            fp_l = np.zeros_like(fp)
-            fu_l[level] = fu[level]
-            fp_l[level] = fp[level]
-            total += adjoint_sweep(traj, fu_l, fp_l)
-        full = adjoint_sweep(traj, fu, fp)
+            f_l = np.zeros_like(f)
+            f_l[level] = f[level]
+            total += adjoint_sweep(traj, f_l)
+        full = adjoint_sweep(traj, f)
         np.testing.assert_allclose(full, total, rtol=1e-12, atol=1e-14)
 
 
@@ -211,36 +205,33 @@ def test_dot_product_identity_property(N, J, n_steps, order, seed):
     bs = BoundaryScheme(*(rng.standard_normal(J + 1) for _ in range(4)))
     u0 = rng.standard_normal(N + 1)
     u0[0] = u0[-1] = 0.0
-    ic = State(u0, rng.standard_normal(N))
+    ic = np.concatenate([u0, rng.standard_normal(N)])
     traj = integrate(ic, stencil, bs, grid, blowup_threshold=1e12)
     d = rng.standard_normal(control_dim(J))
-    fu = rng.standard_normal(traj.u.shape)
-    fp = rng.standard_normal(traj.p.shape)
-    du, dp = tlm_run(traj, d)
-    lhs = float((du * fu).sum() + (dp * fp).sum())
-    rhs = float(d @ adjoint_sweep(traj, fu, fp))
+    f = random_forcing(rng, traj)
+    lhs = float((tlm_run(traj, d) * f).sum())
+    rhs = float(d @ adjoint_sweep(traj, f))
     assert abs(lhs - rhs) <= 1e-11 * max(abs(lhs), abs(rhs), 1.0)
 
 
 class TestMisfitGradient:
     def test_zero_for_perfect_twin(self):
         grid, stencil, bs, obs, ic, traj = small_case()
-        twin_obs = observations_from_trajectory(traj, grid)
-        _, g = misfit_gradient(traj, twin_obs)
+        _, g = misfit_gradient(traj, traj.z.copy())
         assert np.abs(g).max() < 1e-14
 
     def test_linear_in_misfit(self):
         grid, stencil, bs, obs, ic, traj = small_case(n_steps=30)
         _, g1 = misfit_gradient(traj, obs)
         # observations at 2*obs - traj double the misfit fields
-        doubled = type(obs)(
-            grid,
-            obs.times,
-            2 * obs.u[: traj.n_steps + 1] - traj.u,
-            2 * obs.p[: traj.n_steps + 1] - traj.p,
-        )
-        _, g2 = misfit_gradient(traj, doubled)
+        _, g2 = misfit_gradient(traj, 2 * obs[: traj.n_steps + 1] - traj.z)
         np.testing.assert_allclose(g2, 2 * g1, rtol=1e-12, atol=1e-16)
+
+    def test_observation_shape_checked(self):
+        grid, stencil, bs, obs, ic, traj = small_case(n_steps=30)
+        for bad in (obs[:30], obs[:, :-1], obs[:, :, None], obs[0]):
+            with pytest.raises(ValueError, match="do not cover"):
+                misfit_gradient(traj, bad)
 
     def test_against_finite_differences(self, k3_small):
         grid, stencil, bs, modes, obs, ic = k3_small
@@ -287,7 +278,7 @@ class TestMisfitGradient:
         obs = sample_observations(
             [ModeSpec(2, 1.0, 0.5), ModeSpec(5, 0.3, 1.0)], GridSpec(30, 1.0 / 120.0, 300)
         )
-        ic = State(obs.u[0].copy(), obs.p[0].copy())
+        ic = obs[0].copy()
         x = BoundaryScheme.classical(J).to_control_vector()
         x += 0.01 * np.random.default_rng(3).standard_normal(x.size)
         bs = BoundaryScheme.from_control_vector(x, J)
@@ -296,17 +287,13 @@ class TestMisfitGradient:
 
         m, N, h = traj.n_steps, traj.N, 1.0 / traj.N
         w = time_weights(m, traj.tau)
-        res = traj.z.copy()
-        res[:, : N + 1] -= obs.u[: m + 1]
-        res[:, N + 1 :] -= obs.p[: m + 1]
+        res = traj.z - obs[: m + 1]
         core, dp = res[:, 1:N], res[:, N + 1 :]
         level_misfit = h * ((core * core).sum(axis=1) + (dp * dp).sum(axis=1))
         res *= 2.0 * h * w[:, None]
         assert misfit > 0.0
         np.testing.assert_array_equal(misfit, float(w @ level_misfit))
-        np.testing.assert_array_equal(
-            grad, adjoint_sweep(traj, res[:, : N + 1], res[:, N + 1 :])
-        )
+        np.testing.assert_array_equal(grad, adjoint_sweep(traj, res))
 
     def test_u_zero_columns_have_zero_gradient(self, k3_small):
         # u vanishes at both walls, so the leading coefficient of each

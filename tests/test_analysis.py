@@ -6,7 +6,7 @@ import pytest
 from conftest import make_setup, phase_fit_speed
 from waveassim import analysis
 from waveassim.exact import ModeSpec, sample_observations
-from waveassim.wave import BoundaryScheme, GridSpec, State, integrate, interior_stencil
+from waveassim.wave import BoundaryScheme, GridSpec, integrate, interior_stencil
 
 
 H30 = 1.0 / 30.0
@@ -40,7 +40,7 @@ class TestSpeedRatios:
         # shapes and fit the rotation rate of the (f, g) pair over 50 units.
         grid = GridSpec(30, TAU30, 6000)
         obs = sample_observations([ModeSpec(3, 1, 1)], grid)
-        ic = State(obs.u[0].copy(), obs.p[0].copy())
+        ic = obs[0].copy()
         traj = integrate(ic, interior_stencil(2), BoundaryScheme.classical(1), grid)
         measured = phase_fit_speed(traj, 3, 30)
         assert abs(abs(measured - 1.0) - abs(analysis.beta2(3, H30, TAU30) - 1.0)) < 1e-4
@@ -52,7 +52,7 @@ class TestSpeedRatios:
         N = 120
         grid = GridSpec(N, 1.0 / (4 * N), 20000)
         obs = sample_observations([ModeSpec(3, 1, 1)], grid)
-        ic = State(obs.u[0].copy(), obs.p[0].copy())
+        ic = obs[0].copy()
         traj = integrate(ic, interior_stencil(4), BoundaryScheme.classical(1), grid)
         measured = phase_fit_speed(traj, 3, N)
         assert abs(abs(measured - 1.0) - abs(analysis.beta4(3, 1.0 / N, 1.0 / (4 * N)) - 1.0)) < 1e-5

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import waveassim
+from waveassim import cli
 
 REMOVED = {
     "wave": [
@@ -19,6 +20,7 @@ REMOVED = {
         "derivative_matrices",
         "first_step",
         "leapfrog_step",
+        "State",
     ],
     "adjoint": [
         "SensitivitySource",
@@ -29,7 +31,7 @@ REMOVED = {
         "_project_u_control",
     ],
     "objective": ["state_norm2", "GROUP_NAMES"],
-    "exact": ["exact_mode", "exact_superposition"],
+    "exact": ["exact_mode", "exact_superposition", "Observations"],
     "analysis": ["grid_misfit_series"],
 }
 
@@ -53,7 +55,17 @@ def test_removed_names_are_gone(module):
 
 def test_removed_trajectory_and_state_members():
     assert not hasattr(waveassim.Trajectory, "state")
-    assert "t" not in waveassim.State.__dataclass_fields__
+
+
+def test_experiment_fields():
+    # Observations are sampled per fitted window, not held by the experiment.
+    assert list(cli.Experiment.__dataclass_fields__) == [
+        "config",
+        "grid",
+        "stencil",
+        "modes",
+        "ic",
+    ]
 
 
 def test_cost_dataclass_fields():
@@ -83,6 +95,9 @@ SIGNATURES = [
     ("cli", "_gradient_check", ["exp"]),
     ("wave", "advance_chains", ["Z", "W", "n", "src"]),
     ("exact", "project_initial", ["u0", "p0", "k_max", "n_panels"]),
+    ("wave", "integrate", ["z0", "stencil", "bs", "grid", "blowup_threshold", "out"]),
+    ("adjoint", "adjoint_sweep", ["traj", "forcing"]),
+    ("adjoint", "misfit_gradient", ["traj", "obs", "out"]),
 ]
 
 

@@ -15,7 +15,7 @@ from waveassim.cli import (
     run_assimilation,
     setup_experiment,
 )
-from waveassim.exact import mode_time_factors
+from waveassim.exact import mode_time_factors, sample_observations
 from waveassim.wave import BoundaryScheme, IntegrationDiverged, integrate
 
 # Small, fast configuration shared by the command tests.
@@ -108,10 +108,10 @@ class TestForward:
         assert (a / "xi.csv").read_bytes() == (b / "xi.csv").read_bytes()
         assert (a / "error_xt.csv").read_bytes() == (b / "error_xt.csv").read_bytes()
 
-    @pytest.mark.parametrize("n_steps", [1100, 300])
+    @pytest.mark.parametrize("n_steps", [1100, 300, 200])
     def test_sampled_errors_match_full_arrays(self, tmp_path, n_steps):
-        # The 13 polyexp modes on N = 13: 1100 steps span three chunks of
-        # xi_series, 300 stay inside one.  The exact fields written out at
+        # The 13 polyexp modes on N = 13: 1100 steps span five chunks of
+        # xi_series, 300 span two and 200 stay inside one.  The exact fields written out at
         # every level at once must give the same bits as the chunked series
         # and the strided error_xt.csv samples.
         overrides = {"ic": "polyexp", "N": 13, "n_steps": n_steps, "T_window": 1.0}
@@ -323,6 +323,40 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: xt_stride must be >= 1")
         assert not (tmp_path / "error_xt.csv").exists()
 
+    @pytest.mark.parametrize(
+        "command, fields",
+        [
+            ("forward", {"N": 30.5}),
+            ("forward", {"n_steps": "200"}),
+            ("forward", {"J": 1.5}),
+            ("forward", {"tau": "0.01"}),
+            ("forward", {"xt_stride": 2.5}),
+            ("forward", {"N": True}),
+            ("forward", {"eta": False}),
+            ("forward", {"name": 5}),
+            ("forward", {"modes": [3, 1, 1]}),
+            ("forward", {"modes": [[3, None, 1]]}),
+            ("sweep", {"window_count": 2.5, "window_start": 60, "window_end": 120}),
+        ],
+    )
+    def test_mistyped_config_value_rejected(self, tmp_path, capsys, command, fields):
+        # A mistyped value is a usage error, wherever it would first be used.
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"n_steps": 200, "T_window": 0.5, **fields}))
+        assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        name = next(iter(fields))
+        assert err.startswith(f"error: config field {name} must be ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "xi.csv").exists()
+
+    def test_config_number_types(self):
+        # An int is a valid float; numpy scalars are accepted as well.
+        cfg = ExperimentConfig(tau=np.float64(0.01), T_window=1, N=np.int64(20), n_steps=200)
+        assert cfg.T_window == 1 and cfg.N == 20
+        with pytest.raises(ValueError, match="config field order must be int"):
+            ExperimentConfig(order=2.0)
+
     def test_window_filling_the_horizon_rejected(self, tmp_path, capsys):
         # No level after the 720-step window is left to report on.  This
         # used to run the whole fit, write xi.csv, and then fail in the
@@ -351,8 +385,25 @@ class TestExperimentHelpers:
     def test_setup_experiment_twin_start(self):
         cfg = resolve_config(overrides={"n_steps": 50, "T_window": 0.25})
         exp = setup_experiment(cfg)
-        np.testing.assert_array_equal(exp.ic.u, exp.obs.u[0])
-        np.testing.assert_array_equal(exp.ic.p, exp.obs.p[0])
+        np.testing.assert_array_equal(exp.ic, sample_observations(exp.modes, exp.grid)[0])
+
+    def test_observations_sampled_only_for_the_fitted_window(self, tmp_path, monkeypatch):
+        # setup_experiment, and so forward, samples level 0 alone; a fit
+        # samples exactly the levels of its window, once.
+        sampled = []
+
+        def recording(modes, grid):
+            sampled.append(grid.n_steps)
+            return sample_observations(modes, grid)
+
+        monkeypatch.setattr(cli, "sample_observations", recording)
+        cfg = resolve_config(overrides={"N": 16, "tau": 1.0 / 64.0, "n_steps": 320,
+                                        "T_window": 2.0})
+        exp = setup_experiment(cfg)
+        assert cli.cmd_forward(cfg, tmp_path) == 0
+        assert sampled == []
+        run_assimilation(exp, T_window=1.0)
+        assert sampled == [64]
 
     def test_rich_spectrum_modes(self):
         cfg = resolve_config(preset="rich-spectrum", overrides={"n_steps": 2400})

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import exact_mode
-from waveassim.exact import ModeSpec, project_initial, sample_observations
+from conftest import exact_mode, split
+from waveassim.exact import ModeSpec, exact_fields, project_initial, sample_observations
 from waveassim.wave import GridSpec
 
 
@@ -52,7 +52,7 @@ def sampled(modes, N, tau, t):
     level = int(round(t / tau))
     grid = GridSpec(N, tau, max(level, 1))
     obs = sample_observations(modes, grid)
-    return grid.x_nodes, grid.x_half, obs.u[level], obs.p[level]
+    return (grid.x_nodes, grid.x_half, *split(obs[level], N))
 
 
 class TestSuperposition:
@@ -79,7 +79,7 @@ class TestSuperposition:
         modes = [ModeSpec(2, 1, 1), ModeSpec(5, 1, 1)]
         N, tau, level = 1000, 0.0005, 1200  # t = 0.6
         obs = sample_observations(modes, GridSpec(N, tau, level + 1))
-        u, p = obs.u, obs.p
+        u, p = split(obs, N)
         i = np.round(np.linspace(0.1, 0.9, 5) * N).astype(int)
         h = 1.0 / N
         r1 = (u[level + 1, i] - u[level - 1, i]) / (2 * tau) - (p[level, i] - p[level, i - 1]) / h
@@ -158,20 +158,32 @@ class TestSampleObservations:
     def test_zero_modes(self):
         grid = GridSpec(20, 0.01, 15)
         obs = sample_observations([], grid)
-        assert not obs.u.any() and not obs.p.any()
-        assert obs.n_levels == 16
+        assert obs.shape == (16, 41)
+        assert not obs.any()
 
     def test_t0_matches_initial_condition(self):
         grid = GridSpec(30, 1.0 / 120.0, 10)
         obs = sample_observations([ModeSpec(3, 1, 1)], grid)
-        np.testing.assert_allclose(obs.u[0], np.sin(3 * np.pi * grid.x_nodes), atol=1e-13)
-        np.testing.assert_allclose(obs.p[0], np.cos(3 * np.pi * grid.x_half), atol=1e-13)
+        u0, p0 = split(obs[0], 30)
+        np.testing.assert_allclose(u0, np.sin(3 * np.pi * grid.x_nodes), atol=1e-13)
+        np.testing.assert_allclose(p0, np.cos(3 * np.pi * grid.x_half), atol=1e-13)
+
+    def test_rows_depend_on_their_time_alone(self):
+        # exact_fields at any subset of the levels reproduces those rows bit
+        # for bit, which lets callers sample a window or a chunk at a time.
+        grid = GridSpec(30, 1.0 / 120.0, 700)
+        modes = [ModeSpec(3, 1, 1), ModeSpec(7, -0.4, 0.2)]
+        obs = sample_observations(modes, grid)
+        np.testing.assert_array_equal(exact_fields(modes, grid, grid.times[:1]), obs[:1])
+        np.testing.assert_array_equal(exact_fields(modes, grid, grid.times[::7]), obs[::7])
+        short = sample_observations(modes, GridSpec(30, 1.0 / 120.0, 100))
+        np.testing.assert_array_equal(short, obs[:101])
 
     def test_boundary_values_exactly_zero(self):
         grid = GridSpec(30, 1.0 / 120.0, 50)
         obs = sample_observations([ModeSpec(3, 1, 1), ModeSpec(4, 0.5, -0.25)], grid)
-        assert np.abs(obs.u[:, 0]).max() == 0.0
-        assert np.abs(obs.u[:, -1]).max() == 0.0
+        assert np.abs(obs[:, 0]).max() == 0.0
+        assert np.abs(obs[:, 30]).max() == 0.0
 
     @pytest.mark.parametrize(
         "modes",
@@ -188,5 +200,6 @@ class TestSampleObservations:
         obs = sample_observations(modes, grid)
         w_nodes = np.full(grid.N + 1, grid.h)
         w_nodes[0] = w_nodes[-1] = grid.h / 2
-        energy = (obs.u**2) @ w_nodes + (obs.p**2).sum(axis=1) * grid.h
+        u, p = split(obs, grid.N)
+        energy = (u**2) @ w_nodes + (p**2).sum(axis=1) * grid.h
         assert np.abs(energy - energy[0]).max() < 1e-10

@@ -178,6 +178,27 @@ class TestWolfeLineSearch:
         assert x[0] + a * d[0] <= 2.0
         assert hit[1] < f0
 
+    def test_non_finite_trials_never_accepted(self):
+        # The first trial (expansion) and a zoom trial return NaN with a
+        # zero slope, which would pass the curvature test if taken at face
+        # value; a +inf trial in between must not be interpolated through.
+        cfg = MinimizeConfig()
+        bad = {1.0: math.nan, 0.5: math.inf, 0.25: math.nan}
+        trials = []
+
+        def phi(a):
+            trials.append(a)
+            if a in bad:
+                return bad[a], 0.0, None
+            return (a - 0.125) ** 2, 2.0 * (a - 0.125), a
+
+        hit = wolfe_line_search(phi, 0.125**2, -0.25, cfg)
+        assert trials[:3] == [1.0, 0.5, 0.25]
+        assert hit is not None
+        a, f_a, _, payload = hit
+        assert math.isfinite(f_a) and f_a < 0.125**2
+        assert a not in bad and payload == a
+
     def test_ascent_direction_rejected(self):
         with pytest.raises(ValueError):
             wolfe_line_search(lambda a: (a, 1.0, None), 0.0, 1.0)

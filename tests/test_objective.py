@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_setup, observations_from_trajectory
+from conftest import make_setup, split
 from waveassim.adjoint import misfit_gradient
 from waveassim.analysis import xi_series
-from waveassim.exact import Observations
 from waveassim.objective import (
     BLOWUP_PENALTY,
     CostConfig,
@@ -20,7 +19,7 @@ from waveassim.objective import (
     make_objective,
     window_steps,
 )
-from waveassim.wave import BoundaryScheme, GridSpec, State, integrate, second_order
+from waveassim.wave import BoundaryScheme, GridSpec, integrate, second_order
 
 
 @pytest.fixture
@@ -35,9 +34,8 @@ def state_norm2(du, dp, grid):
     divided by tau is that level's norm.
     """
     one = replace(grid, n_steps=1)
-    zero = State(np.zeros(grid.N + 1), np.zeros(grid.N))
-    traj = integrate(zero, second_order(), BoundaryScheme.classical(1), one)
-    obs = Observations(one, one.times, -np.array([du, du]), -np.array([dp, dp]))
+    traj = integrate(np.zeros(2 * grid.N + 1), second_order(), BoundaryScheme.classical(1), one)
+    obs = -np.tile(np.concatenate([du, dp]), (2, 1))
     return misfit_gradient(traj, obs)[0] / one.tau
 
 
@@ -97,9 +95,8 @@ class TestEvaluate:
     def test_perfect_twin_zero_cost_zero_gradient(self):
         grid, stencil, bs, modes, obs, ic = make_setup(n_steps=120)
         traj = integrate(ic, stencil, bs, grid)
-        twin = observations_from_trajectory(traj, grid)
         report, g = evaluate(
-            bs.to_control_vector(), CostConfig(T_window=1.0), twin, ic, stencil, grid, 1
+            bs.to_control_vector(), CostConfig(T_window=1.0), traj.z.copy(), ic, stencil, grid, 1
         )
         assert report.total == 0.0
         assert report.misfit == 0.0
@@ -112,11 +109,10 @@ class TestEvaluate:
         grid, stencil, _, modes, obs, ic = make_setup(n_steps=60)
         bs = BoundaryScheme([-1.0, 1.0], [-1.5, 1.55], [-1.0, 1.0], [-1.0, 1.0])
         traj = integrate(ic, stencil, bs, grid)
-        twin = observations_from_trajectory(traj, grid)
         report, g = evaluate(
             bs.to_control_vector(),
             CostConfig(T_window=0.5, eta=1e3),
-            twin,
+            traj.z.copy(),
             ic,
             stencil,
             grid,
@@ -163,8 +159,11 @@ class TestEvaluate:
         grid, stencil, _, modes, obs, ic = make_setup(n_steps=240)
         cfg = CostConfig(T_window=2.0)
         bs = BoundaryScheme([-1.0, 1.05], [-1.1, 1.02], [-0.97, 1.01], [-1.03, 0.99])
-        ic_m = State(ic.u[::-1].copy(), -ic.p[::-1].copy())
-        obs_m = Observations(grid, obs.times, obs.u[:, ::-1].copy(), -obs.p[:, ::-1].copy())
+        def mirror(z):
+            u, p = split(z, grid.N)
+            return np.concatenate([u[..., ::-1], -p[..., ::-1]], axis=-1)
+
+        ic_m, obs_m = mirror(ic), mirror(obs)
         bs_m = BoundaryScheme(bs.alpha_u_tilde, bs.alpha_p_tilde, bs.alpha_u, bs.alpha_p)
         r1, _ = evaluate(bs.to_control_vector(), cfg, obs, ic, stencil, grid, 1)
         r2, _ = evaluate(bs_m.to_control_vector(), cfg, obs_m, ic_m, stencil, grid, 1)

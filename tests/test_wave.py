@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     make_setup,
+    split,
     naive_derivative_p,
     naive_derivative_u,
     naive_first_step,
@@ -27,7 +28,6 @@ from waveassim.wave import (
     GridSpec,
     IntegrationDiverged,
     InteriorStencil,
-    State,
     fourth_order,
     integrate,
     interior_stencil,
@@ -55,7 +55,7 @@ def apply_D_u(u, stencil, bs, grid):
 
 def first_levels(u0, p0, stencil, bs, grid):
     """integrate's half state and levels 1 and 2 as (u, p) pairs."""
-    traj = integrate(State(u0, p0), stencil, bs, replace(grid, n_steps=2))
+    traj = integrate(np.concatenate([u0, p0]), stencil, bs, replace(grid, n_steps=2))
     N = grid.N
     half = (traj.z_half[: N + 1], traj.z_half[N + 1 :])
     return half, (traj.u[1], traj.p[1]), (traj.u[2], traj.p[2])
@@ -123,9 +123,17 @@ class TestTypes:
             bs.to_control_vector(), [1.0, 2.0, 4.0, 3.0, 5.0, 6.0, 8.0, 7.0]
         )
 
-    def test_state_boundary_condition_enforced(self):
-        with pytest.raises(ValueError):
-            State(np.ones(31), np.zeros(30))
+    def test_state_boundary_condition_enforced(self, grid30, classical):
+        for wall in (0, 30):
+            z0 = np.zeros(61)
+            z0[wall] = 1.0
+            with pytest.raises(ValueError, match="vanish"):
+                integrate(z0, second_order(), classical, grid30)
+
+    def test_start_state_shape_checked(self, grid30, classical):
+        for z0 in (np.zeros(60), np.zeros((2, 61)), np.zeros(31)):
+            with pytest.raises(ValueError, match="start state"):
+                integrate(z0, second_order(), classical, grid30)
 
 
 class TestDerivativeP:
@@ -232,7 +240,7 @@ class TestClassicalExactness:
 
 class TestFirstStep:
     def test_zero_initial_condition(self, grid30, classical):
-        zero = State(np.zeros(31), np.zeros(30))
+        zero = np.zeros(61)
         traj = integrate(zero, second_order(), classical, replace(grid30, n_steps=1))
         assert not traj.z_half.any()
         assert not traj.z[1].any()
@@ -261,7 +269,7 @@ class TestFirstStep:
             x = grid.x_nodes
             u0 = np.sin(np.pi * x)
             u0[0] = u0[-1] = 0.0
-            ic = State(u0, np.cos(np.pi * grid.x_half))
+            ic = np.concatenate([u0, np.cos(np.pi * grid.x_half)])
             one = integrate(ic, second_order(), BoundaryScheme.classical(1), grid).u[1]
             u_exact = -np.sqrt(2.0) * np.sin(np.pi * tau - np.pi / 4) * np.sin(np.pi * x)
             errs.append(np.abs(one - u_exact).max())
@@ -298,16 +306,16 @@ class TestLeapfrogStep:
         def step_pair(u0, p0):
             return first_levels(u0, p0, st_, classical, grid30)[2]
 
-        s2 = step_pair(obs2.u[0], obs2.p[0])
-        s5 = step_pair(obs5.u[0], obs5.p[0])
-        s_sum = step_pair(obs2.u[0] + obs5.u[0], obs2.p[0] + obs5.p[0])
+        s2 = step_pair(*split(obs2[0], 30))
+        s5 = step_pair(*split(obs5[0], 30))
+        s_sum = step_pair(*split(obs2[0] + obs5[0], 30))
         np.testing.assert_allclose(s_sum[0], s2[0] + s5[0], rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(s_sum[1], s2[1] + s5[1], rtol=1e-12, atol=1e-14)
 
 
 class TestIntegrate:
     def test_zero_ic_zero_trajectory(self, grid30, classical):
-        traj = integrate(State(np.zeros(31), np.zeros(30)), second_order(), classical, grid30)
+        traj = integrate(np.zeros(61), second_order(), classical, grid30)
         assert not traj.u.any() and not traj.p.any()
         assert traj.n_steps == grid30.n_steps
 
@@ -315,13 +323,14 @@ class TestIntegrate:
         grid = GridSpec(30, 1.0 / 120.0, 3)
         _, st_, bs, _, obs, ic = make_setup(n_steps=3)
         traj = integrate(ic, st_, bs, grid)
-        (uh, ph), (u1, p1) = naive_first_step(ic.u, ic.p, st_.a, bs, 30, grid.h, grid.tau)
+        u0, p0 = split(ic, 30)
+        (uh, ph), (u1, p1) = naive_first_step(u0, p0, st_.a, bs, 30, grid.h, grid.tau)
         # matvec vs loop evaluation differ by summation order only
         np.testing.assert_allclose(traj.z_half[:31], uh, rtol=1e-14, atol=1e-15)
         np.testing.assert_allclose(traj.z_half[31:], ph, rtol=1e-14, atol=1e-15)
         np.testing.assert_allclose(traj.u[1], u1, rtol=1e-14, atol=1e-15)
         np.testing.assert_allclose(traj.p[1], p1, rtol=1e-14, atol=1e-15)
-        u2, _ = naive_leapfrog_step(ic.u, ic.p, u1, p1, st_.a, bs, 30, grid.h, grid.tau)
+        u2, _ = naive_leapfrog_step(u0, p0, u1, p1, st_.a, bs, 30, grid.h, grid.tau)
         np.testing.assert_allclose(traj.u[2], u2, rtol=1e-14, atol=1e-15)
 
     def test_boundary_values_stay_zero(self):
@@ -338,14 +347,9 @@ class TestIntegrate:
         obs2 = sample_observations([ModeSpec(2, 1, 1)], grid)
         obs5 = sample_observations([ModeSpec(5, 1, 1)], grid)
         a, b = 1.7, -0.4
-        t2 = integrate(State(obs2.u[0], obs2.p[0]), st_, bs, grid)
-        t5 = integrate(State(obs5.u[0], obs5.p[0]), st_, bs, grid)
-        t_mix = integrate(
-            State(a * obs2.u[0] + b * obs5.u[0], a * obs2.p[0] + b * obs5.p[0]),
-            st_,
-            bs,
-            grid,
-        )
+        t2 = integrate(obs2[0], st_, bs, grid)
+        t5 = integrate(obs5[0], st_, bs, grid)
+        t_mix = integrate(a * obs2[0] + b * obs5[0], st_, bs, grid)
         np.testing.assert_allclose(t_mix.u, a * t2.u + b * t5.u, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(t_mix.p, a * t2.p + b * t5.p, rtol=1e-12, atol=1e-12)
 
@@ -388,7 +392,7 @@ class TestIntegrate:
         stencil = fourth_order()
         bs = BoundaryScheme.classical(1)
         obs = sample_observations([ModeSpec(3, 1, 1)], grid)
-        ic = State(obs.u[0].copy(), obs.p[0].copy())
+        ic = obs[0].copy()
         traj = integrate(ic, stencil, bs, grid)
         times, xi = analysis.xi_series(traj, [ModeSpec(3, 1, 1)])
         i_peak = int(np.argmax(xi))
@@ -409,11 +413,9 @@ def test_integrate_linearity_property(a, b, k1, k2):
     bs = BoundaryScheme.classical(1)
     o1 = sample_observations([ModeSpec(k1, 1, 1)], grid)
     o2 = sample_observations([ModeSpec(k2, 1, 1)], grid)
-    t1 = integrate(State(o1.u[0], o1.p[0]), st_, bs, grid)
-    t2 = integrate(State(o2.u[0], o2.p[0]), st_, bs, grid)
-    t_mix = integrate(
-        State(a * o1.u[0] + b * o2.u[0], a * o1.p[0] + b * o2.p[0]), st_, bs, grid
-    )
+    t1 = integrate(o1[0], st_, bs, grid)
+    t2 = integrate(o2[0], st_, bs, grid)
+    t_mix = integrate(a * o1[0] + b * o2[0], st_, bs, grid)
     np.testing.assert_allclose(t_mix.u, a * t1.u + b * t2.u, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(t_mix.p, a * t1.p + b * t2.p, rtol=1e-12, atol=1e-12)
 
@@ -469,7 +471,8 @@ def test_stacked_operator_property(N, order, J, seed):
     assert not A[[0, N]].any()
     u0 = rng.standard_normal(N + 1)
     u0[0] = u0[-1] = 0.0
-    traj = integrate(State(u0, rng.standard_normal(N)), st_, bs, grid, blowup_threshold=1e300)
+    z0 = np.concatenate([u0, rng.standard_normal(N)])
+    traj = integrate(z0, st_, bs, grid, blowup_threshold=1e300)
     assert not traj.u[:, 0].any() and not traj.u[:, -1].any()
 
 
@@ -498,7 +501,7 @@ def test_integrate_matches_level_loop_at_block_edges(N, order, J, n_steps, seed)
     u0 = rng.standard_normal(N + 1)
     u0[0] = u0[-1] = 0.0
     p0 = rng.standard_normal(N)
-    traj = integrate(State(u0, p0), st_, bs, grid, blowup_threshold=1e300)
+    traj = integrate(np.concatenate([u0, p0]), st_, bs, grid, blowup_threshold=1e300)
     u, p = naive_integrate(u0, p0, st_.a, bs, N, grid.h, grid.tau, n_steps)
     assert traj.u.shape == u.shape and traj.p.shape == p.shape
     scale = max(np.abs(u).max(), np.abs(p).max())
@@ -518,6 +521,7 @@ def test_divergence_reports_first_level_over_threshold():
     u0 = np.sin(np.pi * grid.x_nodes)
     u0[0] = u0[-1] = 0.0
     p0 = np.cos(np.pi * grid.x_half)
+    z0 = np.concatenate([u0, p0])
     u, p = naive_integrate(u0, p0, st_.a, flipped, N, grid.h, grid.tau, n)
     amps = np.maximum(np.abs(u).max(axis=1), np.abs(p).max(axis=1))
     checked = []
@@ -528,7 +532,7 @@ def test_divergence_reports_first_level_over_threshold():
             continue
         threshold = np.sqrt(record * amps[L])
         with pytest.raises(IntegrationDiverged) as err:
-            integrate(State(u0, p0), st_, flipped, grid, blowup_threshold=threshold)
+            integrate(z0, st_, flipped, grid, blowup_threshold=threshold)
         assert err.value.step == L
         assert err.value.time == pytest.approx(L * grid.tau)
         assert err.value.amplitude == pytest.approx(amps[L], rel=1e-12)
@@ -549,7 +553,8 @@ def test_divergence_past_float_range_inside_a_chunk():
     grid, st_, bs, _, obs, ic = make_setup(n_steps=720)
     unstable = replace(bs, alpha_p=1e4 * bs.alpha_p)
     with np.errstate(over="ignore", invalid="ignore"):
-        u, p = naive_integrate(ic.u, ic.p, st_.a, unstable, grid.N, grid.h, grid.tau, grid.n_steps)
+        u0, p0 = split(ic, grid.N)
+        u, p = naive_integrate(u0, p0, st_.a, unstable, grid.N, grid.h, grid.tau, grid.n_steps)
         amps = np.maximum(np.abs(u).max(axis=1), np.abs(p).max(axis=1))
     assert not np.isfinite(amps[: 2 * BLOCK_LEVELS * CHUNK + 1]).all()
     L = int(np.argmin(amps <= DEFAULT_BLOWUP_THRESHOLD))
