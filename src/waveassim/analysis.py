@@ -16,17 +16,20 @@ angular wavenumber k*pi internally.
 plain grid-point sum of squares (no quadrature weight), the convention
 used for all quoted error levels; multiply by h for the integral norm.
 It samples the exact fields a chunk of levels at a time, not all at once.
+``horizon_report`` gives the same series, and strided u rows, for a run
+that it steps, checks and reduces a chunk at a time without storing it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .exact import ModeSpec, exact_fields
-from .wave import GridSpec, Trajectory
+from .wave import DEFAULT_BLOWUP_THRESHOLD, BoundaryScheme, GridSpec, InteriorStencil, Trajectory
+from .wave import advance_chains, check_levels, integrate
 
 __all__ = [
     "DispersionReport",
@@ -37,6 +40,7 @@ __all__ = [
     "first_peak_and_return",
     "fit_kernel_line",
     "h_modified_ratio",
+    "horizon_report",
     "kernel_tangent",
     "log_growth_rate",
     "period_slip_time",
@@ -195,17 +199,45 @@ def xi_series(
     xi(t) = sum_i (u_i - u_exact)^2 + sum_i (p_{i-1/2} - p_exact)^2,
     an unweighted sum over grid points.
     """
-    N = traj.N
-    grid = GridSpec(N, traj.tau, traj.n_steps)
-    times = traj.times
-    xi = np.empty(times.size)
+    grid = GridSpec(traj.N, traj.tau, traj.n_steps)
+    xi = np.empty(grid.n_steps + 1)
+    _xi_rows(traj.z, modes, grid, grid.times, xi)
+    return grid.times, xi
+
+
+def _xi_rows(z: np.ndarray, modes, grid: GridSpec, times: np.ndarray, xi: np.ndarray) -> None:
+    """xi of the stacked rows z at times into xi, XI_CHUNK levels at a time."""
     for t0 in range(0, times.size, XI_CHUNK):
         rows = slice(t0, t0 + XI_CHUNK)
         dz = exact_fields(modes, grid, times[rows])
-        np.square(np.subtract(traj.z[rows], dz, out=dz), out=dz)
-        xi[rows] = dz[:, : N + 1].sum(axis=1)
-        xi[rows] += dz[:, N + 1 :].sum(axis=1)
-    return times, xi
+        np.square(np.subtract(z[rows], dz, out=dz), out=dz)
+        xi[rows] = dz[:, : grid.N + 1].sum(axis=1)
+        xi[rows] += dz[:, grid.N + 1 :].sum(axis=1)
+
+
+def horizon_report(
+    z0: np.ndarray, stencil: InteriorStencil, bs: BoundaryScheme, grid: GridSpec,
+    modes: Sequence[ModeSpec], stride: int | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """xi_series of the run from z0 and, with a stride, its u rows at levels 0, stride, ...
+
+    The bits and IntegrationDiverged of integrate + xi_series, but each chunk of
+    levels is checked and reduced as it is stepped, so no trajectory is stored.
+    """
+    times, xi = grid.times, np.empty(grid.n_steps + 1)
+    u = None if stride is None else np.empty((len(times[::stride]), grid.N + 1))
+
+    def consume(t: int, rows: np.ndarray) -> None:
+        check_levels(rows[1:] if t == 0 else rows, t or 1, grid.tau, DEFAULT_BLOWUP_THRESHOLD)
+        _xi_rows(rows, modes, grid, times[t : t + len(rows)], xi[t : t + len(rows)])
+        if stride is not None:
+            sampled = rows[-t % stride :: stride, : grid.N + 1]
+            u[-(-t // stride) :][: len(sampled)] = sampled
+
+    start = integrate(z0, stencil, bs, replace(grid, n_steps=1))  # levels 0, 1 and W
+    with np.errstate(over="ignore", invalid="ignore"):  # check_levels names an overflow
+        advance_chains(start.z, start.W, grid.n_steps, emit=consume)
+    return times, xi, u
 
 
 def fit_kernel_line(points: Sequence[tuple[float, float]]) -> tuple[float, float, float]:

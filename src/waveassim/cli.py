@@ -68,6 +68,9 @@ NAMED_INITIAL = {"polyexp": (_polyexp_u0, _polyexp_p0)}
 # What each annotated field type admits: an int field takes no float.
 _FIELD_KINDS = {"int": Integral, "float": Real, "str": str}
 
+# Rows that _write_csv turns into Python floats at a time, not whole columns.
+CSV_BLOCK_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -97,6 +100,13 @@ class ExperimentConfig:
                 continue
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise ValueError(f"config field {f.name} must be {f.type}, got {value!r}")
+        if self.modes is not None:
+            rows = self.modes if isinstance(self.modes, (list, tuple)) else [None]
+            if not all(isinstance(r, (list, tuple)) and len(r) == 3 for r in rows) or any(
+                isinstance(v, bool) or not isinstance(v, Real) for r in rows for v in r
+            ):
+                raise ValueError(f"config field modes must be [k, a, b] rows, got {self.modes!r}")
+            object.__setattr__(self, "modes", tuple(tuple(map(float, r)) for r in rows))
         if self.order not in (2, 4):
             raise ValueError(f"interior order must be 2 or 4, got {self.order}")
         if (self.modes is None) == (self.ic is None):
@@ -185,11 +195,6 @@ def resolve_config(
         _apply_source(merged, loaded)
     if overrides:
         _apply_source(merged, {k: v for k, v in overrides.items() if v is not None})
-    if merged.get("modes") is not None:
-        try:
-            merged["modes"] = tuple(tuple(float(v) for v in row) for row in merged["modes"])
-        except TypeError:
-            raise ValueError(f"config field modes must be [k, a, b] rows, got {merged['modes']!r}")
     return ExperimentConfig(**merged)
 
 
@@ -246,11 +251,12 @@ def run_assimilation(
 
 def _write_csv(path: Path, header: str, *columns) -> None:
     """One row per index of the equal-length columns, each value repr(float(v))."""
-    texts = [map(repr, np.asarray(c, dtype=float).tolist()) for c in columns]
+    arrays = [np.asarray(c, dtype=float) for c in columns]
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in zip(*texts):
-            fh.write(",".join(row) + "\n")
+        for a in range(0, len(arrays[0]) if arrays else 0, CSV_BLOCK_ROWS):
+            for row in zip(*[map(repr, c[a : a + CSV_BLOCK_ROWS].tolist()) for c in arrays]):
+                fh.write(",".join(row) + "\n")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -289,13 +295,12 @@ def cmd_forward(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Integrate the classical scheme and write its error diagnostics."""
     exp = setup_experiment(cfg)
     bs = BoundaryScheme.classical(cfg.J)
-    traj = integrate(exp.ic, exp.stencil, bs, exp.grid)
-    times, xi = analysis.xi_series(traj, exp.modes)
+    stride = cfg.xt_stride or max(1, cfg.n_steps // 400)
+    times, xi, u = analysis.horizon_report(exp.ic, exp.stencil, bs, exp.grid, exp.modes, stride)
     _write_csv(out_dir / "xi.csv", "t,xi", times, xi)
 
-    stride = cfg.xt_stride or max(1, cfg.n_steps // 400)
     x_nodes = exp.grid.x_nodes
-    du = traj.u[::stride] - exact_fields(exp.modes, exp.grid, times[::stride])[:, : cfg.N + 1]
+    du = u - exact_fields(exp.modes, exp.grid, times[::stride])[:, : cfg.N + 1]
     t_col = np.repeat(times[::stride], x_nodes.size)
     x_col = np.tile(x_nodes, len(du))
     _write_csv(out_dir / "error_xt.csv", "t,x,du", t_col, x_col, du.ravel())
@@ -322,7 +327,7 @@ def cmd_assimilate(cfg: ExperimentConfig, out_dir: Path) -> int:
         "termination": result.termination,
     }
     try:
-        traj = integrate(exp.ic, exp.stencil, bs, exp.grid)
+        times, xi, _ = analysis.horizon_report(exp.ic, exp.stencil, bs, exp.grid, exp.modes)
     except IntegrationDiverged as exc:
         # Keep the fit: record where the recovered scheme blew up, then fail.
         payload["post_run_diverged"] = {
@@ -332,7 +337,6 @@ def cmd_assimilate(cfg: ExperimentConfig, out_dir: Path) -> int:
         }
         _write_json(out_dir / "result.json", payload)
         raise
-    times, xi = analysis.xi_series(traj, exp.modes)
     _write_csv(out_dir / "xi.csv", "t,xi", times, xi)
     payload["post_window_xi"] = {
         "plateau": analysis.plateau_level(times, xi, cfg.T_window),
@@ -517,16 +521,6 @@ def _add_common_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--xt-stride", dest="xt_stride", type=int, default=None)
 
 
-def _parse_modes(text: str) -> tuple[tuple[float, float, float], ...]:
-    triples = []
-    for part in text.split(","):
-        fields = part.split(":")
-        if len(fields) != 3:
-            raise ValueError(f"mode {part!r} is not of the form k:a:b")
-        triples.append(tuple(float(v) for v in fields))
-    return tuple(triples)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="waveassim",
@@ -545,7 +539,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             if getattr(args, key, None) is not None
         }
         if overrides.get("modes") is not None:
-            overrides["modes"] = _parse_modes(overrides["modes"])
+            # k:a:b triples; ExperimentConfig checks that each has three values.
+            modes = overrides["modes"].split(",")
+            overrides["modes"] = [[float(v) for v in m.split(":")] for m in modes]
         cfg = resolve_config(args.preset, args.config, overrides)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)

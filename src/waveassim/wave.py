@@ -24,6 +24,8 @@ leapfrog splits into two staggered chains with step 2 tau;
 per scheme.  :func:`advance_chains` moves both chains a block per small
 product and fills a chunk of blocks' levels per large one, and
 :func:`transpose_chains` is its exact transpose for the adjoint.
+Given a consumer, advance_chains reuses one chunk buffer instead of storing
+the run.  :func:`check_levels` is the one blow-up scan.
 """
 
 from __future__ import annotations
@@ -367,7 +369,7 @@ def _chain_view(levels: np.ndarray, m: int) -> np.ndarray:
     return levels.reshape(m, BLOCK_LEVELS, 2, -1).transpose(0, 2, 1, 3)
 
 
-def advance_chains(Z: np.ndarray, W: np.ndarray, n: int, src: np.ndarray | None = None) -> None:
+def advance_chains(Z: np.ndarray, W: np.ndarray, n: int, src: np.ndarray | None = None, emit=None):
     """Fill levels 2..n of Z from levels 0 and 1 with the chain stack W.
 
     p_2 = p_0 + B D_u u_1 starts the second chain.  Then per CHUNK blocks of
@@ -376,10 +378,14 @@ def advance_chains(Z: np.ndarray, W: np.ndarray, n: int, src: np.ndarray | None 
     controlled-row sources of each level, zero at levels 0, 1 and past n)
     have n + 2*BLOCK_LEVELS + 1 rows, for what the last block overshoots.
     Every level is filled, however large it grows: blow-up is the caller's
-    check (see :func:`integrate`).
+    check (see :func:`integrate`).  With emit, only levels 0 and 1 of Z are
+    read; the chunks are filled into one reused buffer, and emit(t, rows) gets
+    each chunk's finished levels t, t+1, ... in turn.
     """
     d = Z.shape[1]
     N, K = d // 2, BLOCK_LEVELS
+    if emit is not None:  # the first chunk's levels and the one after them
+        Z = np.concatenate([Z[:2], np.empty((2 * K * CHUNK + 1, d))])
     uu, pp = slice(0, N + 1), slice(N + 1, d)
     cols = d if src is None else d + 4 * K
     Z[2, pp] = Z[0, pp] + W[N + 1 : d, : N + 1] @ Z[1, uu]
@@ -391,7 +397,7 @@ def advance_chains(Z: np.ndarray, W: np.ndarray, n: int, src: np.ndarray | None 
     X[0, :, uu], X[0, :, pp] = Z[0:2, uu], Z[1:3, pp]
     out = np.empty((CHUNK, 2, K, d))
     last, rest = W[(K - 1) * d :, :cols].T, W[: (K - 1) * d, :cols].T
-    nb = (n + 2 * K - 2) // (2 * K)
+    nb, t = (n + 2 * K - 2) // (2 * K), 0  # t: the level in row 0 of Z
     for b0 in range(0, nb, CHUNK):
         s, m = 1 + 2 * K * b0, min(CHUNK, nb - b0)
         if src is not None:
@@ -406,9 +412,16 @@ def advance_chains(Z: np.ndarray, W: np.ndarray, n: int, src: np.ndarray | None 
         np.matmul(X[:m].reshape(2 * m, cols), rest, out=o[:, :, :-1].reshape(2 * m, -1))
         o[:, :, :-1] += X[:m, :, None, :d]
         o[:, :, -1] = X[1 : m + 1, :, :d]
-        _chain_view(Z[s + 1 : s + 1 + 2 * K * m, uu], m)[...] = o[..., uu]
-        _chain_view(Z[s + 2 : s + 2 + 2 * K * m, pp], m)[...] = o[..., pp]
+        r = s - t
+        _chain_view(Z[r + 1 : r + 1 + 2 * K * m, uu], m)[...] = o[..., uu]
+        _chain_view(Z[r + 2 : r + 2 + 2 * K * m, pp], m)[...] = o[..., pp]
         X[0] = X[m]
+        if emit is not None and b0 + CHUNK < nb:
+            r += 1 + 2 * K * m
+            emit(t, Z[:r])
+            Z[0], t = Z[r], t + r
+    if emit is not None:
+        emit(t, Z[: n + 1 - t])
 
 
 def transpose_chains(a: np.ndarray, W: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -457,6 +470,14 @@ def transpose_chains(a: np.ndarray, W: np.ndarray, n: int) -> tuple[np.ndarray, 
     return lam[: n + 1], a1
 
 
+def check_levels(levels: np.ndarray, t: int, tau: float, blowup_threshold: float) -> None:
+    """Raise IntegrationDiverged at the first of levels t, t+1, ... past the threshold."""
+    if not np.maximum(levels.max(), -levels.min()) <= blowup_threshold:  # or NaN
+        amps = np.maximum(levels.max(axis=1), -levels.min(axis=1))
+        i = t + int(np.argmin(amps <= blowup_threshold))
+        raise IntegrationDiverged(i, i * tau, amps[i - t])
+
+
 def integrate(
     z0: np.ndarray,
     stencil: InteriorStencil,
@@ -497,9 +518,5 @@ def integrate(
     # An unstable scheme overflows; the scan below names where it passed the threshold.
     with np.errstate(over="ignore", invalid="ignore"):
         advance_chains(Z, W, n)
-    levels = Z[1 : n + 1]
-    if not np.maximum(levels.max(), -levels.min()) <= blowup_threshold:  # or NaN
-        amps = np.maximum(levels.max(axis=1), -levels.min(axis=1))
-        i = int(np.argmin(amps <= blowup_threshold))
-        raise IntegrationDiverged(i + 1, (i + 1) * tau, amps[i])
+    check_levels(Z[1 : n + 1], 1, tau, blowup_threshold)
     return Trajectory(Z[: n + 1], z_half, tau, A, W, bs)

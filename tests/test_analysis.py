@@ -6,7 +6,15 @@ import pytest
 from conftest import make_setup, phase_fit_speed
 from waveassim import analysis
 from waveassim.exact import ModeSpec, sample_observations
-from waveassim.wave import BoundaryScheme, GridSpec, integrate, interior_stencil
+from waveassim.wave import (
+    BLOCK_LEVELS,
+    CHUNK,
+    BoundaryScheme,
+    GridSpec,
+    IntegrationDiverged,
+    integrate,
+    interior_stencil,
+)
 
 
 H30 = 1.0 / 30.0
@@ -199,6 +207,42 @@ class TestErrorSeries:
         assert xi_peak == pytest.approx(4.0, abs=1e-4)
         assert t_zero == pytest.approx(np.pi / 0.4, abs=0.01)
         assert xi_min < 1e-5
+
+
+K = BLOCK_LEVELS
+
+
+class TestHorizonReport:
+    @pytest.mark.parametrize("n_steps", [1, 2, 5, 2 * K * CHUNK + 1, 2 * K * CHUNK + 2, 1037])
+    @pytest.mark.parametrize("stride", [1, 13])
+    def test_streamed_run_matches_the_stored_one(self, n_steps, stride):
+        # One chunk holds levels 0..2*K*CHUNK+1; the edges and 1037 levels
+        # (three chunks, the last one partial) hand over mid-stride.
+        grid, stencil, bs, modes, _, ic = make_setup(k=5, n_steps=n_steps, order=4)
+        traj = integrate(ic, stencil, bs, grid)
+        times, xi = analysis.xi_series(traj, modes)
+        s_times, s_xi, u = analysis.horizon_report(ic, stencil, bs, grid, modes, stride)
+        assert np.array_equal(s_times, times)
+        assert np.array_equal(s_xi, xi)
+        assert np.array_equal(u, traj.u[::stride])
+        assert analysis.horizon_report(ic, stencil, bs, grid, modes)[2] is None
+
+    @pytest.mark.parametrize(
+        "order, tau, level",
+        [(2, 0.501 / 30, 1372), (2, 0.502 / 30, 678), (2, 0.503 / 30, 516), (4, 0.03, 19)],
+    )
+    def test_divergence_names_the_level_integrate_names(self, order, tau, level):
+        # Past the CFL limit of the classical boundary: the second-order
+        # runs first pass the threshold after the first chunk, the
+        # fourth-order one inside it.
+        grid, stencil, bs, modes, _, ic = make_setup(tau=tau, n_steps=3000, order=order)
+        with pytest.raises(IntegrationDiverged) as stored:
+            integrate(ic, stencil, bs, grid)
+        with pytest.raises(IntegrationDiverged) as streamed:
+            analysis.horizon_report(ic, stencil, bs, grid, modes, 7)
+        assert stored.value.step == streamed.value.step == level
+        assert streamed.value.time == stored.value.time
+        assert streamed.value.amplitude == stored.value.amplitude
 
 
 class TestTrendDiagnostics:

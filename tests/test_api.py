@@ -93,11 +93,14 @@ SIGNATURES = [
     ("cli", "run_assimilation", ["exp", "T_window"]),
     ("cli", "cmd_gradcheck", ["cfg", "out_dir"]),
     ("cli", "_gradient_check", ["exp"]),
-    ("wave", "advance_chains", ["Z", "W", "n", "src"]),
+    ("wave", "advance_chains", ["Z", "W", "n", "src", "emit"]),
     ("exact", "project_initial", ["u0", "p0", "k_max", "n_panels"]),
     ("wave", "integrate", ["z0", "stencil", "bs", "grid", "blowup_threshold", "out"]),
     ("adjoint", "adjoint_sweep", ["traj", "forcing"]),
     ("adjoint", "misfit_gradient", ["traj", "obs", "out"]),
+    ("analysis", "horizon_report", ["z0", "stencil", "bs", "grid", "modes", "stride"]),
+    # The benchmark checks forward's xi.csv against integrate + xi_series.
+    ("analysis", "xi_series", ["traj", "modes"]),
 ]
 
 
