@@ -37,6 +37,7 @@ __all__ = [
     "split_control",
     "time_weights",
     "tlm_run",
+    "window_misfit",
 ]
 
 
@@ -142,17 +143,21 @@ def time_weights(m: int, tau: float) -> np.ndarray:
     return w
 
 
-def misfit_gradient(
-    traj: Trajectory, obs: np.ndarray, out: np.ndarray | None = None
+def window_misfit(
+    traj: Trajectory,
+    obs: np.ndarray,
+    out: np.ndarray | None = None,
+    squares: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Windowed misfit cost and its gradient with respect to the control vector.
+    """Windowed misfit cost and the residual traj.z - obs it integrates.
 
     The cost is the trapezoid time integral over the trajectory's levels of
     the spatial integral of (u - u_obs)^2 + (p - p_obs)^2 (weight h on the
-    p half-nodes and interior u nodes; u vanishes at the walls), so the
-    adjoint forcing at level t is 2 w_t h (misfit fields).  obs holds the
-    observed stacked states, at least as many levels as the trajectory
-    stores.  out, if given, is the traj.z-shaped forcing storage.
+    p half-nodes and interior u nodes; u vanishes at the walls).  obs holds
+    the observed stacked states, at least as many levels as the trajectory
+    stores.  out and squares, if given, are traj.z-shaped storage for the
+    residual and its square; squares may be out itself when the residual
+    is not read afterwards.
     """
     m, N = traj.n_steps, traj.N
     if obs.shape[1:] != traj.z.shape[1:] or len(obs) < m + 1:
@@ -160,11 +165,18 @@ def misfit_gradient(
             f"observations of shape {obs.shape} do not cover the trajectory's "
             f"{m + 1} levels of {traj.z.shape[1]} values"
         )
-    h = 1.0 / N
-    w = time_weights(m, traj.tau)
     res = np.subtract(traj.z, obs[: m + 1], out=out)
-    core = res[:, 1:N]
-    dp = res[:, N + 1 :]
-    level_misfit = h * ((core * core).sum(axis=1) + (dp * dp).sum(axis=1))
-    res *= 2.0 * h * w[:, None]
-    return float(w @ level_misfit), adjoint_sweep(traj, res)
+    sq = np.multiply(res, res, out=squares)
+    level_misfit = (1.0 / N) * (sq[:, 1:N].sum(axis=1) + sq[:, N + 1 :].sum(axis=1))
+    return float(time_weights(m, traj.tau) @ level_misfit), res
+
+
+def misfit_gradient(traj: Trajectory, res: np.ndarray) -> np.ndarray:
+    """Gradient of ``window_misfit`` with respect to the control vector.
+
+    res is the residual that ``window_misfit`` returned; it is scaled in
+    place into the adjoint forcing 2 w_t h (misfit fields) and swept back.
+    """
+    h = 1.0 / traj.N
+    res *= 2.0 * h * time_weights(traj.n_steps, traj.tau)[:, None]
+    return adjoint_sweep(traj, res)

@@ -12,6 +12,7 @@ from waveassim.adjoint import (
     split_control,
     time_weights,
     tlm_run,
+    window_misfit,
 )
 from waveassim.exact import ModeSpec, sample_observations
 from waveassim.objective import CostConfig, evaluate
@@ -217,21 +218,22 @@ def test_dot_product_identity_property(N, J, n_steps, order, seed):
 class TestMisfitGradient:
     def test_zero_for_perfect_twin(self):
         grid, stencil, bs, obs, ic, traj = small_case()
-        _, g = misfit_gradient(traj, traj.z.copy())
-        assert np.abs(g).max() < 1e-14
+        misfit, res = window_misfit(traj, traj.z.copy())
+        assert misfit == 0.0
+        assert np.abs(misfit_gradient(traj, res)).max() < 1e-14
 
     def test_linear_in_misfit(self):
         grid, stencil, bs, obs, ic, traj = small_case(n_steps=30)
-        _, g1 = misfit_gradient(traj, obs)
+        g1 = misfit_gradient(traj, window_misfit(traj, obs)[1])
         # observations at 2*obs - traj double the misfit fields
-        _, g2 = misfit_gradient(traj, 2 * obs[: traj.n_steps + 1] - traj.z)
+        g2 = misfit_gradient(traj, window_misfit(traj, 2 * obs[: traj.n_steps + 1] - traj.z)[1])
         np.testing.assert_allclose(g2, 2 * g1, rtol=1e-12, atol=1e-16)
 
     def test_observation_shape_checked(self):
         grid, stencil, bs, obs, ic, traj = small_case(n_steps=30)
         for bad in (obs[:30], obs[:, :-1], obs[:, :, None], obs[0]):
             with pytest.raises(ValueError, match="do not cover"):
-                misfit_gradient(traj, bad)
+                window_misfit(traj, bad)
 
     def test_against_finite_differences(self, k3_small):
         grid, stencil, bs, modes, obs, ic = k3_small
@@ -272,9 +274,9 @@ class TestMisfitGradient:
 
     @pytest.mark.parametrize("order, J", [(2, 1), (4, 3)])
     def test_bit_identical_to_the_residual_formula(self, order, J):
-        # The residual goes straight into one buffer; cost and gradient must
-        # equal, bit for bit, a copy of the trajectory minus the observations
-        # weighted as the adjoint forcing.
+        # The residual goes straight into one buffer and is squared into
+        # another; cost and gradient must equal, bit for bit, a copy of the
+        # trajectory minus the observations weighted as the adjoint forcing.
         obs = sample_observations(
             [ModeSpec(2, 1.0, 0.5), ModeSpec(5, 0.3, 1.0)], GridSpec(30, 1.0 / 120.0, 300)
         )
@@ -283,7 +285,10 @@ class TestMisfitGradient:
         x += 0.01 * np.random.default_rng(3).standard_normal(x.size)
         bs = BoundaryScheme.from_control_vector(x, J)
         traj = integrate(ic, interior_stencil(order), bs, GridSpec(30, 1.0 / 120.0, 250))
-        misfit, grad = misfit_gradient(traj, obs)
+        out, squares = np.empty_like(traj.z), np.empty_like(traj.z)
+        misfit, res_out = window_misfit(traj, obs, out=out, squares=squares)
+        assert res_out is out
+        grad = misfit_gradient(traj, res_out)
 
         m, N, h = traj.n_steps, traj.N, 1.0 / traj.N
         w = time_weights(m, traj.tau)

@@ -97,10 +97,13 @@ SIGNATURES = [
     ("exact", "project_initial", ["u0", "p0", "k_max", "n_panels"]),
     ("wave", "integrate", ["z0", "stencil", "bs", "grid", "blowup_threshold", "out"]),
     ("adjoint", "adjoint_sweep", ["traj", "forcing"]),
-    ("adjoint", "misfit_gradient", ["traj", "obs", "out"]),
+    ("adjoint", "misfit_gradient", ["traj", "res"]),
     ("analysis", "horizon_report", ["z0", "stencil", "bs", "grid", "modes", "stride"]),
     # The benchmark checks forward's xi.csv against integrate + xi_series.
     ("analysis", "xi_series", ["traj", "modes"]),
+    ("adjoint", "window_misfit", ["traj", "obs", "out", "squares"]),
+    ("objective", "cost", ["x", "cfg", "obs", "ic", "stencil", "grid", "J", "buffers"]),
+    ("objective", "window_buffers", ["cfg", "grid"]),
 ]
 
 

@@ -1,12 +1,13 @@
 """Experiment runner: commands, config handling, determinism, exit codes."""
 
 import json
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from waveassim import analysis, cli
+from waveassim import adjoint, analysis, cli
 from waveassim.cli import (
     PRESETS,
     ExperimentConfig,
@@ -16,6 +17,7 @@ from waveassim.cli import (
     setup_experiment,
 )
 from waveassim.exact import mode_time_factors, sample_observations
+from waveassim.objective import CostReport
 from waveassim.wave import BoundaryScheme, IntegrationDiverged, integrate
 
 # Small, fast configuration shared by the command tests.
@@ -247,6 +249,41 @@ class TestGradcheck:
         assert record["worst"] == max(record["dot_residuals"] + record["relative_error"])
         assert record["worst"] <= record["tolerance"] == 1e-5
         assert f"worst relative error: {record['worst']:.3e}" in out
+
+    def test_one_adjoint_sweep_per_dot_pair_and_one_for_the_gradient(
+        self, tmp_path, monkeypatch
+    ):
+        # The central differences evaluate the cost alone: no adjoint runs
+        # for any of their 2 * 4(J+1) points.
+        sweeps = []
+        transpose_chains = adjoint.transpose_chains
+
+        def counted(*args):
+            sweeps.append(1)
+            return transpose_chains(*args)
+
+        monkeypatch.setattr(adjoint, "transpose_chains", counted)
+        assert main(["gradcheck", "--out", str(tmp_path)] + TINY) == 0
+        assert len(sweeps) == cli.DOT_PAIRS + 1
+
+    def test_diverged_difference_fails_closed(self, tmp_path, capsys, monkeypatch):
+        # Both points of one component diverge, so its finite difference is
+        # (inf - inf) / 2h = NaN.  That must fail the check, not pass it.
+        x0 = BoundaryScheme.classical(1).to_control_vector()
+        cost = cli.cost
+
+        def diverging(x, *args):
+            if x[2] != x0[2]:
+                return CostReport(math.inf, math.inf, 0.0)
+            return cost(x, *args)
+
+        monkeypatch.setattr(cli, "cost", diverging)
+        rc = main(["gradcheck", "--out", str(tmp_path)] + TINY)
+        out = capsys.readouterr().out
+        assert rc == 2
+        assert out.splitlines()[-1] == "FAILED"
+        assert "worst relative error: nan" in out
+        assert math.isnan(json.loads((tmp_path / "gradcheck.json").read_text())["worst"])
 
 
 class TestDispersion:

@@ -9,14 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_setup, split
-from waveassim.adjoint import misfit_gradient
+from waveassim.adjoint import window_misfit
 from waveassim.analysis import xi_series
 from waveassim.objective import (
     BLOWUP_PENALTY,
     CostConfig,
     CostReport,
+    cost,
     evaluate,
     make_objective,
+    window_buffers,
     window_steps,
 )
 from waveassim.wave import BoundaryScheme, GridSpec, integrate, second_order
@@ -36,7 +38,7 @@ def state_norm2(du, dp, grid):
     one = replace(grid, n_steps=1)
     traj = integrate(np.zeros(2 * grid.N + 1), second_order(), BoundaryScheme.classical(1), one)
     obs = -np.tile(np.concatenate([du, dp]), (2, 1))
-    return misfit_gradient(traj, obs)[0] / one.tau
+    return window_misfit(traj, obs)[0] / one.tau
 
 
 class TestStateNorm:
@@ -196,7 +198,8 @@ def test_make_objective_buffers_leave_no_trace():
     # Every call refills the same window buffers, also after a diverged
     # trial has left them full of overflow.  Each result must equal an
     # evaluation with fresh storage bit for bit, and must not change when
-    # later calls overwrite the buffers.
+    # later calls overwrite the buffers.  The cost-only path, on its own
+    # shared buffers, must give evaluate's report field for field.
     grid, stencil, bs, modes, obs, ic = make_setup(n_steps=240)
     cfg = CostConfig(T_window=2.0, eta=0.5)
     f = make_objective(cfg, obs, ic, stencil, grid, 1)
@@ -204,9 +207,13 @@ def test_make_objective_buffers_leave_no_trace():
     x2 = x1 + np.array([0.011, -0.007, 0.013, -0.009, 0.008, 0.012, -0.011, 0.009])
     diverging = BoundaryScheme([1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, 1.0])
     xs = [x1, diverging.to_control_vector(), x2, x1]
+    buffers = window_buffers(cfg, grid)
+    costs = [cost(x, cfg, obs, ic, stencil, grid, 1, buffers) for x in xs]
     results = [f(x) for x in xs]
     assert results[1][0] == math.inf and math.isfinite(results[2][0])
-    for x, (fx, gx) in zip(xs, results):
+    assert costs[1] == CostReport(math.inf, math.inf, 0.0)
+    for x, (fx, gx), c in zip(xs, results, costs):
         report, g = evaluate(x, cfg, obs, ic, stencil, grid, 1)
         assert fx == report.total
+        assert c == report
         assert np.array_equal(gx, g)
