@@ -22,7 +22,7 @@ from .analysis import (
 )
 from .exact import ModeSpec, project_initial, sample_observations
 from .minimize import MinimizeConfig, OptimResult, lbfgs
-from .objective import CostConfig, CostReport, evaluate, make_objective
+from .objective import CostReport, Window, evaluate, make_objective
 from .wave import (
     BoundaryScheme,
     GridSpec,
@@ -37,7 +37,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundaryScheme",
-    "CostConfig",
     "CostReport",
     "DispersionReport",
     "GridSpec",
@@ -47,6 +46,7 @@ __all__ = [
     "ModeSpec",
     "OptimResult",
     "Trajectory",
+    "Window",
     "adjoint_sweep",
     "beta2",
     "beta4",

@@ -21,7 +21,7 @@ from waveassim.adjoint import adjoint_sweep, control_dim, tlm_run
 from waveassim.cli import resolve_config, setup_experiment
 from waveassim.exact import ModeSpec, sample_observations
 from waveassim.minimize import MinimizeConfig, lbfgs
-from waveassim.objective import CostConfig, evaluate, make_objective
+from waveassim.objective import Window, evaluate, make_objective
 from waveassim.wave import (
     BoundaryScheme,
     GridSpec,
@@ -66,7 +66,7 @@ def k3_classical_error(k3_second):
 def assim_second(k3_second):
     """eta = 0, 6-unit window; post-run error over the full 300 units."""
     grid, stencil, modes, obs, ic = k3_second
-    f = make_objective(CostConfig(T_window=6.0), obs, ic, stencil, grid, 1)
+    f = make_objective(Window(obs, ic, stencil, GridSpec(30, TAU, 720), 1))
     result = lbfgs(f, BoundaryScheme.classical(1).to_control_vector())
     bs = BoundaryScheme.from_control_vector(result.x, 1)
     traj = integrate(ic, stencil, bs, grid)
@@ -78,7 +78,7 @@ def assim_second(k3_second):
 def assim_second_regularized(k3_second):
     """Large-eta run; a 30-unit window pins the zero-sum kernel point."""
     grid, stencil, modes, obs, ic = k3_second
-    f = make_objective(CostConfig(T_window=30.0, eta=1e3), obs, ic, stencil, grid, 1)
+    f = make_objective(Window(obs, ic, stencil, GridSpec(30, TAU, 3600), 1, eta=1e3))
     result = lbfgs(f, BoundaryScheme.classical(1).to_control_vector())
     return result, BoundaryScheme.from_control_vector(result.x, 1)
 
@@ -89,7 +89,7 @@ def assim_fourth(k3_second):
     stencil = interior_stencil(4)
     obs4 = sample_observations(modes, grid)
     ic4 = obs4[0].copy()
-    f = make_objective(CostConfig(T_window=6.0), obs4, ic4, stencil, grid, 1)
+    f = make_objective(Window(obs4, ic4, stencil, GridSpec(30, TAU, 720), 1))
     result = lbfgs(f, BoundaryScheme.classical(1).to_control_vector())
     bs = BoundaryScheme.from_control_vector(result.x, 1)
     traj = integrate(ic4, stencil, bs, grid)
@@ -104,7 +104,7 @@ def kernel_sweep(k3_second):
     x0 = BoundaryScheme.classical(1).to_control_vector()
     pairs = []
     for steps in sorted({int(round(s)) for s in np.linspace(600, 2400, 10)}):
-        f = make_objective(CostConfig(T_window=steps * TAU), obs, ic, stencil, grid, 1)
+        f = make_objective(Window(obs, ic, stencil, GridSpec(30, TAU, steps), 1))
         result = lbfgs(f, x0)
         bs = BoundaryScheme.from_control_vector(result.x, 1)
         pairs.append((bs.alpha_p[0], bs.alpha_p[1]))
@@ -125,7 +125,7 @@ def two_mode_runs():
     ]:
         obs = sample_observations(modes, grid)
         ic = obs[0].copy()
-        f = make_objective(CostConfig(T_window=20.0), obs, ic, stencil, grid, 1)
+        f = make_objective(Window(obs, ic, stencil, GridSpec(30, TAU, 2400), 1))
         result = lbfgs(f, x0)
         bs = BoundaryScheme.from_control_vector(result.x, 1)
         traj = integrate(ic, stencil, bs, grid)
@@ -162,10 +162,9 @@ def rich_j1(rich_experiment):
     times, xi0 = analysis.xi_series(
         integrate(exp.ic, exp.stencil, classical, exp.grid), exp.modes
     )
-    f = make_objective(
-        CostConfig(T_window=cfg.T_window, eta=cfg.eta),
-        sample_observations(exp.modes, exp.grid), exp.ic, exp.stencil, exp.grid, cfg.J,
-    )
+    wgrid = GridSpec(30, TAU, 2400)  # the preset's 20-unit window
+    obs = sample_observations(exp.modes, exp.grid)
+    f = make_objective(Window(obs, exp.ic, exp.stencil, wgrid, cfg.J, cfg.eta))
     x0 = classical.to_control_vector()
     rng = np.random.default_rng(8)
     starts = [x0] + [x0 + 1e-10 * rng.standard_normal(x0.size) for _ in range(4)]
@@ -201,7 +200,7 @@ def rich_j4(rich_experiment):
     T_w = m_window * TAU
     obs = sample_observations(exp.modes, grid)
     ic = obs[0].copy()
-    f = make_objective(CostConfig(T_window=T_w, eta=10.0), obs, ic, exp.stencil, grid, 4)
+    f = make_objective(Window(obs, ic, exp.stencil, GridSpec(30, TAU, m_window), 4, eta=10.0))
     classical = BoundaryScheme.classical(4)
     result = lbfgs(f, classical.to_control_vector(), MinimizeConfig(max_iters=600, memory=20))
 
@@ -255,13 +254,13 @@ def test_criterion_02_gradient_vs_finite_differences(k3_second):
     eps = 1e-5
     worst = 0.0
     for eta in (0.0, 1e3):
-        cfg = CostConfig(T_window=6.0, eta=eta)
-        _, grad = evaluate(x0, cfg, obs, ic, stencil, grid, 1)
+        win = Window(obs, ic, stencil, GridSpec(30, TAU, 720), 1, eta)
+        _, grad = evaluate(x0, win)
         for j in range(8):
             e = np.zeros(8)
             e[j] = eps
-            rp, _ = evaluate(x0 + e, cfg, obs, ic, stencil, grid, 1)
-            rm, _ = evaluate(x0 - e, cfg, obs, ic, stencil, grid, 1)
+            rp, _ = evaluate(x0 + e, win)
+            rm, _ = evaluate(x0 - e, win)
             fd = (rp.total - rm.total) / (2 * eps)
             rel = abs(grad[j] - fd) / max(abs(grad[j]), abs(fd), 1e-12)
             worst = max(worst, rel)

@@ -15,7 +15,7 @@ from waveassim.adjoint import (
     window_misfit,
 )
 from waveassim.exact import ModeSpec, sample_observations
-from waveassim.objective import CostConfig, evaluate
+from waveassim.objective import Window, evaluate
 from waveassim.wave import (
     BLOCK_LEVELS,
     CHUNK,
@@ -237,36 +237,36 @@ class TestMisfitGradient:
 
     def test_against_finite_differences(self, k3_small):
         grid, stencil, bs, modes, obs, ic = k3_small
-        cfg = CostConfig(T_window=2.0, eta=0.0)
+        win = Window(obs, ic, stencil, grid, 1)
         x0 = bs.to_control_vector() + np.array(
             [0.011, -0.007, 0.013, -0.009, 0.008, 0.012, -0.011, 0.009]
         )
-        _, g = evaluate(x0, cfg, obs, ic, stencil, grid, 1)
+        _, g = evaluate(x0, win)
         eps = 1e-5
         fd = np.zeros_like(g)
         for j in range(8):
             e = np.zeros(8)
             e[j] = eps
-            rp, _ = evaluate(x0 + e, cfg, obs, ic, stencil, grid, 1)
-            rm, _ = evaluate(x0 - e, cfg, obs, ic, stencil, grid, 1)
+            rp, _ = evaluate(x0 + e, win)
+            rm, _ = evaluate(x0 - e, win)
             fd[j] = (rp.total - rm.total) / (2 * eps)
         rel = np.abs(g - fd) / np.maximum(np.abs(g), np.maximum(np.abs(fd), 1e-12))
         assert rel.max() < 1e-6
 
     def test_descent_direction(self, k3_small):
         grid, stencil, bs, modes, obs, ic = k3_small
-        cfg = CostConfig(T_window=2.0, eta=0.0)
+        win = Window(obs, ic, stencil, grid, 1)
         x0 = bs.to_control_vector()
-        r0, g = evaluate(x0, cfg, obs, ic, stencil, grid, 1)
-        r1, _ = evaluate(x0 - 1e-3 * g / np.linalg.norm(g), cfg, obs, ic, stencil, grid, 1)
+        r0, g = evaluate(x0, win)
+        r1, _ = evaluate(x0 - 1e-3 * g / np.linalg.norm(g), win)
         assert r1.total < r0.total
 
     def test_mirror_symmetry_of_gradient(self, k3_small):
         # Single-mode data are mirror symmetric about x = 1/2, so the right-
         # boundary stencil gradients equal the left ones.
         grid, stencil, bs, modes, obs, ic = k3_small
-        cfg = CostConfig(T_window=2.0, eta=0.0)
-        _, g = evaluate(bs.to_control_vector(), cfg, obs, ic, stencil, grid, 1)
+        win = Window(obs, ic, stencil, grid, 1)
+        _, g = evaluate(bs.to_control_vector(), win)
         vec_u, vec_p = split_control(g, 1)
         w = 2
         np.testing.assert_allclose(vec_u[w:][::-1], vec_u[:w], rtol=1e-10, atol=1e-14)
@@ -304,8 +304,8 @@ class TestMisfitGradient:
         # u vanishes at both walls, so the leading coefficient of each
         # u stencil never enters the dynamics.
         grid, stencil, bs, modes, obs, ic = k3_small
-        cfg = CostConfig(T_window=2.0, eta=0.0)
-        _, g = evaluate(bs.to_control_vector(), cfg, obs, ic, stencil, grid, 1)
+        win = Window(obs, ic, stencil, grid, 1)
+        _, g = evaluate(bs.to_control_vector(), win)
         assert g[0] == 0.0  # alpha_u_0
         assert g[3] == 0.0  # alpha_u_tilde_0 (stored reversed)
 

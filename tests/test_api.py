@@ -30,7 +30,7 @@ REMOVED = {
         "_project_p_control",
         "_project_u_control",
     ],
-    "objective": ["state_norm2", "GROUP_NAMES"],
+    "objective": ["state_norm2", "GROUP_NAMES", "CostConfig", "window_buffers"],
     "exact": ["exact_mode", "exact_superposition", "Observations"],
     "analysis": ["grid_misfit_series"],
 }
@@ -69,7 +69,16 @@ def test_experiment_fields():
 
 
 def test_cost_dataclass_fields():
-    assert list(waveassim.CostConfig.__dataclass_fields__) == ["T_window", "eta"]
+    assert list(waveassim.Window.__dataclass_fields__) == [
+        "obs",
+        "ic",
+        "stencil",
+        "grid",
+        "J",
+        "eta",
+        "z",
+        "res",
+    ]
     assert list(waveassim.CostReport.__dataclass_fields__) == [
         "total",
         "misfit",
@@ -102,8 +111,10 @@ SIGNATURES = [
     # The benchmark checks forward's xi.csv against integrate + xi_series.
     ("analysis", "xi_series", ["traj", "modes"]),
     ("adjoint", "window_misfit", ["traj", "obs", "out", "squares"]),
-    ("objective", "cost", ["x", "cfg", "obs", "ic", "stencil", "grid", "J", "buffers"]),
-    ("objective", "window_buffers", ["cfg", "grid"]),
+    ("objective", "cost", ["x", "win"]),
+    ("objective", "evaluate", ["x", "win"]),
+    ("objective", "make_objective", ["win"]),
+    ("objective", "window_steps", ["T_window", "grid"]),
 ]
 
 

@@ -80,12 +80,10 @@ class TestConfigResolution:
         with pytest.raises(ValueError):
             ExperimentConfig(order=3)
         with pytest.raises(ValueError):
-            ExperimentConfig(T_window=1e9)
-        with pytest.raises(ValueError):
             ExperimentConfig(modes=None, ic=None)
         with pytest.raises(ValueError):
             ExperimentConfig(ic="unknown", modes=None)
-        for k in (-1.0, 2.5, float("inf"), float("nan")):
+        for k in (-1.0, 2.5, float("inf"), float("nan"), 60.0, 120.0):
             with pytest.raises(ValueError):
                 ExperimentConfig(modes=((k, 1.0, 1.0),))
         with pytest.raises(ValueError, match="^config field modes"):
@@ -415,6 +413,29 @@ class TestExitCodes:
         assert cfg.T_window == 1 and cfg.N == 20
         with pytest.raises(ValueError, match="config field order must be int"):
             ExperimentConfig(order=2.0)
+
+    def test_window_beyond_the_horizon(self, tmp_path, capsys):
+        # forward never reads T_window, so a horizon shorter than the window
+        # is fine there.  The commands that fit the window reject it before
+        # any fit.
+        argv = ["--preset", "single-mode-second", "--n-steps", "400"]
+        assert main(["forward", "--out", str(tmp_path / "fwd")] + argv) == 0
+        capsys.readouterr()
+        for command in ("assimilate", "gradcheck"):
+            out = tmp_path / command
+            assert main([command, "--out", str(out), "--T-window", "1e9"] + argv) == 1
+            assert capsys.readouterr().err == (
+                "error: window of 120000000000 steps exceeds the configured horizon of 400\n"
+            )
+            assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["dispersion", "assimilate"])
+    def test_unresolvable_mode_rejected(self, tmp_path, capsys, command):
+        # k = 2N: sin(k pi h / 2) = 0, where beta2 and beta4 divide by zero.
+        # assimilate used to fit first and then fail in the predictions.
+        assert main([command, "--out", str(tmp_path), "--modes", "3:1:1,60:1:1"]) == 1
+        assert capsys.readouterr().err == "error: mode k = 60 is not resolvable on N = 30\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_window_filling_the_horizon_rejected(self, tmp_path, capsys):
         # No level after the 720-step window is left to report on.  This

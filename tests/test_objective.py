@@ -13,15 +13,14 @@ from waveassim.adjoint import window_misfit
 from waveassim.analysis import xi_series
 from waveassim.objective import (
     BLOWUP_PENALTY,
-    CostConfig,
     CostReport,
+    Window,
     cost,
     evaluate,
     make_objective,
-    window_buffers,
     window_steps,
 )
-from waveassim.wave import BoundaryScheme, GridSpec, integrate, second_order
+from waveassim.wave import BLOCK_LEVELS, BoundaryScheme, GridSpec, integrate, second_order
 
 
 @pytest.fixture
@@ -73,20 +72,27 @@ class TestStateNorm:
         assert state_norm2(c * du, c * dp, grid) == pytest.approx(c * c * base, rel=1e-12)
 
 
-class TestCostConfig:
-    def test_validation(self):
+class TestWindow:
+    def test_validation(self, grid30):
+        _, stencil, _, _, obs, ic = make_setup(n_steps=720)
         with pytest.raises(ValueError):
-            CostConfig(T_window=-1.0)
+            Window(obs, ic, stencil, grid30, 1, eta=-2.0)
         with pytest.raises(ValueError):
-            CostConfig(T_window=1.0, eta=-2.0)
+            window_steps(-1.0, grid30)
+
+    def test_storage_fits_the_window(self, grid30):
+        _, stencil, _, _, obs, ic = make_setup(n_steps=720)
+        win = Window(obs, ic, stencil, replace(grid30, n_steps=120), 1)
+        assert win.z.shape == (120 + 2 * BLOCK_LEVELS + 1, 61)
+        assert win.res.shape == (121, 61)
 
     def test_window_steps(self, grid30):
-        assert window_steps(CostConfig(T_window=6.0), grid30) == 720
-        assert window_steps(CostConfig(T_window=1.0), grid30) == 120
+        assert window_steps(6.0, grid30) == 720
+        assert window_steps(1.0, grid30) == 120
         with pytest.raises(ValueError):
-            window_steps(CostConfig(T_window=6.001), grid30)
+            window_steps(6.001, grid30)
         with pytest.raises(ValueError):
-            window_steps(CostConfig(T_window=7.0), grid30)  # beyond horizon
+            window_steps(7.0, grid30)  # beyond horizon
 
     def test_report_invariant(self):
         with pytest.raises(ValueError):
@@ -97,9 +103,7 @@ class TestEvaluate:
     def test_perfect_twin_zero_cost_zero_gradient(self):
         grid, stencil, bs, modes, obs, ic = make_setup(n_steps=120)
         traj = integrate(ic, stencil, bs, grid)
-        report, g = evaluate(
-            bs.to_control_vector(), CostConfig(T_window=1.0), traj.z.copy(), ic, stencil, grid, 1
-        )
+        report, g = evaluate(bs.to_control_vector(), Window(traj.z.copy(), ic, stencil, grid, 1))
         assert report.total == 0.0
         assert report.misfit == 0.0
         assert np.abs(g).max() < 1e-14
@@ -112,13 +116,7 @@ class TestEvaluate:
         bs = BoundaryScheme([-1.0, 1.0], [-1.5, 1.55], [-1.0, 1.0], [-1.0, 1.0])
         traj = integrate(ic, stencil, bs, grid)
         report, g = evaluate(
-            bs.to_control_vector(),
-            CostConfig(T_window=0.5, eta=1e3),
-            traj.z.copy(),
-            ic,
-            stencil,
-            grid,
-            1,
+            bs.to_control_vector(), Window(traj.z.copy(), ic, stencil, grid, 1, eta=1e3)
         )
         assert report.misfit == 0.0
         assert report.regularization == pytest.approx(2.5, rel=1e-10)
@@ -130,27 +128,25 @@ class TestEvaluate:
     def test_blowup_penalty(self):
         grid, stencil, _, modes, obs, ic = make_setup(n_steps=720)
         flipped = BoundaryScheme([1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, 1.0])
-        report, g = evaluate(
-            flipped.to_control_vector(), CostConfig(T_window=6.0), obs, ic, stencil, grid, 1
-        )
+        report, g = evaluate(flipped.to_control_vector(), Window(obs, ic, stencil, grid, 1))
         assert report.total == BLOWUP_PENALTY == math.inf
         assert not g.any()
         assert report.misfit == BLOWUP_PENALTY and report.regularization == 0.0
 
     def test_gradient_with_regularization_vs_fd(self):
         grid, stencil, bs, modes, obs, ic = make_setup(n_steps=240)
-        cfg = CostConfig(T_window=2.0, eta=1e3)
+        win = Window(obs, ic, stencil, grid, 1, eta=1e3)
         x0 = bs.to_control_vector() + np.array(
             [0.011, -0.007, 0.013, -0.009, 0.008, 0.012, -0.011, 0.009]
         )
-        _, g = evaluate(x0, cfg, obs, ic, stencil, grid, 1)
+        _, g = evaluate(x0, win)
         eps = 1e-5
         fd = np.zeros(8)
         for j in range(8):
             e = np.zeros(8)
             e[j] = eps
-            rp, _ = evaluate(x0 + e, cfg, obs, ic, stencil, grid, 1)
-            rm, _ = evaluate(x0 - e, cfg, obs, ic, stencil, grid, 1)
+            rp, _ = evaluate(x0 + e, win)
+            rm, _ = evaluate(x0 - e, win)
             fd[j] = (rp.total - rm.total) / (2 * eps)
         rel = np.abs(g - fd) / np.maximum(np.abs(g), np.maximum(np.abs(fd), 1e-12))
         assert rel.max() < 1e-6
@@ -159,7 +155,6 @@ class TestEvaluate:
         # x -> 1 - x maps (u, p) -> (u reversed, -p reversed) and swaps the
         # plain and tilde stencils; the misfit must not change.
         grid, stencil, _, modes, obs, ic = make_setup(n_steps=240)
-        cfg = CostConfig(T_window=2.0)
         bs = BoundaryScheme([-1.0, 1.05], [-1.1, 1.02], [-0.97, 1.01], [-1.03, 0.99])
         def mirror(z):
             u, p = split(z, grid.N)
@@ -167,14 +162,13 @@ class TestEvaluate:
 
         ic_m, obs_m = mirror(ic), mirror(obs)
         bs_m = BoundaryScheme(bs.alpha_u_tilde, bs.alpha_p_tilde, bs.alpha_u, bs.alpha_p)
-        r1, _ = evaluate(bs.to_control_vector(), cfg, obs, ic, stencil, grid, 1)
-        r2, _ = evaluate(bs_m.to_control_vector(), cfg, obs_m, ic_m, stencil, grid, 1)
+        r1, _ = evaluate(bs.to_control_vector(), Window(obs, ic, stencil, grid, 1))
+        r2, _ = evaluate(bs_m.to_control_vector(), Window(obs_m, ic_m, stencil, grid, 1))
         assert r2.misfit == pytest.approx(r1.misfit, rel=1e-12)
 
     def test_level_misfit_assembles_total(self):
         grid, stencil, bs, modes, obs, ic = make_setup(n_steps=240)
-        cfg = CostConfig(T_window=2.0)
-        report, _ = evaluate(bs.to_control_vector(), cfg, obs, ic, stencil, grid, 1)
+        report, _ = evaluate(bs.to_control_vector(), Window(obs, ic, stencil, grid, 1))
         _, xi = xi_series(integrate(ic, stencil, bs, grid), modes)
         w = np.full(241, grid.tau)
         w[0] = w[-1] = grid.tau / 2
@@ -185,35 +179,38 @@ class TestEvaluate:
 
 def test_make_objective_matches_evaluate():
     grid, stencil, bs, modes, obs, ic = make_setup(n_steps=120)
-    cfg = CostConfig(T_window=1.0)
-    f = make_objective(cfg, obs, ic, stencil, grid, 1)
+    win = Window(obs, ic, stencil, grid, 1)
+    f = make_objective(win)
     x = bs.to_control_vector()
     fx, gx = f(x)
-    report, g = evaluate(x, cfg, obs, ic, stencil, grid, 1)
+    report, g = evaluate(x, win)
     assert fx == report.total
     np.testing.assert_array_equal(gx, g)
 
 
 def test_make_objective_buffers_leave_no_trace():
-    # Every call refills the same window buffers, also after a diverged
-    # trial has left them full of overflow.  Each result must equal an
-    # evaluation with fresh storage bit for bit, and must not change when
-    # later calls overwrite the buffers.  The cost-only path, on its own
-    # shared buffers, must give evaluate's report field for field.
+    # Every call refills the same window storage, also after a diverged
+    # trial has left it full of overflow.  Each result must equal an
+    # evaluation on a fresh window bit for bit, and must not change when
+    # later calls overwrite the storage.  The cost-only path, on a window
+    # of its own, must give evaluate's report field for field.
     grid, stencil, bs, modes, obs, ic = make_setup(n_steps=240)
-    cfg = CostConfig(T_window=2.0, eta=0.5)
-    f = make_objective(cfg, obs, ic, stencil, grid, 1)
+
+    def window():
+        return Window(obs, ic, stencil, grid, 1, eta=0.5)
+
+    f = make_objective(window())
     x1 = bs.to_control_vector()
     x2 = x1 + np.array([0.011, -0.007, 0.013, -0.009, 0.008, 0.012, -0.011, 0.009])
     diverging = BoundaryScheme([1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, 1.0])
     xs = [x1, diverging.to_control_vector(), x2, x1]
-    buffers = window_buffers(cfg, grid)
-    costs = [cost(x, cfg, obs, ic, stencil, grid, 1, buffers) for x in xs]
+    shared = window()
+    costs = [cost(x, shared) for x in xs]
     results = [f(x) for x in xs]
     assert results[1][0] == math.inf and math.isfinite(results[2][0])
     assert costs[1] == CostReport(math.inf, math.inf, 0.0)
     for x, (fx, gx), c in zip(xs, results, costs):
-        report, g = evaluate(x, cfg, obs, ic, stencil, grid, 1)
+        report, g = evaluate(x, window())
         assert fx == report.total
         assert c == report
         assert np.array_equal(gx, g)

@@ -19,7 +19,7 @@ from conftest import (
 )
 from waveassim import analysis
 from waveassim.exact import ModeSpec, sample_observations
-from waveassim.objective import BLOWUP_PENALTY, CostConfig, evaluate
+from waveassim.objective import BLOWUP_PENALTY, Window, evaluate
 from waveassim.wave import (
     BLOCK_LEVELS,
     CHUNK,
@@ -564,8 +564,6 @@ def test_divergence_past_float_range_inside_a_chunk():
             integrate(ic, st_, unstable, grid)
         assert err.value.step == L
         assert err.value.amplitude == pytest.approx(amps[L], rel=1e-12)
-        report, g = evaluate(
-            unstable.to_control_vector(), CostConfig(T_window=6.0), obs, ic, st_, grid, 1
-        )
+        report, g = evaluate(unstable.to_control_vector(), Window(obs, ic, st_, grid, 1))
     assert report.total == BLOWUP_PENALTY
     assert not g.any()
