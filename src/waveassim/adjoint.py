@@ -14,27 +14,21 @@ projection of those values onto coefficient space.  Both keep the
 stacked layout of the trajectory: ``tlm_run`` returns dz shaped like
 traj.z and ``adjoint_sweep`` takes a forcing of that shape.
 
-Control vector layout (length 4(J+1)), matching
-``BoundaryScheme.to_control_vector``:
-
-    [a_u_0..a_u_J, at_u_J..at_u_0, a_p_0..a_p_J, at_p_J..at_p_0]
-
-where ``a``/``at`` are the left/right stencils.  The descending order of
-the right-boundary halves makes each controlled row a contiguous dot
-product with the adjacent field values.
+The control vector is ``BoundaryScheme.to_control_vector``; the operator
+entries each of its four stencil groups sets, and so the sensitivity of
+the model to it, are laid out once by ``wave.boundary_entries``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .wave import BLOCK_LEVELS, Trajectory, advance_chains, controlled_rows, transpose_chains
+from .wave import BLOCK_LEVELS, Trajectory, advance_chains, boundary_entries, transpose_chains
 
 __all__ = [
     "adjoint_sweep",
     "control_dim",
     "misfit_gradient",
-    "split_control",
     "time_weights",
     "tlm_run",
     "window_misfit",
@@ -45,41 +39,21 @@ def control_dim(J: int) -> int:
     return 4 * (J + 1)
 
 
-def split_control(dalpha: np.ndarray, J: int) -> tuple[np.ndarray, np.ndarray]:
-    """Split a control vector into its u and p halves."""
-    dalpha = np.asarray(dalpha, dtype=float)
-    if dalpha.shape != (control_dim(J),):
-        raise ValueError(
-            f"control vector must have length {control_dim(J)}, got {dalpha.shape}"
-        )
-    w = 2 * (J + 1)
-    return dalpha[:w], dalpha[w:]
+def _sensitivity(z: np.ndarray, J: int) -> np.ndarray:
+    """Derivatives of the controlled rows of A z with respect to the control.
 
-
-def _sensitivity(traj: Trajectory) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Controlled rows of A z and their derivatives with respect to the control.
-
-    Returns (rows, S_half, S): perturbing stencil group g (in control-vector
-    order) by d_g changes row rows[g] of A z by S[..., g, :] @ d_g, where
-    S_half (4, J+1) is read from z_half and S (n_steps, 4, J+1) from levels
-    0..n_steps-1, the levels whose tendency the trajectory uses.  Read
+    z holds stacked rows (..., 2N+1).  Returns S (..., 4, J+1): perturbing
+    stencil group g (in control-vector order) by d_g changes row rows[g] of
+    A z by S[..., g, :] @ d_g, with rows from ``boundary_entries``.  Read
     forward it gives the tangent-linear sources; contracted with adjoint
     values it gives their transpose.
     """
-    N, J = traj.N, traj.bs.J
-
-    def read(z: np.ndarray) -> np.ndarray:
-        return np.stack(
-            [
-                z[..., : J + 1],  # alpha_u: du/dx at the first half-node
-                -z[..., N - J : N + 1],  # alpha_u_tilde: du/dx at the last half-node
-                z[..., N + 1 : N + 2 + J],  # alpha_p: dp/dx at node 1
-                -z[..., 2 * N - J :],  # alpha_p_tilde: dp/dx at node N-1
-            ],
-            axis=-2,
-        ) / (1.0 / N)
-
-    return controlled_rows(N), read(traj.z_half), read(traj.z[:-1])
+    N = z.shape[-1] // 2
+    _, cols, sign = boundary_entries(N, J)
+    S = z[..., cols]  # a copy, scaled in place: sign * z / h
+    S *= sign[:, None]
+    S /= 1.0 / N
+    return S
 
 
 def tlm_run(traj: Trajectory, dalpha: np.ndarray) -> np.ndarray:
@@ -89,10 +63,13 @@ def tlm_run(traj: Trajectory, dalpha: np.ndarray) -> np.ndarray:
     the injected sources.  Returns dz, shaped like traj.z (its u wall
     columns stay zero).
     """
-    n, N, tau, A = traj.n_steps, traj.N, traj.tau, traj.A
-    # One row per stencil group, in control-vector order.
-    dg = np.reshape(split_control(dalpha, traj.bs.J), (4, -1))
-    rows, S_half, S = _sensitivity(traj)
+    n, N, J, tau, A = traj.n_steps, traj.N, traj.bs.J, traj.tau, traj.A
+    dalpha = np.asarray(dalpha, dtype=float)
+    if dalpha.shape != (control_dim(J),):
+        raise ValueError(f"control vector must have length {control_dim(J)}, got {dalpha.shape}")
+    dg = dalpha.reshape(4, J + 1)  # one row per stencil group, in control-vector order
+    rows = boundary_entries(N, J)[0]
+    S_half, S = _sensitivity(traj.z_half, J), _sensitivity(traj.z[:-1], J)
 
     # src[t] is the controlled-row source that the tendency of level t-1
     # adds to level t >= 2.
@@ -121,8 +98,9 @@ def adjoint_sweep(traj: Trajectory, forcing: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"forcing shape {np.shape(forcing)} does not match the trajectory {traj.z.shape}"
         )
-    n, tau = traj.n_steps, traj.tau
-    rows, S_half, S = _sensitivity(traj)
+    n, N, J, tau = traj.n_steps, traj.N, traj.bs.J, traj.tau
+    rows = boundary_entries(N, J)[0]
+    S_half, S = _sensitivity(traj.z_half, J), _sensitivity(traj.z[:-1], J)
     lam, a1 = transpose_chains(np.asarray(forcing, dtype=float), traj.W, n)
 
     # Transpose of the sources: level t feeds level t+1 with weight 2 tau,

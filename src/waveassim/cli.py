@@ -472,7 +472,7 @@ def cmd_dispersion(cfg: ExperimentConfig, out_dir: Path) -> int:
         exp_modes = sorted({int(k) for k, _, _ in cfg.modes if k >= 1})
     else:
         exp_modes = [2, 3, 5]
-    h = 1.0 / cfg.N
+    h = GridSpec(cfg.N, cfg.tau, cfg.n_steps).h
     ratios = [i / 20.0 for i in range(1, 21)]
     rows = []
     for k in exp_modes:

@@ -291,6 +291,21 @@ class Trajectory:
         return np.arange(self.z.shape[0]) * self.tau
 
 
+def boundary_entries(N: int, J: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where the boundary stencils sit in A, in control-vector group order.
+
+    Group g of the control vector (``BoundaryScheme.to_control_vector``
+    reshaped to (4, J+1)) fills A[rows[g], cols[g]] = sign[g] * x_g / h:
+    alpha_u and alpha_u_tilde give du/dx at the first and last half-node
+    (the first and last p rows), alpha_p and alpha_p_tilde dp/dx at nodes 1
+    and N-1.  The tilde groups are stored descending and enter with sign -1,
+    so each group's columns ascend.  rows does not depend on J.
+    """
+    rows = np.array([N + 1, 2 * N, 1, N - 1])
+    cols = np.array([0, N - J, N + 1, 2 * N - J])[:, None] + np.arange(J + 1)
+    return rows, cols, np.array([1.0, -1.0, 1.0, -1.0])
+
+
 def stacked_operator(
     stencil: InteriorStencil, bs: BoundaryScheme, grid: GridSpec
 ) -> np.ndarray:
@@ -298,10 +313,11 @@ def stacked_operator(
 
     Rows 1..N-1 hold D_p, dp/dx at the interior u nodes from the N p-values;
     the N p rows hold D_u, du/dx at the half-nodes from the N+1 u-values.
-    Rows 0 and -1 of each block carry the boundary stencils, every other row
-    the interior stencil.  The wall rows 0 and N stay zero, so u stays
-    exactly zero at the walls; the wall columns keep D_u's entries, which
-    therefore only ever multiply zeros.
+    Rows 0 and -1 of each block carry the boundary stencils (see
+    :func:`boundary_entries`), every other row the interior stencil.  The
+    wall rows 0 and N stay zero, so u stays exactly zero at the walls; the
+    wall columns keep D_u's entries, which therefore only ever multiply
+    zeros.
     """
     N, J, a = grid.N, bs.J, stencil.a
     if J + 1 > N - 1:
@@ -312,25 +328,13 @@ def stacked_operator(
     A = np.zeros((2 * N + 1, 2 * N + 1))
     D_p = A[1:N, N + 1 :]
     D_u = A[N + 1 :, : N + 1]
-    D_p[0, : J + 1] = bs.alpha_p
     for r in range(1, N - 2):
         D_p[r, r - 1 : r + 3] = a
-    D_p[N - 2, N - 1 - J :] = -bs.alpha_p_tilde[::-1]
-    D_u[0, : J + 1] = bs.alpha_u
     for r in range(1, N - 1):
         D_u[r, r - 1 : r + 3] = a
-    D_u[N - 1, N - J :] = -bs.alpha_u_tilde[::-1]
+    rows, cols, sign = boundary_entries(N, J)
+    A[rows[:, None], cols] = sign[:, None] * np.reshape(bs.to_control_vector(), (4, J + 1))
     return A / grid.h
-
-
-def controlled_rows(N: int) -> list[int]:
-    """Rows of z set by the boundary stencils, in control-vector group order.
-
-    alpha_u and alpha_u_tilde give du/dx at the first and last half-node
-    (the first and last p rows), alpha_p and alpha_p_tilde dp/dx at nodes
-    1 and N-1.
-    """
-    return [N + 1, 2 * N, 1, N - 1]
 
 
 def chain_stack(A: np.ndarray, tau: float, steps: int) -> np.ndarray:
@@ -347,7 +351,7 @@ def chain_stack(A: np.ndarray, tau: float, steps: int) -> np.ndarray:
     """
     d = A.shape[0]
     N = d // 2
-    rows = controlled_rows(N)
+    rows = boundary_entries(N, 0)[0]
     B = 2.0 * tau * A
     E = B.copy()
     E[N + 1 :, N + 1 :] = B[N + 1 :, : N + 1] @ B[: N + 1, N + 1 :]
@@ -390,7 +394,7 @@ def advance_chains(Z: np.ndarray, W: np.ndarray, n: int, src: np.ndarray | None 
     cols = d if src is None else d + 4 * K
     Z[2, pp] = Z[0, pp] + W[N + 1 : d, : N + 1] @ Z[1, uu]
     if src is not None:
-        Z[2, controlled_rows(N)[:2]] += src[2, :2]
+        Z[2, boundary_entries(N, 0)[0][:2]] += src[2, :2]
     # X[b, c]: the head (u_{s-1+c}, p_{s+c}) of chain c at block b, then the
     # sources of its K steps; out[b, c, j] is that head after j+1 steps.
     X = np.zeros((CHUNK + 1, 2, cols))
@@ -464,7 +468,7 @@ def transpose_chains(a: np.ndarray, W: np.ndarray, n: int) -> tuple[np.ndarray, 
     a1 = a[1].copy()
     if n > 1:  # the first heads (u_0, p_1) and (u_1, p_2 = p_0 + B D_u u_1)
         lam_p2 = carry[1, pp] + a[2, pp]
-        lam[2, :2] = lam_p2[[0, N - 1]]
+        lam[2, :2] = lam_p2[boundary_entries(N, 0)[0][:2] - (N + 1)]
         a1[uu] += carry[1, uu] + W[N + 1 : d, : N + 1].T @ lam_p2
         a1[pp] += carry[0, pp]
     return lam[: n + 1], a1

@@ -9,7 +9,6 @@ from waveassim.adjoint import (
     adjoint_sweep,
     control_dim,
     misfit_gradient,
-    split_control,
     time_weights,
     tlm_run,
     window_misfit,
@@ -53,6 +52,12 @@ class TestTangentLinearModel:
     def test_zero_perturbation(self):
         grid, stencil, bs, obs, ic, traj = small_case()
         assert not tlm_run(traj, np.zeros(control_dim(1))).any()
+
+    @pytest.mark.parametrize("length", [7, 9, 16])
+    def test_wrong_control_length_rejected(self, length):
+        grid, stencil, bs, obs, ic, traj = small_case()
+        with pytest.raises(ValueError, match="control vector must have length 8"):
+            tlm_run(traj, np.zeros(length))
 
     def test_output_is_stacked_like_the_trajectory(self):
         grid, stencil, bs, obs, ic, traj = small_case()
@@ -267,10 +272,9 @@ class TestMisfitGradient:
         grid, stencil, bs, modes, obs, ic = k3_small
         win = Window(obs, ic, stencil, grid, 1)
         _, g = evaluate(bs.to_control_vector(), win)
-        vec_u, vec_p = split_control(g, 1)
-        w = 2
-        np.testing.assert_allclose(vec_u[w:][::-1], vec_u[:w], rtol=1e-10, atol=1e-14)
-        np.testing.assert_allclose(vec_p[w:][::-1], vec_p[:w], rtol=1e-10, atol=1e-14)
+        gs = BoundaryScheme.from_control_vector(g, 1)
+        np.testing.assert_allclose(gs.alpha_u_tilde, gs.alpha_u, rtol=1e-10, atol=1e-14)
+        np.testing.assert_allclose(gs.alpha_p_tilde, gs.alpha_p, rtol=1e-10, atol=1e-14)
 
     @pytest.mark.parametrize("order, J", [(2, 1), (4, 3)])
     def test_bit_identical_to_the_residual_formula(self, order, J):

@@ -21,6 +21,7 @@ REMOVED = {
         "first_step",
         "leapfrog_step",
         "State",
+        "controlled_rows",
     ],
     "adjoint": [
         "SensitivitySource",
@@ -29,6 +30,7 @@ REMOVED = {
         "_source_p_rows",
         "_project_p_control",
         "_project_u_control",
+        "split_control",
     ],
     "objective": ["state_norm2", "GROUP_NAMES", "CostConfig", "window_buffers"],
     "exact": ["exact_mode", "exact_superposition", "Observations"],
@@ -115,6 +117,8 @@ SIGNATURES = [
     ("objective", "evaluate", ["x", "win"]),
     ("objective", "make_objective", ["win"]),
     ("objective", "window_steps", ["T_window", "grid"]),
+    ("wave", "boundary_entries", ["N", "J"]),
+    ("adjoint", "_sensitivity", ["z", "J"]),
 ]
 
 

@@ -437,6 +437,16 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: mode k = 60 is not resolvable on N = 30\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("option", [["--N", "0"], ["--N", "3"], ["--tau", "0"], ["--tau", "-0.01"]])
+    def test_dispersion_rejects_an_impossible_grid(self, tmp_path, capsys, option):
+        # dispersion never integrates, but h and tau must still be a grid's.
+        # N = 0 and tau = 0 used to end in a ZeroDivisionError traceback.
+        argv = ["dispersion", "--out", str(tmp_path), "--preset", "single-mode-second"] + option
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_window_filling_the_horizon_rejected(self, tmp_path, capsys):
         # No level after the 720-step window is left to report on.  This
         # used to run the whole fit, write xi.csv, and then fail in the

@@ -18,6 +18,7 @@ from conftest import (
     naive_leapfrog_step,
 )
 from waveassim import analysis
+from waveassim.adjoint import _sensitivity
 from waveassim.exact import ModeSpec, sample_observations
 from waveassim.objective import BLOWUP_PENALTY, Window, evaluate
 from waveassim.wave import (
@@ -28,6 +29,7 @@ from waveassim.wave import (
     GridSpec,
     IntegrationDiverged,
     InteriorStencil,
+    boundary_entries,
     fourth_order,
     integrate,
     interior_stencil,
@@ -474,6 +476,32 @@ def test_stacked_operator_property(N, order, J, seed):
     z0 = np.concatenate([u0, rng.standard_normal(N)])
     traj = integrate(z0, st_, bs, grid, blowup_threshold=1e300)
     assert not traj.u[:, 0].any() and not traj.u[:, -1].any()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    N=st.integers(6, 40),
+    order=st.sampled_from([2, 4]),
+    J=st.integers(1, 4),
+    g=st.integers(0, 3),
+    data=st.data(),
+    seed=st.integers(0, 2**31),
+)
+def test_operator_and_sensitivity_agree(N, order, J, g, data, seed):
+    # A unit coefficient (g, j) changes A z only at row rows[g], and by the
+    # sensitivity the adjoint reads there: both come from boundary_entries.
+    j = data.draw(st.integers(0, J), label="j")
+    grid = GridSpec(N, 1.0 / (4 * N), 20)
+    st_ = interior_stencil(order)
+    e = np.zeros(4 * (J + 1))
+    e[g * (J + 1) + j] = 1.0
+    A0 = stacked_operator(st_, BoundaryScheme.from_control_vector(np.zeros_like(e), J), grid)
+    A1 = stacked_operator(st_, BoundaryScheme.from_control_vector(e, J), grid)
+    z = np.random.default_rng(seed).standard_normal(2 * N + 1)
+    dAz = (A1 - A0) @ z
+    row = boundary_entries(N, J)[0][g]
+    np.testing.assert_allclose(dAz[row], _sensitivity(z, J)[g, j], rtol=1e-14)
+    assert not np.delete(dAz, row).any()
 
 
 K = BLOCK_LEVELS
