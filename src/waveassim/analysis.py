@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact import ModeSpec, exact_fields
+from .exact import ModeSpec, exact_fields, mode_shapes
 from .wave import DEFAULT_BLOWUP_THRESHOLD, BoundaryScheme, GridSpec, InteriorStencil, Trajectory
 from .wave import advance_chains, check_levels, integrate
 
@@ -134,11 +134,6 @@ def second_order_c_singularity(h: float, tau: float) -> float:
     ``compensation_coefficient``; modes beyond it would need a negative,
     unstable boundary coefficient and cannot be compensated.
     """
-    # Imported here, not at module level: this is the package's only scipy
-    # use, and loading scipy.optimize adds about 0.5 s and 49 MB to every
-    # command, while only ``dispersion`` needs it.
-    from scipy.optimize import brentq
-
     # The denominator starts positive (~ kappa tau h^2); scan for the first
     # sign change at a resolution finer than both oscillation scales.
     k_max = np.pi / min(tau, 0.5 * h)
@@ -148,10 +143,15 @@ def second_order_c_singularity(h: float, tau: float) -> float:
     if sign_flip.size == 0:
         raise ValueError(f"no singularity below kappa = {k_max:.3g} for h = {h}, tau = {tau}")
     i = sign_flip[0]
-    lo = grid[i - 1] if i > 0 else grid[0] * 0.5
-    return float(
-        brentq(_compensation_denominator, lo, grid[i], args=(h, tau), xtol=1e-13, rtol=8.9e-16)
-    )
+    lo, hi = (grid[i - 1] if i > 0 else grid[0] * 0.5), grid[i]
+    # Bisect the bracket (denominator > 0 at lo, <= 0 at hi) down to two
+    # adjacent floats, then take the one with the smaller residual.
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _compensation_denominator(mid, h, tau) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return float(min(lo, hi, key=lambda k: abs(_compensation_denominator(k, h, tau))))
 
 
 @dataclass(frozen=True)
@@ -184,10 +184,10 @@ def dispersion_report(k: int, N: int, tau: float) -> DispersionReport:
     )
 
 
-# Levels of exact fields that xi_series samples and reduces at a time.  A
-# chunk's (XI_CHUNK, 2N+1) arrays stay under glibc's default 128 kB mmap
-# threshold at N = 30, so they reuse heap pages instead of faulting in fresh
-# ones per chunk.
+# Levels of exact fields that xi_series samples and reduces at a time.  Each
+# series builds the mode shapes and one (XI_CHUNK, 2N+1) buffer of exact rows
+# once and refills it per chunk; the chunk size bounds that buffer and the
+# per-mode product that exact_fields adds into it (125 kB each at N = 30).
 XI_CHUNK = 256
 
 
@@ -201,18 +201,28 @@ def xi_series(
     """
     grid = GridSpec(traj.N, traj.tau, traj.n_steps)
     xi = np.empty(grid.n_steps + 1)
-    _xi_rows(traj.z, modes, grid, grid.times, xi)
+    _xi_rows(modes, grid)(traj.z, grid.times, xi)
     return grid.times, xi
 
 
-def _xi_rows(z: np.ndarray, modes, grid: GridSpec, times: np.ndarray, xi: np.ndarray) -> None:
-    """xi of the stacked rows z at times into xi, XI_CHUNK levels at a time."""
-    for t0 in range(0, times.size, XI_CHUNK):
-        rows = slice(t0, t0 + XI_CHUNK)
-        dz = exact_fields(modes, grid, times[rows])
-        np.square(np.subtract(z[rows], dz, out=dz), out=dz)
-        xi[rows] = dz[:, : grid.N + 1].sum(axis=1)
-        xi[rows] += dz[:, grid.N + 1 :].sum(axis=1)
+def _xi_rows(modes, grid: GridSpec):
+    """A function that writes the xi of stacked rows z at times into xi.
+
+    It reduces XI_CHUNK levels at a time into exact rows that it refills:
+    the mode shapes and that buffer are made once, here, for every call.
+    """
+    shapes = mode_shapes(modes, grid)
+    exact = np.empty((XI_CHUNK, 2 * grid.N + 1))
+
+    def reduce(z: np.ndarray, times: np.ndarray, xi: np.ndarray) -> None:
+        for t0 in range(0, times.size, XI_CHUNK):
+            rows = slice(t0, t0 + XI_CHUNK)
+            dz = exact_fields(modes, grid, times[rows], shapes, exact[: len(times[rows])])
+            np.square(np.subtract(z[rows], dz, out=dz), out=dz)
+            xi[rows] = dz[:, : grid.N + 1].sum(axis=1)
+            xi[rows] += dz[:, grid.N + 1 :].sum(axis=1)
+
+    return reduce
 
 
 def horizon_report(
@@ -226,10 +236,11 @@ def horizon_report(
     """
     times, xi = grid.times, np.empty(grid.n_steps + 1)
     u = None if stride is None else np.empty((len(times[::stride]), grid.N + 1))
+    reduce_xi = _xi_rows(modes, grid)
 
     def consume(t: int, rows: np.ndarray) -> None:
         check_levels(rows[1:] if t == 0 else rows, t or 1, grid.tau, DEFAULT_BLOWUP_THRESHOLD)
-        _xi_rows(rows, modes, grid, times[t : t + len(rows)], xi[t : t + len(rows)])
+        reduce_xi(rows, times[t : t + len(rows)], xi[t : t + len(rows)])
         if stride is not None:
             sampled = rows[-t % stride :: stride, : grid.N + 1]
             u[-(-t // stride) :][: len(sampled)] = sampled

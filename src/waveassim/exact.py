@@ -25,6 +25,7 @@ from .wave import GridSpec
 __all__ = [
     "ModeSpec",
     "exact_fields",
+    "mode_shapes",
     "mode_time_factors",
     "project_initial",
     "sample_observations",
@@ -48,24 +49,42 @@ class ModeSpec:
 
 def mode_time_factors(mode: ModeSpec, t) -> tuple[np.ndarray, np.ndarray]:
     """Time factors (f, g) with u = f(t) sin(k pi x), p = g(t) cos(k pi x)."""
-    w = mode.k * np.pi
-    c, s = np.cos(w * np.asarray(t, dtype=float)), np.sin(w * np.asarray(t, dtype=float))
+    wt = mode.k * np.pi * np.asarray(t, dtype=float)
+    c, s = np.cos(wt), np.sin(wt)
     return mode.a * c - mode.b * s, mode.b * c + mode.a * s
 
 
-def exact_fields(modes: Sequence[ModeSpec], grid: GridSpec, times) -> np.ndarray:
-    """Exact stacked rows z = (u, p) at the given times; each row depends on its time alone."""
+def mode_shapes(modes: Sequence[ModeSpec], grid: GridSpec) -> np.ndarray:
+    """Stacked spatial shapes of each mode, shape (len(modes), 2, 2N+1).
+
+    Row 0 is the u shape sin(k pi x) on the nodes, row 1 the p shape
+    cos(k pi x) on the half-nodes, each zero on the other field's columns.
+    """
     N = grid.N
-    Z = np.zeros((times.size, 2 * N + 1))
-    # Row 0 the u shape sin(k pi x), row 1 the p shape cos(k pi x), each
-    # zero on the other field's columns: every entry of (f, g) @ shapes has
-    # one nonzero term, so it is exactly f*sin or g*cos in any BLAS.
-    shapes = np.zeros((2, 2 * N + 1))
-    for mode in modes:
+    shapes = np.zeros((len(modes), 2, 2 * N + 1))
+    for shape, mode in zip(shapes, modes):
         w = mode.k * np.pi
-        shapes[0, : N + 1] = np.sin(w * grid.x_nodes)
-        shapes[1, N + 1 :] = np.cos(w * grid.x_half)
-        Z += np.column_stack(mode_time_factors(mode, times)) @ shapes
+        shape[0, : N + 1] = np.sin(w * grid.x_nodes)
+        shape[1, N + 1 :] = np.cos(w * grid.x_half)
+    return shapes
+
+
+def exact_fields(
+    modes: Sequence[ModeSpec], grid: GridSpec, times, shapes=None, out=None
+) -> np.ndarray:
+    """Exact stacked rows z = (u, p) at the given times; each row depends on its time alone.
+
+    A caller that evaluates many chunks of times passes the ``mode_shapes``
+    once and ``out``, (times.size, 2N+1) storage that the rows overwrite.
+    """
+    N = grid.N
+    shapes = mode_shapes(modes, grid) if shapes is None else shapes
+    Z = np.empty((times.size, 2 * N + 1)) if out is None else out
+    Z.fill(0.0)
+    # Each entry of (f, g) @ shape has one nonzero term, so it is exactly
+    # f*sin or g*cos in any BLAS; the modes add up in their given order.
+    for mode, shape in zip(modes, shapes):
+        Z += np.column_stack(mode_time_factors(mode, times)) @ shape
     # sin(k pi) is exactly zero analytically; clear the rounding residue so
     # the stored fields satisfy the boundary condition identically.
     Z[:, 0] = 0.0

@@ -326,12 +326,9 @@ def stacked_operator(
             f"boundary region on an N = {N} grid"
         )
     A = np.zeros((2 * N + 1, 2 * N + 1))
-    D_p = A[1:N, N + 1 :]
-    D_u = A[N + 1 :, : N + 1]
-    for r in range(1, N - 2):
-        D_p[r, r - 1 : r + 3] = a
-    for r in range(1, N - 1):
-        D_u[r, r - 1 : r + 3] = a
+    for D in (A[1:N, N + 1 :], A[N + 1 :, : N + 1]):  # D_p, then D_u
+        r = np.arange(1, len(D) - 1)[:, None]  # every row but the two boundary ones
+        D[r, r - 1 + np.arange(4)] = a
     rows, cols, sign = boundary_entries(N, J)
     A[rows[:, None], cols] = sign[:, None] * np.reshape(bs.to_control_vector(), (4, J + 1))
     return A / grid.h

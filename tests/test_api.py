@@ -119,6 +119,9 @@ SIGNATURES = [
     ("objective", "window_steps", ["T_window", "grid"]),
     ("wave", "boundary_entries", ["N", "J"]),
     ("adjoint", "_sensitivity", ["z", "J"]),
+    # The horizon report builds the mode shapes once and refills one chunk.
+    ("exact", "exact_fields", ["modes", "grid", "times", "shapes", "out"]),
+    ("exact", "mode_shapes", ["modes", "grid"]),
 ]
 
 
@@ -129,8 +132,8 @@ def test_signature(module, name, params):
 
 
 def test_import_leaves_scipy_unloaded():
-    # Only the dispersion analysis needs scipy; every other command should
-    # not pay for loading it.
+    # No command needs scipy (only the tests' quadrature oracle does), so
+    # none should pay for loading it.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
@@ -138,6 +141,24 @@ def test_import_leaves_scipy_unloaded():
     code = "import sys, waveassim, waveassim.cli; print('scipy' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
+def test_dispersion_leaves_scipy_unloaded(tmp_path):
+    # Its singularity root is a bisection, not scipy.optimize.brentq.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    code = (
+        "import sys, waveassim.cli as c; "
+        "assert c.main(['dispersion', '--out', sys.argv[1]]) == 0; "
+        "print('scipy' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "False"
 

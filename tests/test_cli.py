@@ -134,7 +134,13 @@ class TestForward:
         xi = np.square(du).sum(axis=1) + np.square(dp).sum(axis=1)
         assert np.array_equal(analysis.xi_series(traj, exp.modes)[1], xi)
         assert np.array_equal(read_csv(tmp_path / "xi.csv")[1][:, 1], xi)
-        assert np.array_equal(read_csv(tmp_path / "error_xt.csv")[1][:, 2], du[::7].ravel())
+        # The whole error_xt.csv, t and x columns too, row by row.
+        levels = du[::7]
+        t_col = np.repeat(grid.times[::7], grid.N + 1)
+        x_col = np.tile(grid.x_nodes, len(levels))
+        rows = zip(t_col.tolist(), x_col.tolist(), levels.ravel().tolist())
+        expected = "t,x,du\n" + "".join(f"{t!r},{x!r},{d!r}\n" for t, x, d in rows)
+        assert (tmp_path / "error_xt.csv").read_bytes() == expected.encode()
 
 
 class TestMemory:
@@ -171,6 +177,21 @@ class TestWriteCsv:
         _, back = read_csv(path)
         assert np.array_equal(back[:, 2], npfloats)
 
+    @pytest.mark.parametrize("levels", [1, cli.CSV_BLOCK_ROWS // 31, 300])
+    def test_broadcast_columns_are_their_expansion(self, tmp_path, levels):
+        # (levels, 1), (nodes,) and (levels, nodes) columns write the rows of
+        # their np.broadcast_arrays, nodes within levels: part of a block, one
+        # full block of levels, and blocks that end in a partial one.
+        rng = np.random.default_rng(levels)
+        t, x = rng.standard_normal((levels, 1)), rng.standard_normal(31)
+        e = rng.standard_normal((levels, 31))
+        e[0, :3] = [-0.0, np.nan, -np.inf]
+        path = tmp_path / "out.csv"
+        cli._write_csv(path, "t,x,e", t, x, e)
+        cols = [c.ravel().tolist() for c in np.broadcast_arrays(t, x, e)]
+        expected = "t,x,e\n" + "".join(f"{a!r},{b!r},{c!r}\n" for a, b, c in zip(*cols))
+        assert path.read_bytes() == expected.encode()
+
     def test_blocks_join_to_the_whole(self, tmp_path):
         # Two full blocks and a partial one, from an array and a list.
         n = 2 * cli.CSV_BLOCK_ROWS + 5
@@ -184,6 +205,9 @@ class TestWriteCsv:
     def test_zero_rows_write_the_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
         cli._write_csv(path, "k,tau_over_h", [], [])
+        assert path.read_bytes() == b"k,tau_over_h\n"
+        # dispersion with no resolvable mode passes no columns at all.
+        cli._write_csv(path, "k,tau_over_h")
         assert path.read_bytes() == b"k,tau_over_h\n"
 
 

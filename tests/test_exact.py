@@ -5,7 +5,13 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import exact_mode, split
-from waveassim.exact import ModeSpec, exact_fields, project_initial, sample_observations
+from waveassim.exact import (
+    ModeSpec,
+    exact_fields,
+    mode_shapes,
+    project_initial,
+    sample_observations,
+)
 from waveassim.wave import GridSpec
 
 
@@ -178,6 +184,19 @@ class TestSampleObservations:
         np.testing.assert_array_equal(exact_fields(modes, grid, grid.times[::7]), obs[::7])
         short = sample_observations(modes, GridSpec(30, 1.0 / 120.0, 100))
         np.testing.assert_array_equal(short, obs[:101])
+
+    def test_given_shapes_and_storage_give_the_same_bits(self):
+        # A chunked caller builds the shapes once and refills one buffer,
+        # whatever it held before.
+        grid = GridSpec(30, 1.0 / 120.0, 700)
+        modes = [ModeSpec(0, 0, -0.5), ModeSpec(3, 1, 1), ModeSpec(7, -0.4, 0.2)]
+        obs = sample_observations(modes, grid)
+        shapes = mode_shapes(modes, grid)
+        out = np.full((256, 61), np.nan)
+        for t0 in range(0, 701, 256):
+            rows = exact_fields(modes, grid, grid.times[t0 : t0 + 256], shapes, out[: 701 - t0])
+            assert np.shares_memory(rows, out)
+            np.testing.assert_array_equal(rows, obs[t0 : t0 + 256])
 
     def test_boundary_values_exactly_zero(self):
         grid = GridSpec(30, 1.0 / 120.0, 50)
