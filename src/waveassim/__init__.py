@@ -8,7 +8,6 @@ checks the identified values against closed-form dispersion predictions.
 
 from .adjoint import adjoint_sweep, control_dim, misfit_gradient, tlm_run
 from .analysis import (
-    DispersionReport,
     beta2,
     beta4,
     dispersion_report,
@@ -38,7 +37,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundaryScheme",
     "CostReport",
-    "DispersionReport",
     "GridSpec",
     "IntegrationDiverged",
     "InteriorStencil",

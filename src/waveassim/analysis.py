@@ -22,7 +22,7 @@ that it steps, checks and reduces a chunk at a time without storing it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -32,7 +32,6 @@ from .wave import DEFAULT_BLOWUP_THRESHOLD, BoundaryScheme, GridSpec, InteriorSt
 from .wave import advance_chains, check_levels, integrate
 
 __all__ = [
-    "DispersionReport",
     "beta2",
     "beta4",
     "compensation_coefficient",
@@ -127,12 +126,14 @@ def _compensation_denominator(kappa, h: float, tau: float):
     return (h * h - 0.5 * h) * np.sin(kappa * tau) + tau * np.sin(0.5 * kappa * h)
 
 
-def second_order_c_singularity(h: float, tau: float) -> float:
+def second_order_c_singularity(h: float, tau: float) -> float | None:
     """Angular wavenumber where the compensating factor blows up and flips sign.
 
     Returns the smallest positive root of the denominator of
     ``compensation_coefficient``; modes beyond it would need a negative,
-    unstable boundary coefficient and cannot be compensated.
+    unstable boundary coefficient and cannot be compensated.  None when
+    the denominator has no root below pi / min(tau, h/2), the end of the
+    scan.
     """
     # The denominator starts positive (~ kappa tau h^2); scan for the first
     # sign change at a resolution finer than both oscillation scales.
@@ -141,7 +142,7 @@ def second_order_c_singularity(h: float, tau: float) -> float:
     values = _compensation_denominator(grid, h, tau)
     sign_flip = np.nonzero(values <= 0.0)[0]
     if sign_flip.size == 0:
-        raise ValueError(f"no singularity below kappa = {k_max:.3g} for h = {h}, tau = {tau}")
+        return None
     i = sign_flip[0]
     lo, hi = (grid[i - 1] if i > 0 else grid[0] * 0.5), grid[i]
     # Bisect the bracket (denominator > 0 at lo, <= 0 at hi) down to two
@@ -154,34 +155,22 @@ def second_order_c_singularity(h: float, tau: float) -> float:
     return float(min(lo, hi, key=lambda k: abs(_compensation_denominator(k, h, tau))))
 
 
-@dataclass(frozen=True)
-class DispersionReport:
-    """Closed-form predictions for one mode on one grid."""
+def dispersion_report(k: int, N: int, tau: float) -> dict[str, float]:
+    """Closed-form predictions for mode k on N cells with time step tau.
 
-    k: int
-    beta2: float
-    beta4: float
-    h_mod_ratio: float
-    c_u: float
-    c_p: float
-    T_shift: float
-    kernel_tangent: float
-
-
-def dispersion_report(k: int, N: int, tau: float) -> DispersionReport:
+    The keys are the ones result.json and markers.json print per mode.
+    """
     h = 1.0 / N
     b2 = beta2(k, h, tau)
-    ratio = h_modified_ratio(N, b2)
-    return DispersionReport(
-        k=k,
-        beta2=b2,
-        beta4=beta4(k, h, tau),
-        h_mod_ratio=ratio,
-        c_u=predicted_c_u(N, b2),
-        c_p=predicted_c_p(N, b2),
-        T_shift=period_slip_time(k, b2),
-        kernel_tangent=kernel_tangent(k, h),
-    )
+    return {
+        "beta2_minus_1": b2 - 1.0,
+        "beta4_minus_1": beta4(k, h, tau) - 1.0,
+        "h_mod_ratio": h_modified_ratio(N, b2),
+        "c_u": predicted_c_u(N, b2),
+        "c_p": predicted_c_p(N, b2),
+        "T_shift": period_slip_time(k, b2),
+        "kernel_tangent": kernel_tangent(k, h),
+    }
 
 
 # Levels of exact fields that xi_series samples and reduces at a time.  Each

@@ -17,7 +17,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import Field, asdict, dataclass, fields, replace
 from numbers import Integral, Real
 from pathlib import Path
 from typing import Sequence
@@ -66,8 +66,15 @@ def _polyexp_p0(x):
 # ends; p0 has a nonzero mean, carried by the steady k = 0 component).
 NAMED_INITIAL = {"polyexp": (_polyexp_u0, _polyexp_p0)}
 
-# What each annotated field type admits: an int field takes no float.
-_FIELD_KINDS = {"int": Integral, "float": Real, "str": str}
+# Per annotated field type: what a JSON value of it must be (an int field
+# takes no float) and what reads its flag's text.  modes is checked by hand,
+# and main splits its flag's text into k:a:b triples.
+_FIELD_KINDS = {"int": (Integral, int), "float": (Real, float), "str": (str, str)}
+
+
+def _field_kind(f: Field) -> tuple:
+    return _FIELD_KINDS.get(f.type.removesuffix(" | None"), (None, str))
+
 
 # Rows that _write_csv formats and writes at a time, not whole columns.  A
 # block's row strings and text peak at about 170 kB in xi.csv; 4096-row blocks
@@ -77,7 +84,10 @@ CSV_BLOCK_ROWS = 1024
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a command needs; JSON fields and CLI flags mirror these names."""
+    """Everything a command needs; JSON fields and CLI flags take these names.
+
+    Each field's flag is ``--`` plus its name with ``_`` turned into ``-``.
+    """
 
     name: str = "experiment"
     N: int = 30
@@ -97,7 +107,7 @@ class ExperimentConfig:
     def __post_init__(self):
         # A JSON file can give any field any type; annotations are strings here.
         for f in fields(self):
-            kind = _FIELD_KINDS.get(f.type.removesuffix(" | None"))
+            kind = _field_kind(f)[0]
             value = getattr(self, f.name)
             if kind is None or (value is None and f.type.endswith(" | None")):
                 continue
@@ -300,19 +310,7 @@ def _scheme_dict(bs: BoundaryScheme) -> dict:
 
 def _predictions(ks: Sequence[int], N: int, tau: float) -> dict:
     """Dispersion-theory predictions for each mode number in ks."""
-    out = {}
-    for k in ks:
-        rep = analysis.dispersion_report(k, N, tau)
-        out[str(k)] = {
-            "beta2_minus_1": rep.beta2 - 1.0,
-            "beta4_minus_1": rep.beta4 - 1.0,
-            "h_mod_ratio": rep.h_mod_ratio,
-            "c_u": rep.c_u,
-            "c_p": rep.c_p,
-            "T_shift": rep.T_shift,
-            "kernel_tangent": rep.kernel_tangent,
-        }
-    return out
+    return {str(k): analysis.dispersion_report(k, N, tau) for k in ks}
 
 
 def cmd_forward(cfg: ExperimentConfig, out_dir: Path) -> int:
@@ -503,7 +501,7 @@ def cmd_dispersion(cfg: ExperimentConfig, out_dir: Path) -> int:
     kappa = analysis.second_order_c_singularity(h, cfg.tau)
     markers = {
         "singularity_kappa": kappa,
-        "singularity_kappa_over_pi": kappa / np.pi,
+        "singularity_kappa_over_pi": None if kappa is None else kappa / np.pi,
         "modes": _predictions(exp_modes, cfg.N, cfg.tau),
     }
     _write_json(out_dir / "markers.json", markers)
@@ -523,24 +521,9 @@ def _add_common_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--preset", choices=sorted(PRESETS), default=None)
     sub.add_argument("--config", default=None, help="JSON config file")
     sub.add_argument("--out", default=".", help="output directory")
-    sub.add_argument("--name", default=None)
-    sub.add_argument("--N", type=int, default=None)
-    sub.add_argument("--tau", type=float, default=None)
-    sub.add_argument("--n-steps", dest="n_steps", type=int, default=None)
-    sub.add_argument("--order", type=int, default=None)
-    sub.add_argument("--J", type=int, default=None)
-    sub.add_argument("--eta", type=float, default=None)
-    sub.add_argument("--T-window", dest="T_window", type=float, default=None)
-    sub.add_argument(
-        "--modes",
-        default=None,
-        help="comma-separated k:a:b triples, e.g. '2:1:1,5:1:1'",
-    )
-    sub.add_argument("--ic", default=None, choices=sorted(NAMED_INITIAL))
-    sub.add_argument("--window-start", dest="window_start", type=int, default=None)
-    sub.add_argument("--window-end", dest="window_end", type=int, default=None)
-    sub.add_argument("--window-count", dest="window_count", type=int, default=None)
-    sub.add_argument("--xt-stride", dest="xt_stride", type=int, default=None)
+    for f in fields(ExperimentConfig):
+        text = "comma-separated k:a:b triples, e.g. '2:1:1,5:1:1'" if f.name == "modes" else None
+        sub.add_argument("--" + f.name.replace("_", "-"), type=_field_kind(f)[1], help=text)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -555,11 +538,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        overrides = {
-            key: getattr(args, key)
-            for key in _CONFIG_FIELDS
-            if getattr(args, key, None) is not None
-        }
+        overrides = {key: value for key, value in vars(args).items() if key in _CONFIG_FIELDS}
         if overrides.get("modes") is not None:
             # k:a:b triples; ExperimentConfig checks that each has three values.
             modes = overrides["modes"].split(",")

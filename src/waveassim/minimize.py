@@ -74,7 +74,6 @@ def wolfe_line_search(
     f0: float,
     dphi0: float,
     cfg: MinimizeConfig = MinimizeConfig(),
-    a_init: float = 1.0,
 ):
     """Strong-Wolfe step along a descent direction.
 
@@ -113,7 +112,7 @@ def wolfe_line_search(
 
     a_prev, f_prev, d_prev = 0.0, f0, dphi0
     payload_prev = None
-    a = a_init
+    a = 1.0  # the unit step of a quasi-Newton direction
     for i in range(cfg.max_line_search):
         f, d, payload = phi(a)
         if not math.isfinite(f) or f > f0 + cfg.c1 * a * dphi0 or (i > 0 and f >= f_prev):

@@ -334,8 +334,8 @@ def stacked_operator(
     return A / grid.h
 
 
-def chain_stack(A: np.ndarray, tau: float, steps: int) -> np.ndarray:
-    """The two staggered leapfrog chains unrolled over ``steps`` steps.
+def chain_stack(A: np.ndarray, tau: float) -> np.ndarray:
+    """The two staggered leapfrog chains unrolled over K = BLOCK_LEVELS steps.
 
     A couples u only with p, so z_{t+1} = z_{t-1} + B z_t (B = 2 tau A)
     splits into the chains (u_even, p_odd) and (u_odd, p_even).  A step of
@@ -343,26 +343,26 @@ def chain_stack(A: np.ndarray, tau: float, steps: int) -> np.ndarray:
     M = I + E, E = [[0, B D_p], [B D_u, B D_u B D_p]], and G taking the
     controlled-row sources s to u_{t+1} (and through B D_u to p_{t+2}) and
     p_{t+2}.  Row block j-1 of the result holds M^j - I and M^{j-i} G for
-    i = 1..steps (zero for i > j), so y_j = y + (row block) @ [y; s_1; ...].
+    i = 1..K (zero for i > j), so y_j = y + (row block) @ [y; s_1; ...].
     M^j - I, not M^j, keeps the first step's rounding u_{t-1} + B D_p p_t.
     """
     d = A.shape[0]
-    N = d // 2
+    N, K = d // 2, BLOCK_LEVELS
     rows = boundary_entries(N, 0)[0]
     B = 2.0 * tau * A
     E = B.copy()
     E[N + 1 :, N + 1 :] = B[N + 1 :, : N + 1] @ B[: N + 1, N + 1 :]
     G = np.eye(d)[:, rows]
     G[:, 2:] += B[:, rows[2:]]  # a u source reaches p_{t+2} through B D_u
-    W = np.zeros((steps, d, d + 4 * steps))
+    W = np.zeros((K, d, d + 4 * K))
     P = W[:, :, :d]  # P[j-1] = M^j - I, by P[j] = P[j-1] + E + E P[j-1]
     P[0] = Pj = E
-    for j in range(1, steps):
+    for j in range(1, K):
         P[j] = Pj = Pj + E + E @ Pj
-    MG = G + np.concatenate([np.zeros((1, d, d)), P[:-1]]) @ G  # M^q G, q < steps
-    for i in range(steps):
-        W[i:, :, d + 4 * i : d + 4 * i + 4] = MG[: steps - i]
-    return W.reshape(steps * d, d + 4 * steps)
+    MG = G + np.concatenate([np.zeros((1, d, d)), P[:-1]]) @ G  # M^q G, q < K
+    for i in range(K):
+        W[i:, :, d + 4 * i : d + 4 * i + 4] = MG[: K - i]
+    return W.reshape(K * d, d + 4 * K)
 
 
 def _chain_view(levels: np.ndarray, m: int) -> np.ndarray:
@@ -508,7 +508,7 @@ def integrate(
     if max(abs(z0[0]), abs(z0[N])) > 1e-9:
         raise ValueError("u must vanish at both boundaries")
     A = stacked_operator(stencil, bs, grid)
-    W = chain_stack(A, tau, BLOCK_LEVELS)
+    W = chain_stack(A, tau)
 
     Z = np.empty((n + 2 * BLOCK_LEVELS + 1, 2 * N + 1)) if out is None else out
     Z[0] = z0

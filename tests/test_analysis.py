@@ -147,6 +147,16 @@ class TestSingularity:
         den = (h * h - 0.5 * h) * np.sin(kappa * tau) + tau * np.sin(0.5 * kappa * h)
         assert abs(den) < 1e-10
 
+    @pytest.mark.parametrize("tau", [1.0 / 120.0, 0.01])
+    def test_no_root_below_the_scan_limit(self, tau):
+        # On h = 1/64 the denominator keeps its sign up to pi / min(tau, h/2),
+        # where the scan ends: there is no root to return.
+        h = 1.0 / 64.0
+        kappa = np.linspace(0.0, np.pi / min(tau, 0.5 * h), 20001)[1:]
+        den = (h * h - 0.5 * h) * np.sin(kappa * tau) + tau * np.sin(0.5 * kappa * h)
+        assert (den > 0.0).all()
+        assert analysis.second_order_c_singularity(h, tau) is None
+
     def test_compensation_at_fifteen_pi(self):
         c = analysis.compensation_coefficient(15 * np.pi, H30, TAU30)
         assert c == pytest.approx(-7.05, abs=0.05)
@@ -273,8 +283,12 @@ class TestTrendDiagnostics:
 
 
 def test_dispersion_report_bundle():
+    # The keys are the per-mode fields of result.json and markers.json.
     rep = analysis.dispersion_report(3, 30, TAU30)
-    assert rep.k == 3
-    assert rep.c_u == pytest.approx(1.0 / rep.h_mod_ratio, rel=1e-14)
-    assert rep.beta2 == pytest.approx(analysis.beta2(3, H30, TAU30))
-    assert rep.T_shift == pytest.approx(215.596, abs=0.01)
+    assert set(rep) == {
+        "beta2_minus_1", "beta4_minus_1", "h_mod_ratio", "c_u", "c_p", "T_shift",
+        "kernel_tangent",
+    }
+    assert rep["c_u"] == pytest.approx(1.0 / rep["h_mod_ratio"], rel=1e-14)
+    assert rep["beta2_minus_1"] + 1.0 == pytest.approx(analysis.beta2(3, H30, TAU30))
+    assert rep["T_shift"] == pytest.approx(215.596, abs=0.01)

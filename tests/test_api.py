@@ -34,7 +34,7 @@ REMOVED = {
     ],
     "objective": ["state_norm2", "GROUP_NAMES", "CostConfig", "window_buffers"],
     "exact": ["exact_mode", "exact_superposition", "Observations"],
-    "analysis": ["grid_misfit_series"],
+    "analysis": ["grid_misfit_series", "DispersionReport"],
 }
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -122,6 +122,9 @@ SIGNATURES = [
     # The horizon report builds the mode shapes once and refills one chunk.
     ("exact", "exact_fields", ["modes", "grid", "times", "shapes", "out"]),
     ("exact", "mode_shapes", ["modes", "grid"]),
+    # Every line search starts at the unit step; every stack spans one block.
+    ("minimize", "wolfe_line_search", ["phi", "f0", "dphi0", "cfg"]),
+    ("wave", "chain_stack", ["A", "tau"]),
 ]
 
 

@@ -1,8 +1,11 @@
 """Experiment runner: commands, config handling, determinism, exit codes."""
 
+import importlib.util
 import json
 import math
 import tracemalloc
+from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +34,9 @@ TINY = [
     "--window-end", "192",
     "--window-count", "3",
 ]
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def read_csv(path):
@@ -88,6 +94,58 @@ class TestConfigResolution:
                 ExperimentConfig(modes=((k, 1.0, 1.0),))
         with pytest.raises(ValueError, match="^config field modes"):
             ExperimentConfig(modes=3)
+
+
+class TestFlags:
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        # Every command records the config it is handed instead of running.
+        configs = []
+
+        def record(cfg, out_dir):
+            configs.append(cfg)
+            return 0
+
+        for command in cli._COMMANDS:
+            monkeypatch.setitem(cli._COMMANDS, command, record)
+        return configs
+
+    @pytest.mark.parametrize("initial", ["modes", "ic"])
+    def test_each_field_has_its_flag(self, tmp_path, recorded, initial):
+        # One flag per ExperimentConfig field, each value unlike the default;
+        # modes and ic exclude each other, so each run gives one of them.
+        expected = dict(
+            name="flags", N=20, tau=0.0125, n_steps=500, order=4, J=2, eta=0.5,
+            T_window=1.5, modes=((2.0, 1.0, 0.5), (5.0, 0.25, 1.0)), ic=None,
+            window_start=10, window_end=400, window_count=3, xt_stride=7,
+        )
+        assert list(expected) == [f.name for f in fields(ExperimentConfig)]
+        argv = ["forward", "--out", str(tmp_path), "--name", "flags", "--N", "20",
+                "--tau", "0.0125", "--n-steps", "500", "--order", "4", "--J", "2",
+                "--eta", "0.5", "--T-window", "1.5", "--window-start", "10",
+                "--window-end", "400", "--window-count", "3", "--xt-stride", "7"]
+        if initial == "modes":
+            argv += ["--modes", "2:1:0.5,5:0.25:1"]
+        else:
+            argv += ["--ic", "polyexp"]
+            expected.update(modes=None, ic="polyexp")
+        assert main(argv) == 0
+        assert [asdict(cfg) for cfg in recorded] == [expected]
+
+    def test_benchmark_command_lines(self, tmp_path, recorded):
+        # The command lines that perfbench/workloads.py renders (--preset,
+        # --n-steps, --J, --eta, --T-window, --modes) give the configs of
+        # their specs.
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        wanted = []
+        for name in workloads.WORKLOADS:
+            for call in workloads.calls(name, 1):
+                assert main(workloads.argv(call) + ["--out", str(tmp_path)]) == 0
+                wanted.append(resolve_config(call["preset"], None, call["overrides"]))
+        assert recorded == wanted
+        assert {cfg.J for cfg in recorded} == {1, 4} and {cfg.eta for cfg in recorded} == {0.0, 10.0}
 
 
 class TestForward:
@@ -323,6 +381,21 @@ class TestDispersion:
         assert markers["singularity_kappa_over_pi"] == pytest.approx(14.026, abs=0.01)
         assert markers["modes"]["3"]["c_u"] == pytest.approx(1.048, abs=1e-3)
 
+    @pytest.mark.parametrize("tau", ["0.008333333333333333", "0.01"])
+    def test_grid_without_singularity(self, tmp_path, tau):
+        # On N = 64 the compensation denominator has no root below the scan
+        # limit: a null singularity, and still every mode's predictions.
+        argv = ["dispersion", "--out", str(tmp_path), "--N", "64", "--tau", tau,
+                "--modes", "1:1:1"]
+        assert main(argv) == 0
+        assert read_csv(tmp_path / "beta.csv")[1].shape == (20, 4)
+        markers = json.loads((tmp_path / "markers.json").read_text())
+        assert markers == {
+            "singularity_kappa": None,
+            "singularity_kappa_over_pi": None,
+            "modes": {"1": analysis.dispersion_report(1, 64, float(tau))},
+        }
+
     def test_deterministic(self, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -340,6 +413,14 @@ class TestExitCodes:
 
     def test_contract_violation(self, tmp_path):
         assert main(["forward", "--out", str(tmp_path), "--order", "3"] + TINY[:-2]) == 1
+
+    def test_unknown_initial_condition(self, tmp_path, capsys):
+        # Like every other bad config value: exit 1 with a message, no usage
+        # error of the parser.
+        assert main(["forward", "--out", str(tmp_path), "--ic", "bogus"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: unknown initial condition 'bogus'; known: ['polyexp']\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_modes_syntax(self, tmp_path, capsys):
         assert main(["forward", "--out", str(tmp_path), "--modes", "3:1"]) == 1
