@@ -113,12 +113,19 @@ class ExperimentConfig:
                 continue
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise ValueError(f"config field {f.name} must be {f.type}, got {value!r}")
+            # JSON and float() read NaN and Infinity, and JSON ints no float holds.
+            if kind is Real and not abs(value) <= sys.float_info.max:
+                raise ValueError(f"config field {f.name} must be finite, got {value!r}")
         if self.modes is not None:
             rows = self.modes if isinstance(self.modes, (list, tuple)) else [None]
             if not all(isinstance(r, (list, tuple)) and len(r) == 3 for r in rows) or any(
-                isinstance(v, bool) or not isinstance(v, Real) for r in rows for v in r
+                isinstance(v, bool) or not (isinstance(v, Real) and abs(v) <= sys.float_info.max)
+                for r in rows
+                for v in r
             ):
-                raise ValueError(f"config field modes must be [k, a, b] rows, got {self.modes!r}")
+                raise ValueError(
+                    f"config field modes must be finite [k, a, b] rows, got {self.modes!r}"
+                )
             object.__setattr__(self, "modes", tuple(tuple(map(float, r)) for r in rows))
         if self.order not in (2, 4):
             raise ValueError(f"interior order must be 2 or 4, got {self.order}")
@@ -300,12 +307,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _scheme_dict(bs: BoundaryScheme) -> dict:
-    return {
-        "alpha_u": bs.alpha_u.tolist(),
-        "alpha_u_tilde": bs.alpha_u_tilde.tolist(),
-        "alpha_p": bs.alpha_p.tolist(),
-        "alpha_p_tilde": bs.alpha_p_tilde.tolist(),
-    }
+    return {name: g.tolist() for name, g in bs.groups().items()}
 
 
 def _predictions(ks: Sequence[int], N: int, tau: float) -> dict:

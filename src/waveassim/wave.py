@@ -60,6 +60,11 @@ CHUNK = 32
 # Offsets j = -1..2 of the interior stencil relative to the output row.
 _OFFSETS = np.array([-1.0, 0.0, 1.0, 2.0])
 
+# The four boundary stencil groups of BoundaryScheme in control-vector order,
+# each with its orientation.  A tilde group acts from the far wall: it enters
+# A with sign -1, and the control vector holds it descending (x[::sign]).
+BOUNDARY_GROUPS = (("alpha_u", 1), ("alpha_u_tilde", -1), ("alpha_p", 1), ("alpha_p_tilde", -1))
+
 
 class IntegrationDiverged(RuntimeError):
     """A field amplitude passed the blow-up threshold during integration."""
@@ -181,9 +186,8 @@ class BoundaryScheme:
 
     so a scheme that is mirror symmetric about x = 1/2 has tilde
     coefficients equal to the plain ones.  All four groups together form
-    the 4(J+1)-dimensional control space; `to_control_vector` fixes the
-    ordering used throughout (plain groups ascending, tilde groups
-    descending, u block before p block).
+    the 4(J+1)-dimensional control space, laid out as ``BOUNDARY_GROUPS``
+    lists them (u groups before p groups, tilde groups descending).
     """
 
     alpha_u: np.ndarray
@@ -192,16 +196,17 @@ class BoundaryScheme:
     alpha_p_tilde: np.ndarray
 
     def __post_init__(self):
-        arrays = {}
-        for name in ("alpha_u", "alpha_p", "alpha_u_tilde", "alpha_p_tilde"):
-            arr = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
-            arrays[name] = arr
-            object.__setattr__(self, name, arr)
-        widths = {arr.shape for arr in arrays.values()}
-        if len(widths) != 1 or arrays["alpha_u"].ndim != 1:
+        for name, g in self.groups().items():
+            object.__setattr__(self, name, np.atleast_1d(np.asarray(g, dtype=float)))
+        widths = {g.shape for g in self.groups().values()}
+        if len(widths) != 1 or self.alpha_u.ndim != 1:
             raise ValueError(f"stencil groups must share one width, got {widths}")
-        if arrays["alpha_u"].size < 1:
+        if self.alpha_u.size < 1:
             raise ValueError("boundary stencils need at least one coefficient")
+
+    def groups(self) -> dict[str, np.ndarray]:
+        """The four coefficient groups by name, in control-vector order."""
+        return {name: getattr(self, name) for name, _ in BOUNDARY_GROUPS}
 
     @property
     def J(self) -> int:
@@ -219,14 +224,7 @@ class BoundaryScheme:
 
     def to_control_vector(self) -> np.ndarray:
         """Flatten the four groups into the canonical control ordering."""
-        return np.concatenate(
-            [
-                self.alpha_u,
-                self.alpha_u_tilde[::-1],
-                self.alpha_p,
-                self.alpha_p_tilde[::-1],
-            ]
-        )
+        return np.concatenate([getattr(self, name)[::sign] for name, sign in BOUNDARY_GROUPS])
 
     @classmethod
     def from_control_vector(cls, x: np.ndarray, J: int) -> "BoundaryScheme":
@@ -234,21 +232,12 @@ class BoundaryScheme:
         w = J + 1
         if x.shape != (4 * w,):
             raise ValueError(f"control vector must have length {4 * w}, got {x.shape}")
-        return cls(
-            x[:w].copy(),
-            x[2 * w : 3 * w].copy(),
-            x[w : 2 * w][::-1].copy(),
-            x[3 * w :][::-1].copy(),
-        )
+        rows = x.reshape(4, w)
+        return cls(**{name: g[::sign].copy() for (name, sign), g in zip(BOUNDARY_GROUPS, rows)})
 
     def group_sums(self) -> dict[str, float]:
         """Coefficient sum of each group (the order -1 Taylor term)."""
-        return {
-            "alpha_u": float(self.alpha_u.sum()),
-            "alpha_u_tilde": float(self.alpha_u_tilde.sum()),
-            "alpha_p": float(self.alpha_p.sum()),
-            "alpha_p_tilde": float(self.alpha_p_tilde.sum()),
-        }
+        return {name: float(g.sum()) for name, g in self.groups().items()}
 
 
 @dataclass(frozen=True)
@@ -298,12 +287,13 @@ def boundary_entries(N: int, J: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     reshaped to (4, J+1)) fills A[rows[g], cols[g]] = sign[g] * x_g / h:
     alpha_u and alpha_u_tilde give du/dx at the first and last half-node
     (the first and last p rows), alpha_p and alpha_p_tilde dp/dx at nodes 1
-    and N-1.  The tilde groups are stored descending and enter with sign -1,
-    so each group's columns ascend.  rows does not depend on J.
+    and N-1.  sign is each group's orientation in ``BOUNDARY_GROUPS``; as
+    the tilde groups are stored descending, each group's columns ascend.
+    rows does not depend on J.
     """
     rows = np.array([N + 1, 2 * N, 1, N - 1])
     cols = np.array([0, N - J, N + 1, 2 * N - J])[:, None] + np.arange(J + 1)
-    return rows, cols, np.array([1.0, -1.0, 1.0, -1.0])
+    return rows, cols, np.array([sign for _, sign in BOUNDARY_GROUPS], dtype=float)
 
 
 def stacked_operator(

@@ -89,11 +89,15 @@ class TestConfigResolution:
             ExperimentConfig(modes=None, ic=None)
         with pytest.raises(ValueError):
             ExperimentConfig(ic="unknown", modes=None)
-        for k in (-1.0, 2.5, float("inf"), float("nan"), 60.0, 120.0):
+        for k in (-1.0, 2.5, float("inf"), float("nan"), 60.0, 120.0, 10**400):
             with pytest.raises(ValueError):
                 ExperimentConfig(modes=((k, 1.0, 1.0),))
         with pytest.raises(ValueError, match="^config field modes"):
             ExperimentConfig(modes=3)
+        for name in ("tau", "eta", "T_window"):
+            for v in (math.nan, math.inf, -math.inf, 10**400):  # no float holds 10**400
+                with pytest.raises(ValueError, match=f"^config field {name} must be finite"):
+                    ExperimentConfig(**{name: v})
 
 
 class TestFlags:
@@ -306,6 +310,13 @@ class TestSweep:
         assert "slope" in payload["kernel_line"]
 
 
+    def test_alphas_columns_in_control_vector_order(self, tmp_path):
+        assert main(["sweep", "--out", str(tmp_path)] + TINY[:-1] + ["1"]) == 0
+        header = read_csv(tmp_path / "alphas.csv")[0]
+        groups = ["alpha_u", "alpha_u_tilde", "alpha_p", "alpha_p_tilde"]
+        assert header[3:] == [f"{g}_{j}" for g in groups for j in (0, 1)]
+
+
 class TestGradcheck:
     def test_healthy_configuration_passes(self, tmp_path, capsys):
         rc = main(["gradcheck", "--out", str(tmp_path)] + TINY)
@@ -396,6 +407,15 @@ class TestDispersion:
             "modes": {"1": analysis.dispersion_report(1, 64, float(tau))},
         }
 
+    def test_initial_condition_reports_the_default_modes(self, tmp_path):
+        # An ic config names no mode numbers: dispersion reports k = 2, 3, 5.
+        assert main(["dispersion", "--out", str(tmp_path), "--preset", "rich-spectrum"]) == 0
+        rows = read_csv(tmp_path / "beta.csv")[1]
+        assert rows.shape == (60, 4)
+        assert sorted(set(rows[:, 0])) == [2.0, 3.0, 5.0]
+        markers = json.loads((tmp_path / "markers.json").read_text())
+        assert list(markers["modes"]) == ["2", "3", "5"]
+
     def test_deterministic(self, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -406,13 +426,23 @@ class TestDispersion:
 
 
 class TestExitCodes:
-    def test_bad_config_file(self, tmp_path):
+    def test_bad_config_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert main(["forward", "--config", str(bad), "--out", str(tmp_path)]) == 1
+        for text in ("{not json", "[1, 2]"):  # not JSON, then not a JSON object
+            bad.write_text(text)
+            assert main(["forward", "--config", str(bad), "--out", str(tmp_path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err
 
-    def test_contract_violation(self, tmp_path):
-        assert main(["forward", "--out", str(tmp_path), "--order", "3"] + TINY[:-2]) == 1
+    def test_contract_violation(self, tmp_path, capsys):
+        for option in (
+            ["--order", "3"],
+            ["--window-start", "900", "--window-end", "600"],
+            ["--window-count", "0"],
+        ):
+            assert main(["forward", "--out", str(tmp_path)] + TINY[:-2] + option) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err
 
     def test_unknown_initial_condition(self, tmp_path, capsys):
         # Like every other bad config value: exit 1 with a message, no usage
@@ -519,6 +549,33 @@ class TestExitCodes:
         with pytest.raises(ValueError, match="config field order must be int"):
             ExperimentConfig(order=2.0)
 
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["assimilate", "--preset", "single-mode-second", "--n-steps", "800", "--eta", "nan"],
+             "eta"),
+            (["dispersion", "--tau", "nan"], "tau"),
+            (["gradcheck", "--n-steps", "800", "--config", "{eta_infinity}"], "eta"),
+            (["forward", "--tau", "inf"], "tau"),
+            (["forward", "--modes", "3:nan:1"], "modes"),
+        ],
+        ids=["assimilate-eta-nan", "dispersion-tau-nan", "gradcheck-eta-inf", "forward-tau-inf",
+             "forward-modes-nan"],
+    )
+    def test_non_finite_number_rejected(self, tmp_path, capsys, argv, field):
+        # float() and json both read NaN and Infinity.  assimilate used to
+        # write a result.json holding a bare NaN, dispersion six NaN markers,
+        # and forward to fail as a diverged integration.
+        config = tmp_path / "inf.json"
+        config.write_text('{"eta": Infinity}')
+        out = tmp_path / "out"
+        argv = [a.format(eta_infinity=config) for a in argv]
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config field {field} must be finite")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_window_beyond_the_horizon(self, tmp_path, capsys):
         # forward never reads T_window, so a horizon shorter than the window
         # is fine there.  The commands that fit the window reject it before
@@ -533,6 +590,13 @@ class TestExitCodes:
                 "error: window of 120000000000 steps exceeds the configured horizon of 400\n"
             )
             assert list(out.iterdir()) == []
+        # Nor may a sweep's longest window run past the horizon.
+        sweep = ["sweep", "--out", str(tmp_path / "sweep"), "--window-start", "300"]
+        assert main(sweep + ["--window-end", "500"] + argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: window sweep range [300, 500] must fit inside the 400-step")
+        assert "Traceback" not in err
+        assert list((tmp_path / "sweep").iterdir()) == []
 
     @pytest.mark.parametrize("command", ["dispersion", "assimilate"])
     def test_unresolvable_mode_rejected(self, tmp_path, capsys, command):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from waveassim import minimize
 from waveassim.minimize import MinimizeConfig, lbfgs, wolfe_line_search
 
 
@@ -115,6 +116,22 @@ class TestLbfgs:
         res = lbfgs(lambda x: (0.0, np.zeros(3)), np.ones(3))
         assert res.termination == "gradient"
         assert res.n_iterations == 0
+
+    def test_ascent_direction_restarts_from_steepest_descent(self, monkeypatch):
+        # Curvature pairs that turn the two-loop direction uphill must not
+        # reach the line search, which rejects an ascent direction.
+        monkeypatch.setattr(minimize, "_two_loop", lambda g, history: -g)
+        D = np.array([1.0, 10.0])
+        res = lbfgs(lambda x: (0.5 * x @ (D * x), D * x), np.ones(2))
+        assert res.termination == "gradient"
+        assert res.n_iterations == 3
+
+    def test_convergence_on_the_last_iteration_is_reported(self):
+        # The exact line search of 0.5 |x|^2 lands on 0 in the one allowed
+        # iteration: that is convergence, not an exhausted budget.
+        res = lbfgs(lambda x: (0.5 * x @ x, x), np.array([1.0, 2.0]), MinimizeConfig(max_iters=1))
+        assert res.termination == "gradient"
+        assert res.n_iterations == 1
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -104,6 +104,10 @@ class TestTypes:
             InteriorStencil(np.array([0.0, 1.0, 1.0, 0.0]))
         with pytest.raises(ValueError):
             InteriorStencil(np.array([0.0, -2.0, 2.0, 0.0]) / 3)
+        with pytest.raises(ValueError, match="needs 4 coefficients"):
+            InteriorStencil(np.array([-1.0, 1.0, 0.0]))
+        with pytest.raises(ValueError, match="interior order must be 2 or 4"):
+            interior_stencil(3)
 
     def test_control_vector_round_trip(self):
         rng = np.random.default_rng(0)
@@ -124,6 +128,14 @@ class TestTypes:
         np.testing.assert_array_equal(
             bs.to_control_vector(), [1.0, 2.0, 4.0, 3.0, 5.0, 6.0, 8.0, 7.0]
         )
+
+    def test_groups_follow_the_group_table(self):
+        # BOUNDARY_GROUPS orders the groups, and its orientation is both the
+        # descending storage of the tilde groups and their sign in A.
+        bs = BoundaryScheme([1.0, 2.0], [5.0, 6.0], [3.0, 4.0], [7.0, 8.0])
+        assert list(bs.groups()) == ["alpha_u", "alpha_u_tilde", "alpha_p", "alpha_p_tilde"]
+        assert list(bs.group_sums().values()) == [3.0, 7.0, 11.0, 15.0]
+        np.testing.assert_array_equal(boundary_entries(30, 1)[2], [1.0, -1.0, 1.0, -1.0])
 
     def test_state_boundary_condition_enforced(self, grid30, classical):
         for wall in (0, 30):
@@ -182,6 +194,16 @@ class TestDerivativeP:
         wide = BoundaryScheme.classical(4)
         with pytest.raises(ValueError):
             apply_D_p(np.zeros(5), second_order(), wide, grid)
+        # Nor does any scheme have groups of different or no width.
+        with pytest.raises(ValueError, match="share one width"):
+            BoundaryScheme([-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0, 0.0], [-1.0, 1.0])
+        with pytest.raises(ValueError, match="at least one coefficient"):
+            BoundaryScheme([], [], [], [])
+        with pytest.raises(ValueError, match="needs J >= 1"):
+            BoundaryScheme.classical(0)
+        for length in (7, 9):
+            with pytest.raises(ValueError, match="control vector must have length 8"):
+                BoundaryScheme.from_control_vector(np.zeros(length), 1)
 
 
 class TestDerivativeU:
