@@ -4,14 +4,13 @@ Each time level of the forward model adds a tendency that is bilinear in
 (coefficients, state): perturbing the boundary coefficients by d_alpha
 injects, at every level, a field that is zero except at the four
 controlled derivative rows, with weights read from the unperturbed
-trajectory.  ``tlm_run`` propagates such a perturbation forward along the
-trajectory's two staggered chains with its chain stack W, sources
-included (products of the perturbations between coefficients and state
-are dropped, so the map is linear in d_alpha).  ``adjoint_sweep`` applies
-the exact transpose of that linear map: one backward pass over the same
-chains with W^T that yields the adjoint at the controlled rows, then one
-projection of those values onto coefficient space.  Both keep the
-stacked layout of the trajectory: ``tlm_run`` returns dz shaped like
+trajectory.  ``tlm_run`` computes those sources and has
+``wave.advance_chains`` step them forward from zero fields (products of
+the perturbations between coefficients and state are dropped, so the map
+is linear in d_alpha).  ``adjoint_sweep`` applies the exact transpose of
+that linear map: ``wave.transpose_chains`` yields the adjoint of the
+sources, then one projection takes it onto coefficient space.  Both keep
+the stacked layout of the trajectory: ``tlm_run`` returns dz shaped like
 traj.z and ``adjoint_sweep`` takes a forcing of that shape.
 
 The control vector is ``BoundaryScheme.to_control_vector``; the operator
@@ -59,28 +58,18 @@ def _sensitivity(z: np.ndarray, J: int) -> np.ndarray:
 def tlm_run(traj: Trajectory, dalpha: np.ndarray) -> np.ndarray:
     """Propagate a coefficient perturbation along a stored trajectory.
 
-    The perturbation starts from zero fields, so the first step reduces to
-    the injected sources.  Returns dz, shaped like traj.z (its u wall
+    The perturbation starts from zero fields and is driven by the tendency
+    sources of every level.  Returns dz, shaped like traj.z (its u wall
     columns stay zero).
     """
-    n, N, J, tau, A = traj.n_steps, traj.N, traj.bs.J, traj.tau, traj.A
+    n, J = traj.n_steps, traj.bs.J
     dalpha = np.asarray(dalpha, dtype=float)
     if dalpha.shape != (control_dim(J),):
         raise ValueError(f"control vector must have length {control_dim(J)}, got {dalpha.shape}")
     dg = dalpha.reshape(4, J + 1)  # one row per stencil group, in control-vector order
-    rows = boundary_entries(N, J)[0]
     S_half, S = _sensitivity(traj.z_half, J), _sensitivity(traj.z[:-1], J)
-
-    # src[t] is the controlled-row source that the tendency of level t-1
-    # adds to level t >= 2.
-    src = np.zeros((n + 2 * BLOCK_LEVELS + 1, 4))
-    src[2 : n + 1] = 2.0 * tau * (S[1:] * dg).sum(axis=-1)
-    dz = np.zeros((n + 2 * BLOCK_LEVELS + 1, 2 * N + 1))
-    dz_half = np.zeros(2 * N + 1)
-    dz_half[rows] = 0.5 * tau * (S[0] * dg).sum(axis=-1)
-    dz[1] = tau * (A @ dz_half)
-    dz[1, rows] += tau * (S_half * dg).sum(axis=-1)
-    advance_chains(dz, traj.W, n, src)
+    dz = np.zeros((n + 2 * BLOCK_LEVELS + 1, traj.z.shape[1]))
+    advance_chains(dz, traj.A, traj.W, traj.tau, n, (S * dg).sum(-1), (S_half * dg).sum(-1))
     return dz[: n + 1]
 
 
@@ -98,17 +87,11 @@ def adjoint_sweep(traj: Trajectory, forcing: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"forcing shape {np.shape(forcing)} does not match the trajectory {traj.z.shape}"
         )
-    n, N, J, tau = traj.n_steps, traj.N, traj.bs.J, traj.tau
-    rows = boundary_entries(N, J)[0]
+    J = traj.bs.J
     S_half, S = _sensitivity(traj.z_half, J), _sensitivity(traj.z[:-1], J)
-    lam, a1 = transpose_chains(np.asarray(forcing, dtype=float), traj.W, n)
-
-    # Transpose of the sources: level t feeds level t+1 with weight 2 tau,
-    # and the split first step feeds level 1 through z_half and through z_0.
-    w = np.empty((n, 4))
-    w[0] = 0.5 * tau * (tau * (a1 @ traj.A[:, rows]))
-    w[1:] = 2.0 * tau * lam[2 : n + 1]
-    g = np.einsum("tgj,tg->gj", S, w) + S_half * (tau * a1[rows])[:, None]
+    a = np.asarray(forcing, dtype=float)
+    w, w_half = transpose_chains(a, traj.A, traj.W, traj.tau, traj.n_steps)
+    g = np.einsum("tgj,tg->gj", S, w) + S_half * w_half[:, None]
     return g.ravel()
 
 

@@ -234,9 +234,8 @@ def horizon_report(
             sampled = rows[-t % stride :: stride, : grid.N + 1]
             u[-(-t // stride) :][: len(sampled)] = sampled
 
-    start = integrate(z0, stencil, bs, replace(grid, n_steps=1))  # levels 0, 1 and W
-    with np.errstate(over="ignore", invalid="ignore"):  # check_levels names an overflow
-        advance_chains(start.z, start.W, grid.n_steps, emit=consume)
+    start = integrate(z0, stencil, bs, replace(grid, n_steps=1))  # z0 checked, A and W
+    advance_chains(start.z, start.A, start.W, grid.tau, grid.n_steps, emit=consume)
     return times, xi, u
 
 

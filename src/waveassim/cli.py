@@ -360,8 +360,8 @@ def cmd_assimilate(cfg: ExperimentConfig, out_dir: Path) -> int:
         raise
     _write_csv(out_dir / "xi.csv", "t,xi", times, xi)
     payload["post_window_xi"] = {
-        "plateau": analysis.plateau_level(times, xi, cfg.T_window),
-        "max": float(xi[times >= cfg.T_window].max()),
+        "plateau": analysis.plateau_level(times, xi, times[m]),
+        "max": float(xi[m:].max()),
     }
     _write_json(out_dir / "result.json", payload)
     return 0

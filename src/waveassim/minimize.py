@@ -36,6 +36,10 @@ class MinimizeConfig:
     def __post_init__(self):
         if self.memory < 1:
             raise ValueError(f"memory must be >= 1, got {self.memory}")
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
+        if self.max_line_search < 1:
+            raise ValueError(f"max_line_search must be >= 1, got {self.max_line_search}")
         if not 0.0 < self.grad_tol < 1.0:
             raise ValueError(f"grad_tol must be in (0, 1), got {self.grad_tol}")
         if not 0.0 < self.c1 < self.c2 < 1.0:
@@ -111,7 +115,6 @@ def wolfe_line_search(
         return best
 
     a_prev, f_prev, d_prev = 0.0, f0, dphi0
-    payload_prev = None
     a = 1.0  # the unit step of a quasi-Newton direction
     for i in range(cfg.max_line_search):
         f, d, payload = phi(a)
@@ -125,9 +128,7 @@ def wolfe_line_search(
         a *= 2.0
     # Slope stayed negative and finite for every expanded step: accept the
     # last sufficient-decrease point rather than discarding the progress.
-    if payload_prev is not None:
-        return a_prev, f_prev, d_prev, payload_prev
-    return None
+    return a_prev, f_prev, d_prev, payload_prev
 
 
 def _two_loop(g, history):

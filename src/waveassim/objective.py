@@ -77,8 +77,8 @@ class Window:
     res: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.eta < 0.0:
-            raise ValueError(f"regularization weight must be >= 0, got {self.eta}")
+        if not 0.0 <= self.eta < math.inf:
+            raise ValueError(f"regularization weight must be >= 0 and finite, got {self.eta}")
         m, d = self.grid.n_steps, 2 * self.grid.N + 1
         object.__setattr__(self, "z", np.empty((m + 2 * BLOCK_LEVELS + 1, d)))
         object.__setattr__(self, "res", np.empty((m + 1, d)))

@@ -21,11 +21,11 @@ half-stages so the start is second-order accurate and does not excite
 the odd/even leapfrog mode.  Since A only couples u with p, the
 leapfrog splits into two staggered chains with step 2 tau;
 :func:`chain_stack` unrolls them over BLOCK_LEVELS steps into one matrix
-per scheme.  :func:`advance_chains` moves both chains a block per small
-product and fills a chunk of blocks' levels per large one, and
-:func:`transpose_chains` is its exact transpose for the adjoint.
-Given a consumer, advance_chains reuses one chunk buffer instead of storing
-the run.  :func:`check_levels` is the one blow-up scan.
+per scheme.  :func:`advance_chains` takes the split start, then moves both
+chains a block per small product and fills a chunk of blocks' levels per
+large one, tangent-linear sources included, into one reused buffer given
+a consumer; :func:`transpose_chains` is its exact transpose for the
+adjoint.  :func:`check_levels` is the one blow-up scan.
 """
 
 from __future__ import annotations
@@ -99,10 +99,14 @@ class GridSpec:
     n_steps: int
 
     def __post_init__(self):
+        for name in ("N", "n_steps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.N < 4:
             raise ValueError(f"need at least 4 cells, got N = {self.N}")
-        if self.tau <= 0.0:
-            raise ValueError(f"time step must be positive, got tau = {self.tau}")
+        if not 0.0 < self.tau < np.inf:
+            raise ValueError(f"time step must be positive and finite, got tau = {self.tau}")
         if self.n_steps < 1:
             raise ValueError(f"need at least one step, got n_steps = {self.n_steps}")
         if self.tau > self.h * (1.0 + 1e-12):
@@ -349,7 +353,7 @@ def chain_stack(A: np.ndarray, tau: float) -> np.ndarray:
     P[0] = Pj = E
     for j in range(1, K):
         P[j] = Pj = Pj + E + E @ Pj
-    MG = G + np.concatenate([np.zeros((1, d, d)), P[:-1]]) @ G  # M^q G, q < K
+    MG = np.concatenate([G[None], G + P[:-1] @ G])  # M^q G, q < K
     for i in range(K):
         W[i:, :, d + 4 * i : d + 4 * i + 4] = MG[: K - i]
     return W.reshape(K * d, d + 4 * K)
@@ -360,28 +364,42 @@ def _chain_view(levels: np.ndarray, m: int) -> np.ndarray:
     return levels.reshape(m, BLOCK_LEVELS, 2, -1).transpose(0, 2, 1, 3)
 
 
-def advance_chains(Z: np.ndarray, W: np.ndarray, n: int, src: np.ndarray | None = None, emit=None):
-    """Fill levels 2..n of Z from levels 0 and 1 with the chain stack W.
+@np.errstate(over="ignore", invalid="ignore")
+def advance_chains(
+    Z: np.ndarray, A: np.ndarray, W: np.ndarray, tau: float, n: int, q=None, q_half=None, emit=None
+) -> np.ndarray:
+    """Fill levels 1..n of Z from level 0 with A and its chain stack W; return z_half.
 
-    p_2 = p_0 + B D_u u_1 starts the second chain.  Then per CHUNK blocks of
-    BLOCK_LEVELS steps, one product per block moves the two chain heads and
-    one product fills all the chunk's levels from them.  Z and src (the
-    controlled-row sources of each level, zero at levels 0, 1 and past n)
-    have n + 2*BLOCK_LEVELS + 1 rows, for what the last block overshoots.
-    Every level is filled, however large it grows: blow-up is the caller's
-    check (see :func:`integrate`).  With emit, only levels 0 and 1 of Z are
-    read; the chunks are filled into one reused buffer, and emit(t, rows) gets
-    each chunk's finished levels t, t+1, ... in turn.
+    The split first step z_half = z_0 + tau/2 A z_0, z_1 = z_0 + tau A z_half
+    and p_2 = p_0 + B D_u u_1 start the two chains.  Then per CHUNK blocks of
+    BLOCK_LEVELS steps, one product per block moves the chain heads and one
+    product fills all the chunk's levels from them.  The tangent-linear
+    sources q (n, 4) at the controlled rows of levels 0..n-1 and q_half (4,)
+    at the half stage add tau/2 q[0] to z_half, tau q_half to z_1 and
+    2 tau q[t] to level t+1.  Z has n + 2*BLOCK_LEVELS + 1 rows, for what the
+    last block overshoots.  Every level is filled, however large it grows:
+    blow-up is the caller's check (see :func:`check_levels`).  With emit, only
+    level 0 of Z is read; the chunks are filled into one reused buffer, and
+    emit(t, rows) gets each chunk's finished levels t, t+1, ... in turn.
     """
     d = Z.shape[1]
     N, K = d // 2, BLOCK_LEVELS
     if emit is not None:  # the first chunk's levels and the one after them
-        Z = np.concatenate([Z[:2], np.empty((2 * K * CHUNK + 1, d))])
+        Z = np.concatenate([Z[:1], np.empty((2 * K * CHUNK + 2, d))])
     uu, pp = slice(0, N + 1), slice(N + 1, d)
-    cols = d if src is None else d + 4 * K
+    rows = boundary_entries(N, 0)[0]
+    z_half = Z[0] + 0.5 * tau * (A @ Z[0])
+    if q is not None:
+        z_half[rows] += 0.5 * tau * q[0]
+    Z[1] = Z[0] + tau * (A @ z_half)
+    if q is not None:
+        Z[1, rows] += tau * q_half
     Z[2, pp] = Z[0, pp] + W[N + 1 : d, : N + 1] @ Z[1, uu]
-    if src is not None:
-        Z[2, boundary_entries(N, 0)[0][:2]] += src[2, :2]
+    if q is not None:
+        src = np.zeros((n + 2 * K + 1, 4))  # src[t]: what q[t-1] adds to level t
+        src[2 : n + 1] = 2.0 * tau * q[1:]
+        Z[2, rows[:2]] += src[2, :2]
+    cols = d if q is None else d + 4 * K
     # X[b, c]: the head (u_{s-1+c}, p_{s+c}) of chain c at block b, then the
     # sources of its K steps; out[b, c, j] is that head after j+1 steps.
     X = np.zeros((CHUNK + 1, 2, cols))
@@ -391,7 +409,7 @@ def advance_chains(Z: np.ndarray, W: np.ndarray, n: int, src: np.ndarray | None 
     nb, t = (n + 2 * K - 2) // (2 * K), 0  # t: the level in row 0 of Z
     for b0 in range(0, nb, CHUNK):
         s, m = 1 + 2 * K * b0, min(CHUNK, nb - b0)
-        if src is not None:
+        if q is not None:
             xs = X[:m, :, d:].reshape(m, 2, K, 4)
             xs[..., :2] = _chain_view(src[s + 2 : s + 2 + 2 * K * m, :2], m)
             xs[..., 2:] = _chain_view(src[s + 1 : s + 1 + 2 * K * m, 2:], m)
@@ -413,20 +431,22 @@ def advance_chains(Z: np.ndarray, W: np.ndarray, n: int, src: np.ndarray | None 
             Z[0], t = Z[r], t + r
     if emit is not None:
         emit(t, Z[: n + 1 - t])
+    return z_half
 
 
-def transpose_chains(a: np.ndarray, W: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The transpose of advance_chains from level 1 and the sources on.
+def transpose_chains(
+    a: np.ndarray, A: np.ndarray, W: np.ndarray, tau: float, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The adjoint (w, w_half) of advance_chains' q and q_half, from a zero level 0.
 
-    a (n+1, 2N+1) holds the adjoint forcing of every level.  Returns lam
-    (n+1, 4), at levels 2..n the full adjoint at the controlled rows, which
-    is the adjoint of those levels' sources, and a1, the full adjoint at
-    level 1: a[1] plus what the chains carry back to it (level 0, where
-    perturbations start from zero, gets none).
+    a (n+1, 2N+1) holds the adjoint forcing of every level.  w (n, 4) and
+    w_half (4,) are the adjoint at the controlled rows each source reaches,
+    times the weight it enters with.
     """
     d = a.shape[1]
     N, K = d // 2, BLOCK_LEVELS
     uu, pp = slice(0, N + 1), slice(N + 1, d)
+    rows = boundary_entries(N, 0)[0]
     # Chunks and blocks in reverse.  W^T takes a chunk's forcing onto each
     # block's share of the adjoint of its heads and of its sources; the
     # carry from the next block adds through the last row block of W.
@@ -452,13 +472,18 @@ def transpose_chains(a: np.ndarray, W: np.ndarray, n: int) -> tuple[np.ndarray, 
         ls = c[:, :, d:].reshape(m, 2, K, 4)
         _chain_view(lam[s + 2 : s + 2 + 2 * K * m, :2], m)[...] = ls[..., :2]
         _chain_view(lam[s + 1 : s + 1 + 2 * K * m, 2:], m)[...] = ls[..., 2:]
-    a1 = a[1].copy()
+    a1 = a[1].copy()  # the full adjoint at level 1
     if n > 1:  # the first heads (u_0, p_1) and (u_1, p_2 = p_0 + B D_u u_1)
         lam_p2 = carry[1, pp] + a[2, pp]
-        lam[2, :2] = lam_p2[boundary_entries(N, 0)[0][:2] - (N + 1)]
+        lam[2, :2] = lam_p2[rows[:2] - (N + 1)]
         a1[uu] += carry[1, uu] + W[N + 1 : d, : N + 1].T @ lam_p2
         a1[pp] += carry[0, pp]
-    return lam[: n + 1], a1
+    # Level t feeds level t+1 with weight 2 tau; the split first step feeds
+    # level 1 through z_half (q[0]) and directly (q_half).
+    w = np.empty((n, 4))
+    w[0] = 0.5 * tau * (tau * (a1 @ A[:, rows]))
+    w[1:] = 2.0 * tau * lam[2 : n + 1]
+    return w, tau * a1[rows]
 
 
 def check_levels(levels: np.ndarray, t: int, tau: float, blowup_threshold: float) -> None:
@@ -503,11 +528,6 @@ def integrate(
     Z = np.empty((n + 2 * BLOCK_LEVELS + 1, 2 * N + 1)) if out is None else out
     Z[0] = z0
     Z[0, 0] = Z[0, N] = 0.0
-    z_half = Z[0] + 0.5 * tau * (A @ Z[0])
-    Z[1] = Z[0] + tau * (A @ z_half)
-
-    # An unstable scheme overflows; the scan below names where it passed the threshold.
-    with np.errstate(over="ignore", invalid="ignore"):
-        advance_chains(Z, W, n)
+    z_half = advance_chains(Z, A, W, tau, n)
     check_levels(Z[1 : n + 1], 1, tau, blowup_threshold)
     return Trajectory(Z[: n + 1], z_half, tau, A, W, bs)

@@ -42,6 +42,8 @@ class TestSpeedRatios:
     def test_unresolvable_mode_guarded(self):
         with pytest.raises(ZeroDivisionError):
             analysis.beta2(60, H30, TAU30)  # sin(k pi h / 2) = sin(pi) = 0
+        with pytest.raises(ZeroDivisionError, match="not resolvable"):
+            analysis.beta4(60, H30, TAU30)  # and sin(3 k pi h / 2) = sin(3 pi) = 0
 
     def test_second_order_phase_fit(self):
         # Independent oracle: project the k = 3 trajectory onto its mode

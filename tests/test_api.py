@@ -104,7 +104,7 @@ SIGNATURES = [
     ("cli", "run_assimilation", ["exp", "T_window"]),
     ("cli", "cmd_gradcheck", ["cfg", "out_dir"]),
     ("cli", "_gradient_check", ["exp"]),
-    ("wave", "advance_chains", ["Z", "W", "n", "src", "emit"]),
+    ("wave", "advance_chains", ["Z", "A", "W", "tau", "n", "q", "q_half", "emit"]),
     ("exact", "project_initial", ["u0", "p0", "k_max", "n_panels"]),
     ("wave", "integrate", ["z0", "stencil", "bs", "grid", "blowup_threshold", "out"]),
     ("adjoint", "adjoint_sweep", ["traj", "forcing"]),
@@ -125,6 +125,7 @@ SIGNATURES = [
     # Every line search starts at the unit step; every stack spans one block.
     ("minimize", "wolfe_line_search", ["phi", "f0", "dphi0", "cfg"]),
     ("wave", "chain_stack", ["A", "tau"]),
+    ("wave", "transpose_chains", ["a", "A", "W", "tau", "n"]),
 ]
 
 

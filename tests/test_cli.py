@@ -296,6 +296,16 @@ class TestAssimilate:
         assert (a / "result.json").read_bytes() == (b / "result.json").read_bytes()
         assert (a / "xi.csv").read_bytes() == (b / "xi.csv").read_bytes()
 
+    @pytest.mark.parametrize("n_steps", [223, 300])
+    def test_post_window_levels_picked_by_index(self, tmp_path, n_steps):
+        # 222 * tau rounds below T_window = 1.85, yet level 222 ends the window:
+        # the report after it starts there, so a 223-level horizon leaves two.
+        args = ["--preset", "single-mode-second", "--T-window", "1.85", "--n-steps", str(n_steps)]
+        assert main(["assimilate", "--out", str(tmp_path)] + args) == 0
+        post = json.loads((tmp_path / "result.json").read_text())["post_window_xi"]
+        tail = read_csv(tmp_path / "xi.csv")[1][222:, 1].copy()
+        assert post == {"plateau": float(np.mean(tail)), "max": float(tail.max())}
+
 
 class TestSweep:
     def test_alphas_and_kernel_line(self, tmp_path):

@@ -107,6 +107,10 @@ class TestSuperposition:
         with pytest.raises(ValueError):
             ModeSpec(0, 1.0, 0.5)
 
+    def test_negative_mode_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            ModeSpec(-1)
+
 
 class TestProjectInitial:
     def test_orthogonality_single_mode(self):
@@ -119,6 +123,10 @@ class TestProjectInitial:
         for k, m in by_k.items():
             if k not in (3,):
                 assert abs(m.a) < 1e-12 and abs(m.b) < 1e-12
+
+    def test_needs_a_mode_past_the_steady_one(self):
+        with pytest.raises(ValueError, match="k_max must be at least 1"):
+            project_initial(np.sin, np.cos, k_max=0)
 
     def test_zero_functions(self):
         modes = project_initial(lambda x: 0.0 * x, lambda x: 0.0 * x, k_max=5)

@@ -140,6 +140,10 @@ class TestLbfgs:
             MinimizeConfig(grad_tol=2.0)
         with pytest.raises(ValueError):
             MinimizeConfig(c1=0.5, c2=0.3)
+        with pytest.raises(ValueError, match="max_iters"):
+            MinimizeConfig(max_iters=-3)
+        with pytest.raises(ValueError, match="max_line_search"):
+            MinimizeConfig(max_line_search=0)
 
 
 class TestWolfeLineSearch:
@@ -215,6 +219,24 @@ class TestWolfeLineSearch:
         a, f_a, _, payload = hit
         assert math.isfinite(f_a) and f_a < 0.125**2
         assert a not in bad and payload == a
+
+    def test_collapsed_bracket_returns_the_best_point(self):
+        # Sufficient decrease holds up to a wall at a = 0.3 and the slope never
+        # flattens, so zoom halves its bracket until it collapses on the wall.
+        trials = []
+
+        def phi(a):
+            trials.append(a)
+            return (-a, -1.0, a) if a < 0.3 else (math.inf, 0.0, None)
+
+        a, f_a, _, payload = wolfe_line_search(phi, 0.0, -1.0, MinimizeConfig(max_line_search=100))
+        assert 0.3 - 1e-13 < a < 0.3 and f_a == -a and payload == a
+        assert len(trials) < 60  # returned on the collapse, not the iteration budget
+
+    def test_cubic_step_without_a_usable_minimizer(self):
+        # No real critical point (disc < 0), then a vanishing denominator.
+        assert minimize._cubic_step(0.0, 0.0, -1.0, 1.0, -2.0 / 3.0, -1.0) is None
+        assert minimize._cubic_step(0.0, 0.0, 1.0, 1.0, 0.0, -1.0) is None
 
     def test_ascent_direction_rejected(self):
         with pytest.raises(ValueError):

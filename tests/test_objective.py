@@ -75,8 +75,9 @@ class TestStateNorm:
 class TestWindow:
     def test_validation(self, grid30):
         _, stencil, _, _, obs, ic = make_setup(n_steps=720)
-        with pytest.raises(ValueError):
-            Window(obs, ic, stencil, grid30, 1, eta=-2.0)
+        for eta in (-2.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                Window(obs, ic, stencil, grid30, 1, eta=eta)
         with pytest.raises(ValueError):
             window_steps(-1.0, grid30)
 

@@ -88,6 +88,12 @@ class TestTypes:
             GridSpec(30, -0.1, 10)
         with pytest.raises(ValueError):
             GridSpec(30, 0.01, 0)
+        for tau in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="time step"):
+                GridSpec(30, tau, 10)
+        for N, n_steps in ((30.5, 20), (30, 20.5), (30, True)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                GridSpec(N, 1.0 / 120.0, n_steps)
 
     def test_cfl_soft_warning(self):
         with pytest.warns(UserWarning, match="CFL"):
