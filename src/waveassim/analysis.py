@@ -34,20 +34,16 @@ from .wave import advance_chains, check_levels, integrate
 __all__ = [
     "beta2",
     "beta4",
-    "compensation_coefficient",
     "dispersion_report",
-    "first_peak_and_return",
     "fit_kernel_line",
     "h_modified_ratio",
     "horizon_report",
     "kernel_tangent",
-    "log_growth_rate",
     "period_slip_time",
     "plateau_level",
     "predicted_c_p",
     "predicted_c_u",
     "second_order_c_singularity",
-    "trend_drift",
     "xi_series",
 ]
 
@@ -113,15 +109,6 @@ def period_slip_time(k: int, beta: float) -> float:
     return (2.0 / k) / abs(beta - 1.0)
 
 
-def compensation_coefficient(kappa: float, h: float, tau: float) -> float:
-    """Compensating u-derivative factor as a function of angular wavenumber.
-
-    c(kappa) = h^2 sin(kappa tau) / ((h^2 - h/2) sin(kappa tau)
-               + tau sin(kappa h / 2)); second-order interior scheme.
-    """
-    return h * h * np.sin(kappa * tau) / _compensation_denominator(kappa, h, tau)
-
-
 def _compensation_denominator(kappa, h: float, tau: float):
     return (h * h - 0.5 * h) * np.sin(kappa * tau) + tau * np.sin(0.5 * kappa * h)
 
@@ -129,11 +116,16 @@ def _compensation_denominator(kappa, h: float, tau: float):
 def second_order_c_singularity(h: float, tau: float) -> float | None:
     """Angular wavenumber where the compensating factor blows up and flips sign.
 
-    Returns the smallest positive root of the denominator of
-    ``compensation_coefficient``; modes beyond it would need a negative,
-    unstable boundary coefficient and cannot be compensated.  None when
-    the denominator has no root below pi / min(tau, h/2), the end of the
-    scan.
+    The compensating u-derivative factor of the second-order interior
+    scheme is
+
+        c(kappa) = h^2 sin(kappa tau) / ((h^2 - h/2) sin(kappa tau)
+                   + tau sin(kappa h / 2)).
+
+    Returns the smallest positive root of its denominator; modes beyond it
+    would need a negative, unstable boundary coefficient and cannot be
+    compensated.  None when the denominator has no root below
+    pi / min(tau, h/2), the end of the scan.
     """
     # The denominator starts positive (~ kappa tau h^2); scan for the first
     # sign change at a resolution finer than both oscillation scales.
@@ -252,21 +244,6 @@ def fit_kernel_line(points: Sequence[tuple[float, float]]) -> tuple[float, float
     return float(slope), float(intercept), float(np.sqrt(np.mean(residual**2)))
 
 
-def first_peak_and_return(
-    times: np.ndarray, xi: np.ndarray
-) -> tuple[float, float, float, float]:
-    """Locate the first error maximum and the following minimum.
-
-    Returns (t_peak, xi_peak, t_return, xi_return) using the global maximum
-    and the smallest value after it; adequate for the beat-shaped error of
-    a mis-sped single mode.
-    """
-    i_peak = int(np.argmax(xi))
-    tail = xi[i_peak:]
-    i_ret = i_peak + int(np.argmin(tail))
-    return float(times[i_peak]), float(xi[i_peak]), float(times[i_ret]), float(xi[i_ret])
-
-
 def _window(times: np.ndarray, t0: float, t1: float | None) -> np.ndarray:
     if t1 is None:
         t1 = float(times[-1])
@@ -280,25 +257,3 @@ def plateau_level(times: np.ndarray, xi: np.ndarray, t0: float, t1: float | None
     """Mean error level over [t0, t1]."""
     mask = _window(times, t0, t1)
     return float(np.mean(xi[mask]))
-
-
-def log_growth_rate(times: np.ndarray, xi: np.ndarray, t0: float, t1: float | None = None) -> float:
-    """Slope of log(xi) over [t0, t1]; exponential-equivalent growth rate."""
-    mask = _window(times, t0, t1)
-    return float(np.polyfit(times[mask], np.log(np.maximum(xi[mask], 1e-300)), 1)[0])
-
-
-def trend_drift(
-    times: np.ndarray, xi: np.ndarray, t0: float, t1: float | None = None
-) -> tuple[float, float]:
-    """Linear drift of xi over [t0, t1] versus its oscillation scale.
-
-    Returns (|slope| * span, std of the detrended series); a series with no
-    trend growth has drift at or below the oscillation scale.
-    """
-    mask = _window(times, t0, t1)
-    t = times[mask]
-    y = xi[mask]
-    slope, intercept = np.polyfit(t, y, 1)
-    resid = y - (slope * t + intercept)
-    return float(abs(slope) * (t[-1] - t[0])), float(np.std(resid))

@@ -373,7 +373,10 @@ def _sweep_windows(cfg: ExperimentConfig) -> list[int]:
             f"window sweep range [{cfg.window_start}, {cfg.window_end}] must "
             f"fit inside the {cfg.n_steps}-step horizon"
         )
-    steps = np.linspace(cfg.window_start, cfg.window_end, cfg.window_count)
+    # At one sample per integer of the range, every integer is a window:
+    # a larger count rounds to the same windows.
+    count = min(cfg.window_count, cfg.window_end - cfg.window_start + 1)
+    steps = np.linspace(cfg.window_start, cfg.window_end, count)
     return sorted({int(round(s)) for s in steps})
 
 
@@ -549,7 +552,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out_dir)
-    except (ValueError, OSError, json.JSONDecodeError, IntegrationDiverged) as exc:
+    except (ValueError, OSError, MemoryError, json.JSONDecodeError, IntegrationDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

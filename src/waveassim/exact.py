@@ -97,9 +97,9 @@ def sample_observations(modes: Sequence[ModeSpec], grid: GridSpec) -> np.ndarray
     return exact_fields(modes, grid, grid.times)
 
 
-def _composite_gauss(f: Callable, n_panels: int, n_points: int = 16) -> float:
-    """Integral of f over [0, 1] by composite Gauss-Legendre quadrature."""
-    nodes, weights = np.polynomial.legendre.leggauss(n_points)
+def _composite_gauss(f: Callable, n_panels: int) -> float:
+    """Integral of f over [0, 1] by composite 16-point Gauss-Legendre quadrature."""
+    nodes, weights = np.polynomial.legendre.leggauss(16)
     edges = np.linspace(0.0, 1.0, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -108,24 +108,18 @@ def _composite_gauss(f: Callable, n_panels: int, n_points: int = 16) -> float:
     return float(w @ np.asarray(f(x), dtype=float))
 
 
-def project_initial(
-    u0: Callable,
-    p0: Callable,
-    k_max: int,
-    n_panels: int | None = None,
-) -> list[ModeSpec]:
+def project_initial(u0: Callable, p0: Callable, k_max: int) -> list[ModeSpec]:
     """Expand initial data in the modal basis.
 
     a_k = 2 * int u0(x) sin(k pi x) dx and b_k = 2 * int p0(x) cos(k pi x) dx
     for k = 1..k_max, after the steady component (0, 0, int p0 dx) that
     starts the list.  u0 and p0 must accept array arguments.
-    Quadrature is composite Gauss-Legendre with enough panels to resolve
-    mode k_max to machine accuracy for smooth integrands.
+    Quadrature is composite Gauss-Legendre on max(8, k_max) panels, enough
+    to resolve mode k_max to machine accuracy for smooth integrands.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
-    if n_panels is None:
-        n_panels = max(8, k_max)
+    n_panels = max(8, k_max)
     modes = [ModeSpec(0, 0.0, _composite_gauss(p0, n_panels))]
     for k in range(1, k_max + 1):
         w = k * np.pi

@@ -43,10 +43,8 @@ __all__ = [
     "IntegrationDiverged",
     "InteriorStencil",
     "Trajectory",
-    "fourth_order",
     "integrate",
     "interior_stencil",
-    "second_order",
     "stacked_operator",
 ]
 
@@ -159,21 +157,12 @@ class InteriorStencil:
             raise ValueError("stencil is not exact for linear fields")
 
 
-def second_order() -> InteriorStencil:
-    """Centered two-point stencil, second order on the staggered grid."""
-    return InteriorStencil(np.array([0.0, -1.0, 1.0, 0.0]))
-
-
-def fourth_order() -> InteriorStencil:
-    """Four-point stencil, fourth order on the staggered grid."""
-    return InteriorStencil(np.array([1.0, -27.0, 27.0, -1.0]) / 24.0)
-
-
 def interior_stencil(order: int) -> InteriorStencil:
+    """The centered two-point (order 2) or four-point (order 4) staggered stencil."""
     if order == 2:
-        return second_order()
+        return InteriorStencil(np.array([0.0, -1.0, 1.0, 0.0]))
     if order == 4:
-        return fourth_order()
+        return InteriorStencil(np.array([1.0, -27.0, 27.0, -1.0]) / 24.0)
     raise ValueError(f"interior order must be 2 or 4, got {order}")
 
 
@@ -278,10 +267,6 @@ class Trajectory:
     @property
     def n_steps(self) -> int:
         return self.z.shape[0] - 1
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.z.shape[0]) * self.tau
 
 
 def boundary_entries(N: int, J: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

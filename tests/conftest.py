@@ -110,8 +110,47 @@ def phase_fit_speed(traj, k, N):
     f = traj.u @ s / (s @ s)
     g = traj.p @ c / (c @ c)
     theta = np.unwrap(np.arctan2(-f, g))
-    rate = np.polyfit(traj.times, theta, 1)[0]
+    rate = np.polyfit(np.arange(len(theta)) * traj.tau, theta, 1)[0]
     return abs(rate) / (k * np.pi)
+
+
+def compensation_coefficient(kappa, h, tau):
+    """Compensating u-derivative factor of the second-order scheme, in closed form.
+
+    c(kappa) = h^2 sin(kappa tau) / ((h^2 - h/2) sin(kappa tau) + tau sin(kappa h / 2)).
+    """
+    s = np.sin(kappa * tau)
+    return h * h * s / ((h * h - 0.5 * h) * s + tau * np.sin(0.5 * kappa * h))
+
+
+def first_peak_and_return(times, xi):
+    """(t_peak, xi_peak, t_return, xi_return): the global maximum, the least value after it."""
+    i_peak = int(np.argmax(xi))
+    i_ret = i_peak + int(np.argmin(xi[i_peak:]))
+    return float(times[i_peak]), float(xi[i_peak]), float(times[i_ret]), float(xi[i_ret])
+
+
+def _span(times, t0, t1):
+    mask = (times >= t0) & (times <= t1)
+    assert mask.sum() >= 2, f"[{t0}, {t1}] selects fewer than two samples"
+    return mask
+
+
+def log_growth_rate(times, xi, t0, t1):
+    """Slope of log(xi) over [t0, t1]; exponential-equivalent growth rate."""
+    mask = _span(times, t0, t1)
+    return float(np.polyfit(times[mask], np.log(np.maximum(xi[mask], 1e-300)), 1)[0])
+
+
+def trend_drift(times, xi, t0, t1):
+    """(|slope| * span, std of the detrended series) of xi over [t0, t1].
+
+    A series with no trend growth has drift at or below the oscillation scale.
+    """
+    mask = _span(times, t0, t1)
+    t, y = times[mask], xi[mask]
+    slope, intercept = np.polyfit(t, y, 1)
+    return float(abs(slope) * (t[-1] - t[0])), float(np.std(y - (slope * t + intercept)))
 
 
 @pytest.fixture

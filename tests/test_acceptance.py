@@ -16,6 +16,12 @@ minimizer sanity).
 import numpy as np
 import pytest
 
+from conftest import (
+    compensation_coefficient,
+    first_peak_and_return,
+    log_growth_rate,
+    trend_drift,
+)
 from waveassim import analysis
 from waveassim.adjoint import adjoint_sweep, control_dim, tlm_run
 from waveassim.cli import resolve_config, setup_experiment
@@ -206,7 +212,7 @@ def rich_j4(rich_experiment):
 
     def drift_over_osc(bs):
         times, xi = analysis.xi_series(integrate(ic, exp.stencil, bs, grid), exp.modes)
-        drift, osc = analysis.trend_drift(times, xi, T_w, 4.0 * T_w)
+        drift, osc = trend_drift(times, xi, T_w, 4.0 * T_w)
         return drift / osc
 
     fitted = BoundaryScheme.from_control_vector(result.x, 4)
@@ -292,7 +298,7 @@ def test_criterion_03_dispersion_theory():
 
 def test_criterion_04_classical_error_evolution(k3_classical_error):
     times, xi = k3_classical_error
-    t_peak, xi_peak, t_zero, xi_min = analysis.first_peak_and_return(times, xi)
+    t_peak, xi_peak, t_zero, xi_min = first_peak_and_return(times, xi)
     T_shift = analysis.period_slip_time(3, analysis.beta2(3, H, TAU))
     ok = (
         abs(xi_peak - 120.0) <= 6.0
@@ -385,12 +391,12 @@ def _fit_status(result) -> str:
 def test_criterion_08_rich_spectrum(rich_j1, rich_j4):
     times, xi0, fits = rich_j1
     lo, hi = 20.0, 80.0
-    rate0 = analysis.log_growth_rate(times, xi0, lo, hi)
+    rate0 = log_growth_rate(times, xi0, lo, hi)
     mask = (times >= lo) & (times <= hi)
     ok_j1 = True
     j1_details = []
     for result, xi1 in fits:
-        rate1 = analysis.log_growth_rate(times, xi1, lo, hi)
+        rate1 = log_growth_rate(times, xi1, lo, hi)
         reduction = float(
             np.exp(np.mean(np.log(xi0[mask] / np.maximum(xi1[mask], 1e-300))))
         )
@@ -420,7 +426,7 @@ def test_criterion_08_rich_spectrum(rich_j1, rich_j4):
 
 def test_criterion_09_singularity_prediction():
     kappa = analysis.second_order_c_singularity(H, TAU)
-    c15 = analysis.compensation_coefficient(15 * np.pi, H, TAU)
+    c15 = compensation_coefficient(15 * np.pi, H, TAU)
     ok = abs(kappa / np.pi - 14.026) <= 0.01 and abs(c15 - (-7.05)) <= 0.05
     assert report(
         9,

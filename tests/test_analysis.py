@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from conftest import make_setup, phase_fit_speed
+from conftest import (
+    compensation_coefficient,
+    first_peak_and_return,
+    log_growth_rate,
+    make_setup,
+    phase_fit_speed,
+    trend_drift,
+)
 from waveassim import analysis
 from waveassim.exact import ModeSpec, sample_observations
 from waveassim.wave import (
@@ -148,6 +155,9 @@ class TestSingularity:
         h, tau = H30, TAU30
         den = (h * h - 0.5 * h) * np.sin(kappa * tau) + tau * np.sin(0.5 * kappa * h)
         assert abs(den) < 1e-10
+        # The closed-form factor blows up there and flips sign.
+        assert compensation_coefficient(kappa * (1.0 - 1e-9), h, tau) > 1e8
+        assert compensation_coefficient(kappa * (1.0 + 1e-9), h, tau) < -1e8
 
     @pytest.mark.parametrize("tau", [1.0 / 120.0, 0.01])
     def test_no_root_below_the_scan_limit(self, tau):
@@ -160,7 +170,7 @@ class TestSingularity:
         assert analysis.second_order_c_singularity(h, tau) is None
 
     def test_compensation_at_fifteen_pi(self):
-        c = analysis.compensation_coefficient(15 * np.pi, H30, TAU30)
+        c = compensation_coefficient(15 * np.pi, H30, TAU30)
         assert c == pytest.approx(-7.05, abs=0.05)
 
     def test_closed_form_on_reference_grid(self):
@@ -168,7 +178,7 @@ class TestSingularity:
         # 1 / (15 cos(kappa/120) - 14).
         for kappa in (np.pi, 5 * np.pi, 12 * np.pi, 15 * np.pi):
             expect = 1.0 / (15.0 * np.cos(kappa / 120.0) - 14.0)
-            assert analysis.compensation_coefficient(kappa, H30, TAU30) == pytest.approx(
+            assert compensation_coefficient(kappa, H30, TAU30) == pytest.approx(
                 expect, rel=1e-12
             )
 
@@ -183,7 +193,7 @@ class TestSlipTime:
         _, stencil, bs, modes, obs, ic = make_setup(n_steps=30000)
         traj = integrate(ic, stencil, bs, grid)
         times, xi = analysis.xi_series(traj, modes)
-        _, _, t_zero, _ = analysis.first_peak_and_return(times, xi)
+        _, _, t_zero, _ = first_peak_and_return(times, xi)
         T = analysis.period_slip_time(3, analysis.beta2(3, H30, TAU30))
         assert abs(t_zero - T) / T < 5e-3
 
@@ -214,7 +224,7 @@ class TestErrorSeries:
     def test_first_peak_and_return_on_synthetic_beat(self):
         t = np.linspace(0.0, 10.0, 2001)
         xi = 4.0 * np.sin(0.4 * t) ** 2
-        t_peak, xi_peak, t_zero, xi_min = analysis.first_peak_and_return(t, xi)
+        t_peak, xi_peak, t_zero, xi_min = first_peak_and_return(t, xi)
         assert t_peak == pytest.approx(np.pi / 0.8, abs=0.01)
         assert xi_peak == pytest.approx(4.0, abs=1e-4)
         assert t_zero == pytest.approx(np.pi / 0.4, abs=0.01)
@@ -267,14 +277,14 @@ class TestTrendDiagnostics:
     def test_log_growth_rate(self):
         t = np.linspace(0.0, 20.0, 400)
         xi = 0.3 * np.exp(0.17 * t)
-        assert analysis.log_growth_rate(t, xi, 2.0, 18.0) == pytest.approx(0.17, rel=1e-6)
+        assert log_growth_rate(t, xi, 2.0, 18.0) == pytest.approx(0.17, rel=1e-6)
 
     def test_trend_drift_separates_growth_from_oscillation(self):
         t = np.linspace(0.0, 30.0, 1500)
         flat = 1.0 + 0.2 * np.sin(3.0 * t)
         rising = 1.0 + 0.2 * np.sin(3.0 * t) + 0.15 * t
-        d_flat, o_flat = analysis.trend_drift(t, flat, 0.0, 30.0)
-        d_rise, o_rise = analysis.trend_drift(t, rising, 0.0, 30.0)
+        d_flat, o_flat = trend_drift(t, flat, 0.0, 30.0)
+        d_rise, o_rise = trend_drift(t, rising, 0.0, 30.0)
         assert d_flat < 0.5 * o_flat
         assert d_rise > 10.0 * o_rise
 

@@ -1,9 +1,12 @@
 """Public API guard: exported names, removed names, and the bench tracer's hooks."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +25,8 @@ REMOVED = {
         "leapfrog_step",
         "State",
         "controlled_rows",
+        "second_order",
+        "fourth_order",
     ],
     "adjoint": [
         "SensitivitySource",
@@ -34,7 +39,14 @@ REMOVED = {
     ],
     "objective": ["state_norm2", "GROUP_NAMES", "CostConfig", "window_buffers"],
     "exact": ["exact_mode", "exact_superposition", "Observations"],
-    "analysis": ["grid_misfit_series", "DispersionReport"],
+    "analysis": [
+        "grid_misfit_series",
+        "DispersionReport",
+        "compensation_coefficient",
+        "first_peak_and_return",
+        "log_growth_rate",
+        "trend_drift",
+    ],
 }
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -57,6 +69,7 @@ def test_removed_names_are_gone(module):
 
 def test_removed_trajectory_and_state_members():
     assert not hasattr(waveassim.Trajectory, "state")
+    assert not hasattr(waveassim.Trajectory, "times")
 
 
 def test_experiment_fields():
@@ -105,7 +118,7 @@ SIGNATURES = [
     ("cli", "cmd_gradcheck", ["cfg", "out_dir"]),
     ("cli", "_gradient_check", ["exp"]),
     ("wave", "advance_chains", ["Z", "A", "W", "tau", "n", "q", "q_half", "emit"]),
-    ("exact", "project_initial", ["u0", "p0", "k_max", "n_panels"]),
+    ("exact", "project_initial", ["u0", "p0", "k_max"]),
     ("wave", "integrate", ["z0", "stencil", "bs", "grid", "blowup_threshold", "out"]),
     ("adjoint", "adjoint_sweep", ["traj", "forcing"]),
     ("adjoint", "misfit_gradient", ["traj", "res"]),
@@ -126,6 +139,8 @@ SIGNATURES = [
     ("minimize", "wolfe_line_search", ["phi", "f0", "dphi0", "cfg"]),
     ("wave", "chain_stack", ["A", "tau"]),
     ("wave", "transpose_chains", ["a", "A", "W", "tau", "n"]),
+    # The quadrature is 16-point on max(8, k_max) panels, fixed.
+    ("exact", "_composite_gauss", ["f", "n_panels"]),
 ]
 
 
@@ -177,3 +192,45 @@ def test_traced_names_resolve():
     for module, name in tracer.TRACED:
         mod = importlib.import_module(f"waveassim.{module}")
         assert callable(getattr(mod, name)), f"waveassim.{module}.{name}"
+
+
+def _read_names(source: str) -> set[str]:
+    """Every name that Python source reads, as a Name or as an Attribute.
+
+    A mention in a docstring or comment is not a read.  The names the bench
+    tracer rebinds by getattr need no string match: each is a call that
+    src/ makes.
+    """
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def _names_read_outside_tests() -> set[str]:
+    """Names read by src/, the README example, the CI workflows or perfbench/."""
+    names = set()
+    for path in (ROOT / "src" / "waveassim").glob("*.py"):
+        names |= _read_names(path.read_text())
+    for path in (ROOT / "perfbench").glob("*.py"):
+        names |= _read_names(path.read_text())
+    readme = (ROOT / "README.md").read_text()
+    for block in re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M):
+        names |= _read_names(block)
+    # The workflows run shell lines and inline Python: any word outside a comment.
+    for path in (ROOT / ".github" / "workflows").glob("*.yml"):
+        for line in path.read_text().splitlines():
+            if not line.lstrip().startswith("#"):
+                names |= set(re.findall(r"[A-Za-z_]\w*", line))
+    return names
+
+
+@pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(waveassim.__path__)))
+def test_public_names_have_a_caller_outside_the_tests(module):
+    # A public name only tests reach belongs in tests/conftest.py, not in src/.
+    read = _names_read_outside_tests()
+    exported = importlib.import_module(f"waveassim.{module}").__all__
+    assert [name for name in exported if name not in read] == []

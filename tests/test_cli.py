@@ -320,6 +320,13 @@ class TestSweep:
         assert "slope" in payload["kernel_line"]
 
 
+    def test_count_past_the_range_takes_each_window_once(self):
+        # One sample per integer of the range already gives every window;
+        # 10**15 samples used to end in a refused 7.1 PiB allocation.
+        overrides = {"window_start": 600, "window_end": 720, "window_count": 10**15}
+        cfg = resolve_config("single-mode-second", None, overrides)
+        assert cli._sweep_windows(cfg) == list(range(600, 721))
+
     def test_alphas_columns_in_control_vector_order(self, tmp_path):
         assert main(["sweep", "--out", str(tmp_path)] + TINY[:-1] + ["1"]) == 0
         header = read_csv(tmp_path / "alphas.csv")[0]
@@ -638,6 +645,16 @@ class TestExitCodes:
         )
         assert not (tmp_path / "result.json").exists()
         assert not (tmp_path / "xi.csv").exists()
+
+    def test_refused_allocation_is_a_config_error(self, tmp_path, capsys):
+        # The times of 10**15 levels take 7.1 PiB, more than any address
+        # space: the request fails at once and used to end in a traceback.
+        argv = ["forward", "--out", str(tmp_path), "--preset", "single-mode-second",
+                "--n-steps", str(10**15)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_diverged_start_fails_sweep(self, tmp_path, capsys):
         # The classical start diverges inside every window: no fit exists,

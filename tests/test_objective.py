@@ -20,7 +20,7 @@ from waveassim.objective import (
     make_objective,
     window_steps,
 )
-from waveassim.wave import BLOCK_LEVELS, BoundaryScheme, GridSpec, integrate, second_order
+from waveassim.wave import BLOCK_LEVELS, BoundaryScheme, GridSpec, integrate, interior_stencil
 
 
 @pytest.fixture
@@ -35,7 +35,7 @@ def state_norm2(du, dp, grid):
     divided by tau is that level's norm.
     """
     one = replace(grid, n_steps=1)
-    traj = integrate(np.zeros(2 * grid.N + 1), second_order(), BoundaryScheme.classical(1), one)
+    traj = integrate(np.zeros(2 * grid.N + 1), interior_stencil(2), BoundaryScheme.classical(1), one)
     obs = -np.tile(np.concatenate([du, dp]), (2, 1))
     return window_misfit(traj, obs)[0] / one.tau
 

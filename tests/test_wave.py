@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    first_peak_and_return,
     make_setup,
     split,
     naive_derivative_p,
@@ -30,10 +31,8 @@ from waveassim.wave import (
     IntegrationDiverged,
     InteriorStencil,
     boundary_entries,
-    fourth_order,
     integrate,
     interior_stencil,
-    second_order,
     stacked_operator,
 )
 
@@ -101,7 +100,7 @@ class TestTypes:
 
     def test_interior_presets_consistent(self):
         offsets = np.array([-1, 0, 1, 2])
-        for stencil in (second_order(), fourth_order()):
+        for stencil in (interior_stencil(2), interior_stencil(4)):
             assert abs(stencil.a.sum()) < 1e-15
             assert abs(((offsets - 0.5) * stencil.a).sum() - 1.0) < 1e-14
 
@@ -148,23 +147,23 @@ class TestTypes:
             z0 = np.zeros(61)
             z0[wall] = 1.0
             with pytest.raises(ValueError, match="vanish"):
-                integrate(z0, second_order(), classical, grid30)
+                integrate(z0, interior_stencil(2), classical, grid30)
 
     def test_start_state_shape_checked(self, grid30, classical):
         for z0 in (np.zeros(60), np.zeros((2, 61)), np.zeros(31)):
             with pytest.raises(ValueError, match="start state"):
-                integrate(z0, second_order(), classical, grid30)
+                integrate(z0, interior_stencil(2), classical, grid30)
 
 
 class TestDerivativeP:
     def test_constant_field_zero_sum_stencil(self, grid30, classical):
         p = np.full(30, 2.7)
-        out = apply_D_p(p, second_order(), classical, grid30)
+        out = apply_D_p(p, interior_stencil(2), classical, grid30)
         np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
     def test_linear_field_exact(self, grid30, classical):
         p = grid30.x_half.copy()
-        out = apply_D_p(p, second_order(), classical, grid30)
+        out = apply_D_p(p, interior_stencil(2), classical, grid30)
         np.testing.assert_allclose(out, 1.0, rtol=1e-12)
 
     def test_boundary_row_cosine_field(self, grid30):
@@ -174,7 +173,7 @@ class TestDerivativeP:
             [-1.0, 1.0], [-1.023, 1.023], [-1.0, 1.0], [-1.023, 1.023]
         )
         p = np.cos(3 * np.pi * grid30.x_half)
-        out = apply_D_p(p, second_order(), bs, grid30)
+        out = apply_D_p(p, interior_stencil(2), bs, grid30)
         direct = 1.023 * (p[1] - p[0]) / grid30.h
         assert out[0] == pytest.approx(direct, rel=1e-14)
         assert out[0] == pytest.approx(-2.9671649455237694, rel=1e-12)
@@ -193,13 +192,13 @@ class TestDerivativeP:
 
     def test_dimension_mismatch(self, grid30, classical):
         with pytest.raises(ValueError):
-            apply_D_p(np.zeros(29), second_order(), classical, grid30)
+            apply_D_p(np.zeros(29), interior_stencil(2), classical, grid30)
 
     def test_wide_stencil_rejected(self, classical):
         grid = GridSpec(5, 0.05, 5)
         wide = BoundaryScheme.classical(4)
         with pytest.raises(ValueError):
-            apply_D_p(np.zeros(5), second_order(), wide, grid)
+            apply_D_p(np.zeros(5), interior_stencil(2), wide, grid)
         # Nor does any scheme have groups of different or no width.
         with pytest.raises(ValueError, match="share one width"):
             BoundaryScheme([-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0, 0.0], [-1.0, 1.0])
@@ -214,12 +213,12 @@ class TestDerivativeP:
 
 class TestDerivativeU:
     def test_zero_field(self, grid30, classical):
-        out = apply_D_u(np.zeros(31), second_order(), classical, grid30)
+        out = apply_D_u(np.zeros(31), interior_stencil(2), classical, grid30)
         np.testing.assert_array_equal(out, 0.0)
 
     def test_linear_field_exact(self, grid30, classical):
         u = grid30.x_nodes.copy()
-        out = apply_D_u(u, second_order(), classical, grid30)
+        out = apply_D_u(u, interior_stencil(2), classical, grid30)
         np.testing.assert_allclose(out, 1.0, rtol=1e-12)
 
     def test_boundary_row_sine_field(self, grid30):
@@ -227,7 +226,7 @@ class TestDerivativeU:
             [-1.048, 1.048], [-1.0, 1.0], [-1.048, 1.048], [-1.0, 1.0]
         )
         u = np.sin(3 * np.pi * grid30.x_nodes)
-        out = apply_D_u(u, second_order(), bs, grid30)
+        out = apply_D_u(u, interior_stencil(2), bs, grid30)
         direct = 1.048 * (u[1] - u[0]) / grid30.h
         assert out[0] == pytest.approx(direct, rel=1e-14)
         assert out[0] == pytest.approx(9.715494303148347, rel=1e-12)
@@ -250,19 +249,19 @@ class TestClassicalExactness:
         u = 2.0 * grid30.x_nodes - 0.3
         p = -1.5 * grid30.x_half + 0.7
         np.testing.assert_allclose(
-            apply_D_u(u, second_order(), classical, grid30), 2.0, rtol=1e-12
+            apply_D_u(u, interior_stencil(2), classical, grid30), 2.0, rtol=1e-12
         )
         np.testing.assert_allclose(
-            apply_D_p(p, second_order(), classical, grid30), -1.5, rtol=1e-12
+            apply_D_p(p, interior_stencil(2), classical, grid30), -1.5, rtol=1e-12
         )
 
     def test_fourth_order_cubic_at_interior_rows(self, grid30, classical):
         p = grid30.x_half**3
-        out = apply_D_p(p, fourth_order(), classical, grid30)
+        out = apply_D_p(p, interior_stencil(4), classical, grid30)
         interior = 3.0 * (grid30.x_nodes[2:-2]) ** 2
         np.testing.assert_allclose(out[1:-1], interior, rtol=1e-11, atol=1e-13)
         u = grid30.x_nodes**3
-        out_u = apply_D_u(u, fourth_order(), classical, grid30)
+        out_u = apply_D_u(u, interior_stencil(4), classical, grid30)
         np.testing.assert_allclose(
             out_u[1:-1], 3.0 * grid30.x_half[1:-1] ** 2, rtol=1e-11, atol=1e-13
         )
@@ -271,17 +270,16 @@ class TestClassicalExactness:
 class TestFirstStep:
     def test_zero_initial_condition(self, grid30, classical):
         zero = np.zeros(61)
-        traj = integrate(zero, second_order(), classical, replace(grid30, n_steps=1))
+        traj = integrate(zero, interior_stencil(2), classical, replace(grid30, n_steps=1))
         assert not traj.z_half.any()
         assert not traj.z[1].any()
-        assert traj.times[1] == pytest.approx(grid30.tau)
 
     def test_matches_naive_two_stage_oracle(self, grid30, classical):
         u0 = np.sin(3 * np.pi * grid30.x_nodes)
         u0[0] = u0[-1] = 0.0
         p0 = np.cos(3 * np.pi * grid30.x_half)
-        half, one, _ = first_levels(u0, p0, second_order(), classical, grid30)
-        st_ = second_order()
+        half, one, _ = first_levels(u0, p0, interior_stencil(2), classical, grid30)
+        st_ = interior_stencil(2)
         (uh, ph), (u1, p1) = naive_first_step(u0, p0, st_.a, classical, 30, grid30.h, grid30.tau)
         np.testing.assert_allclose(half[0], uh, rtol=1e-13, atol=1e-15)
         np.testing.assert_allclose(half[1], ph, rtol=1e-13, atol=1e-15)
@@ -300,7 +298,7 @@ class TestFirstStep:
             u0 = np.sin(np.pi * x)
             u0[0] = u0[-1] = 0.0
             ic = np.concatenate([u0, np.cos(np.pi * grid.x_half)])
-            one = integrate(ic, second_order(), BoundaryScheme.classical(1), grid).u[1]
+            one = integrate(ic, interior_stencil(2), BoundaryScheme.classical(1), grid).u[1]
             u_exact = -np.sqrt(2.0) * np.sin(np.pi * tau - np.pi / 4) * np.sin(np.pi * x)
             errs.append(np.abs(one - u_exact).max())
         ratios = [errs[i + 1] / errs[i] for i in range(2)]
@@ -313,11 +311,11 @@ class TestFirstStep:
 
 class TestLeapfrogStep:
     def test_zero_states(self, grid30, classical):
-        _, _, two = first_levels(np.zeros(31), np.zeros(30), second_order(), classical, grid30)
+        _, _, two = first_levels(np.zeros(31), np.zeros(30), interior_stencil(2), classical, grid30)
         assert not two[0].any() and not two[1].any()
 
     def test_matches_direct_formula(self, grid30, classical):
-        st_ = second_order()
+        st_ = interior_stencil(2)
         u0 = np.sin(3 * np.pi * grid30.x_nodes)
         u0[0] = u0[-1] = 0.0
         p0 = np.cos(3 * np.pi * grid30.x_half)
@@ -329,7 +327,7 @@ class TestLeapfrogStep:
         np.testing.assert_allclose(two[1], expect_p, rtol=1e-14)
 
     def test_linearity_over_superposition(self, grid30, classical):
-        st_ = second_order()
+        st_ = interior_stencil(2)
         obs2 = sample_observations([ModeSpec(2, 1, 1)], grid30)
         obs5 = sample_observations([ModeSpec(5, 1, 1)], grid30)
 
@@ -345,7 +343,7 @@ class TestLeapfrogStep:
 
 class TestIntegrate:
     def test_zero_ic_zero_trajectory(self, grid30, classical):
-        traj = integrate(np.zeros(61), second_order(), classical, grid30)
+        traj = integrate(np.zeros(61), interior_stencil(2), classical, grid30)
         assert not traj.u.any() and not traj.p.any()
         assert traj.n_steps == grid30.n_steps
 
@@ -372,7 +370,7 @@ class TestIntegrate:
 
     def test_linearity(self):
         grid = GridSpec(30, 1.0 / 120.0, 300)
-        st_ = second_order()
+        st_ = interior_stencil(2)
         bs = BoundaryScheme.classical(1)
         obs2 = sample_observations([ModeSpec(2, 1, 1)], grid)
         obs5 = sample_observations([ModeSpec(5, 1, 1)], grid)
@@ -411,7 +409,7 @@ class TestIntegrate:
         _, st_, bs, modes, obs, ic = make_setup(n_steps=36000)
         traj = integrate(ic, st_, bs, grid)
         times, xi = analysis.xi_series(traj, modes)
-        t_peak, xi_peak, t_zero, xi_min = analysis.first_peak_and_return(times, xi)
+        t_peak, xi_peak, t_zero, xi_min = first_peak_and_return(times, xi)
         assert xi_peak == pytest.approx(120.0, rel=0.05)
         assert abs(t_peak - 108.3) < 1.0
         assert abs(t_zero - 215.9) < 1.0
@@ -419,7 +417,7 @@ class TestIntegrate:
 
     def test_fourth_order_error_peak_time(self):
         grid = GridSpec(30, 1.0 / 120.0, 66000)
-        stencil = fourth_order()
+        stencil = interior_stencil(4)
         bs = BoundaryScheme.classical(1)
         obs = sample_observations([ModeSpec(3, 1, 1)], grid)
         ic = obs[0].copy()
@@ -439,7 +437,7 @@ class TestIntegrate:
 )
 def test_integrate_linearity_property(a, b, k1, k2):
     grid = GridSpec(16, 1.0 / 64.0, 40)
-    st_ = second_order()
+    st_ = interior_stencil(2)
     bs = BoundaryScheme.classical(1)
     o1 = sample_observations([ModeSpec(k1, 1, 1)], grid)
     o2 = sample_observations([ModeSpec(k2, 1, 1)], grid)
@@ -572,7 +570,7 @@ def test_divergence_reports_first_level_over_threshold():
     # falls in its block or chunk.
     N, n = 12, 2 * K * CHUNK + 40
     grid = GridSpec(N, 1.0 / 48.0, n)
-    st_ = second_order()
+    st_ = interior_stencil(2)
     flipped = BoundaryScheme([1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, 1.0])
     u0 = np.sin(np.pi * grid.x_nodes)
     u0[0] = u0[-1] = 0.0
