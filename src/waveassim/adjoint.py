@@ -90,7 +90,7 @@ def adjoint_sweep(traj: Trajectory, forcing: np.ndarray) -> np.ndarray:
     J = traj.bs.J
     S_half, S = _sensitivity(traj.z_half, J), _sensitivity(traj.z[:-1], J)
     a = np.asarray(forcing, dtype=float)
-    w, w_half = transpose_chains(a, traj.A, traj.W, traj.tau, traj.n_steps)
+    w, w_half = transpose_chains(a, traj.A, traj.W, traj.tau)
     g = np.einsum("tgj,tg->gj", S, w) + S_half * w_half[:, None]
     return g.ravel()
 

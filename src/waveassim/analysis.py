@@ -40,7 +40,6 @@ __all__ = [
     "horizon_report",
     "kernel_tangent",
     "period_slip_time",
-    "plateau_level",
     "predicted_c_p",
     "predicted_c_u",
     "second_order_c_singularity",
@@ -242,18 +241,3 @@ def fit_kernel_line(points: Sequence[tuple[float, float]]) -> tuple[float, float
     slope, intercept = np.polyfit(pts[:, 0], pts[:, 1], 1)
     residual = pts[:, 1] - (slope * pts[:, 0] + intercept)
     return float(slope), float(intercept), float(np.sqrt(np.mean(residual**2)))
-
-
-def _window(times: np.ndarray, t0: float, t1: float | None) -> np.ndarray:
-    if t1 is None:
-        t1 = float(times[-1])
-    mask = (times >= t0) & (times <= t1)
-    if mask.sum() < 2:
-        raise ValueError(f"window [{t0}, {t1}] selects fewer than two samples")
-    return mask
-
-
-def plateau_level(times: np.ndarray, xi: np.ndarray, t0: float, t1: float | None = None) -> float:
-    """Mean error level over [t0, t1]."""
-    mask = _window(times, t0, t1)
-    return float(np.mean(xi[mask]))

@@ -420,7 +420,7 @@ def advance_chains(
 
 
 def transpose_chains(
-    a: np.ndarray, A: np.ndarray, W: np.ndarray, tau: float, n: int
+    a: np.ndarray, A: np.ndarray, W: np.ndarray, tau: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """The adjoint (w, w_half) of advance_chains' q and q_half, from a zero level 0.
 
@@ -428,7 +428,7 @@ def transpose_chains(
     w_half (4,) are the adjoint at the controlled rows each source reaches,
     times the weight it enters with.
     """
-    d = a.shape[1]
+    n, d = a.shape[0] - 1, a.shape[1]
     N, K = d // 2, BLOCK_LEVELS
     uu, pp = slice(0, N + 1), slice(N + 1, d)
     rows = boundary_entries(N, 0)[0]

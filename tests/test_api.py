@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import waveassim
-from waveassim import cli
+from waveassim import cli, minimize, objective, wave
 
 REMOVED = {
     "wave": [
@@ -46,6 +46,7 @@ REMOVED = {
         "first_peak_and_return",
         "log_growth_rate",
         "trend_drift",
+        "plateau_level",
     ],
 }
 
@@ -68,8 +69,8 @@ def test_removed_names_are_gone(module):
 
 
 def test_removed_trajectory_and_state_members():
-    assert not hasattr(waveassim.Trajectory, "state")
-    assert not hasattr(waveassim.Trajectory, "times")
+    assert not hasattr(wave.Trajectory, "state")
+    assert not hasattr(wave.Trajectory, "times")
 
 
 def test_experiment_fields():
@@ -94,7 +95,7 @@ def test_cost_dataclass_fields():
         "z",
         "res",
     ]
-    assert list(waveassim.CostReport.__dataclass_fields__) == [
+    assert list(objective.CostReport.__dataclass_fields__) == [
         "total",
         "misfit",
         "regularization",
@@ -102,7 +103,7 @@ def test_cost_dataclass_fields():
 
 
 def test_minimize_config_fields():
-    assert list(waveassim.MinimizeConfig.__dataclass_fields__) == [
+    assert list(minimize.MinimizeConfig.__dataclass_fields__) == [
         "memory",
         "max_iters",
         "grad_tol",
@@ -138,7 +139,7 @@ SIGNATURES = [
     # Every line search starts at the unit step; every stack spans one block.
     ("minimize", "wolfe_line_search", ["phi", "f0", "dphi0", "cfg"]),
     ("wave", "chain_stack", ["A", "tau"]),
-    ("wave", "transpose_chains", ["a", "A", "W", "tau", "n"]),
+    ("wave", "transpose_chains", ["a", "A", "W", "tau"]),
     # The quadrature is 16-point on max(8, k_max) panels, fixed.
     ("exact", "_composite_gauss", ["f", "n_panels"]),
 ]
@@ -210,6 +211,10 @@ def _read_names(source: str) -> set[str]:
     return names
 
 
+def _readme_python_blocks() -> list[str]:
+    return re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.S | re.M)
+
+
 def _names_read_outside_tests() -> set[str]:
     """Names read by src/, the README example, the CI workflows or perfbench/."""
     names = set()
@@ -217,8 +222,7 @@ def _names_read_outside_tests() -> set[str]:
         names |= _read_names(path.read_text())
     for path in (ROOT / "perfbench").glob("*.py"):
         names |= _read_names(path.read_text())
-    readme = (ROOT / "README.md").read_text()
-    for block in re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M):
+    for block in _readme_python_blocks():
         names |= _read_names(block)
     # The workflows run shell lines and inline Python: any word outside a comment.
     for path in (ROOT / ".github" / "workflows").glob("*.yml"):
@@ -234,3 +238,26 @@ def test_public_names_have_a_caller_outside_the_tests(module):
     read = _names_read_outside_tests()
     exported = importlib.import_module(f"waveassim.{module}").__all__
     assert [name for name in exported if name not in read] == []
+
+
+# `from waveassim import X, ...` (with or without parentheses) or `waveassim.X`.
+_PACKAGE_IMPORT = re.compile(r"\bfrom waveassim import (?:\(([^)]*)\)|([\w ,]+))|\bwaveassim\.(\w+)")
+
+
+def _package_imports(text: str) -> set[str]:
+    """Names that text takes from the waveassim package itself, outside # comment lines."""
+    code = "\n".join(line for line in text.splitlines() if not line.lstrip().startswith("#"))
+    names = set()
+    for match in _PACKAGE_IMPORT.finditer(code):
+        names |= set(re.findall(r"\w+", " ".join(g for g in match.groups() if g)))
+    return names
+
+
+def test_package_exports_only_what_its_users_import():
+    # The README example, CI and perfbench/ take these names from the package;
+    # any other name is imported from its module.
+    sources = _readme_python_blocks()
+    sources += [path.read_text() for path in (ROOT / ".github" / "workflows").glob("*.yml")]
+    sources += [path.read_text() for path in (ROOT / "perfbench").glob("*.py")]
+    imported = set().union(*map(_package_imports, sources))
+    assert [name for name in waveassim.__all__ if name not in imported] == []

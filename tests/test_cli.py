@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from waveassim import adjoint, analysis, cli
+from waveassim import adjoint, analysis, cli, objective
 from waveassim.cli import (
     PRESETS,
     ExperimentConfig,
@@ -646,15 +646,26 @@ class TestExitCodes:
         assert not (tmp_path / "result.json").exists()
         assert not (tmp_path / "xi.csv").exists()
 
-    def test_refused_allocation_is_a_config_error(self, tmp_path, capsys):
+    def test_refused_allocation_is_a_config_error(self, tmp_path, capsys, monkeypatch):
         # The times of 10**15 levels take 7.1 PiB, more than any address
         # space: the request fails at once and used to end in a traceback.
-        argv = ["forward", "--out", str(tmp_path), "--preset", "single-mode-second",
-                "--n-steps", str(10**15)]
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
-        assert list(tmp_path.iterdir()) == []
+        # assimilate refuses it before its fit, not after: no evaluation runs.
+        evaluations = []
+        evaluate = objective.evaluate
+
+        def counted(*args):
+            evaluations.append(1)
+            return evaluate(*args)
+
+        monkeypatch.setattr(objective, "evaluate", counted)
+        for command in ("forward", "assimilate"):
+            argv = [command, "--out", str(tmp_path), "--preset", "single-mode-second",
+                    "--n-steps", str(10**15)]
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err
+            assert list(tmp_path.iterdir()) == []
+            assert evaluations == []
 
     def test_diverged_start_fails_sweep(self, tmp_path, capsys):
         # The classical start diverges inside every window: no fit exists,
