@@ -55,12 +55,13 @@ def _sensitivity(z: np.ndarray, J: int) -> np.ndarray:
     return S
 
 
-def tlm_run(traj: Trajectory, dalpha: np.ndarray) -> np.ndarray:
+def tlm_run(traj: Trajectory, dalpha: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Propagate a coefficient perturbation along a stored trajectory.
 
     The perturbation starts from zero fields and is driven by the tendency
     sources of every level.  Returns dz, shaped like traj.z (its u wall
-    columns stay zero).
+    columns stay zero).  out, if given, is the (n_steps + 2*BLOCK_LEVELS + 1,
+    2N+1) storage filled, other than the trajectory's own.
     """
     n, J = traj.n_steps, traj.bs.J
     dalpha = np.asarray(dalpha, dtype=float)
@@ -68,8 +69,10 @@ def tlm_run(traj: Trajectory, dalpha: np.ndarray) -> np.ndarray:
         raise ValueError(f"control vector must have length {control_dim(J)}, got {dalpha.shape}")
     dg = dalpha.reshape(4, J + 1)  # one row per stencil group, in control-vector order
     S_half, S = _sensitivity(traj.z_half, J), _sensitivity(traj.z[:-1], J)
-    dz = np.zeros((n + 2 * BLOCK_LEVELS + 1, traj.z.shape[1]))
-    advance_chains(dz, traj.A, traj.W, traj.tau, n, (S * dg).sum(-1), (S_half * dg).sum(-1))
+    dz = np.empty((n + 2 * BLOCK_LEVELS + 1, traj.z.shape[1])) if out is None else out
+    dz[0] = 0.0
+    q, q_half = (S * dg).sum(-1), (S_half * dg).sum(-1)
+    advance_chains(dz, traj.A, traj.W, traj.tau, n, q, q_half, storage=traj.storage)
     return dz[: n + 1]
 
 
@@ -90,7 +93,7 @@ def adjoint_sweep(traj: Trajectory, forcing: np.ndarray) -> np.ndarray:
     J = traj.bs.J
     S_half, S = _sensitivity(traj.z_half, J), _sensitivity(traj.z[:-1], J)
     a = np.asarray(forcing, dtype=float)
-    w, w_half = transpose_chains(a, traj.A, traj.W, traj.tau)
+    w, w_half = transpose_chains(a, traj.A, traj.W, traj.tau, traj.storage)
     g = np.einsum("tgj,tg->gj", S, w) + S_half * w_half[:, None]
     return g.ravel()
 
@@ -116,9 +119,10 @@ def window_misfit(
     the spatial integral of (u - u_obs)^2 + (p - p_obs)^2 (weight h on the
     p half-nodes and interior u nodes; u vanishes at the walls).  obs holds
     the observed stacked states, at least as many levels as the trajectory
-    stores.  out and squares, if given, are traj.z-shaped storage for the
-    residual and its square; squares may be out itself when the residual
-    is not read afterwards.
+    stores.  out, if given, is traj.z-shaped storage for the residual.
+    squares, if given, holds the squares of as many levels as it has rows
+    at a time (each level's sums are its own, so any count gives the same
+    bits); by default it holds all of them.
     """
     m, N = traj.n_steps, traj.N
     if obs.shape[1:] != traj.z.shape[1:] or len(obs) < m + 1:
@@ -127,8 +131,14 @@ def window_misfit(
             f"{m + 1} levels of {traj.z.shape[1]} values"
         )
     res = np.subtract(traj.z, obs[: m + 1], out=out)
-    sq = np.multiply(res, res, out=squares)
-    level_misfit = (1.0 / N) * (sq[:, 1:N].sum(axis=1) + sq[:, N + 1 :].sum(axis=1))
+    squares = np.empty_like(res) if squares is None else squares
+    level_misfit = np.empty(m + 1)
+    for t in range(0, m + 1, len(squares)):
+        r = res[t : t + len(squares)]
+        sq = np.multiply(r, r, out=squares[: len(r)])
+        level_misfit[t : t + len(r)] = (1.0 / N) * (
+            sq[:, 1:N].sum(axis=1) + sq[:, N + 1 :].sum(axis=1)
+        )
     return float(time_weights(m, traj.tau) @ level_misfit), res
 
 

@@ -22,14 +22,13 @@ that it steps, checks and reduces a chunk at a time without storing it.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
 
 from .exact import ModeSpec, exact_fields, mode_shapes
 from .wave import DEFAULT_BLOWUP_THRESHOLD, BoundaryScheme, GridSpec, InteriorStencil, Trajectory
-from .wave import advance_chains, check_levels, integrate
+from .wave import advance_chains, check_levels, start_run
 
 __all__ = [
     "beta2",
@@ -225,8 +224,8 @@ def horizon_report(
             sampled = rows[-t % stride :: stride, : grid.N + 1]
             u[-(-t // stride) :][: len(sampled)] = sampled
 
-    start = integrate(z0, stencil, bs, replace(grid, n_steps=1))  # z0 checked, A and W
-    advance_chains(start.z, start.A, start.W, grid.tau, grid.n_steps, emit=consume)
+    z0, A, W = start_run(z0, stencil, bs, grid)
+    advance_chains(z0[None], A, W, grid.tau, grid.n_steps, emit=consume)
     return times, xi, u
 
 

@@ -421,9 +421,11 @@ def _gradient_check(exp: Experiment) -> dict:
     cfg = exp.config
     win = _window(exp, cfg.T_window)
     bs = BoundaryScheme.classical(cfg.J)
-    # The dot test runs on the window's own storage (trajectory in z, forcing
-    # in res), which evaluate then refills.
-    traj = integrate(exp.ic, exp.stencil, bs, win.grid, out=win.z)
+    # The dot test runs on the window's own storage (trajectory and scratch in
+    # storage, forcing in res), which evaluate then refills; every pair's
+    # tangent-linear run fills one buffer.
+    traj = integrate(exp.ic, exp.stencil, bs, win.grid, out=win.storage)
+    dz = np.empty_like(win.storage.z)
 
     rng = np.random.default_rng(DOT_SEED)
     dim = control_dim(cfg.J)
@@ -432,11 +434,13 @@ def _gradient_check(exp: Experiment) -> dict:
         dalpha = rng.standard_normal(dim)
         fu = rng.standard_normal(traj.u.shape)
         fp = rng.standard_normal(traj.p.shape)
-        du, dp = np.hsplit(tlm_run(traj, dalpha), [cfg.N + 1])
+        du, dp = np.hsplit(tlm_run(traj, dalpha, dz), [cfg.N + 1])
         lhs = float((du * fu).sum() + (dp * fp).sum())
         forcing = np.concatenate([fu, fp], axis=1, out=win.res)
+        del du, dp, fu, fp  # only one pair's fields are alive at a time
         rhs = float(dalpha @ adjoint_sweep(traj, forcing))
         dot_residuals.append(abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
+    del dz
 
     # One adjoint gradient at x0; the central differences need the cost alone.
     x0 = bs.to_control_vector()

@@ -6,11 +6,11 @@ regularization penalizes the squared coefficient sum of each stencil
 group, which selects the zero-order-consistent point inside an otherwise
 flat (Hessian-kernel) direction.  A ``Window`` binds everything the cost
 depends on but the coefficients: observations, start state, interior
-stencil, the window grid, J and eta, plus the trajectory and residual
-storage that every evaluation refills.  ``cost`` returns the cost
-breakdown alone; ``evaluate``, which the minimizer calls through
-``make_objective``, returns the same breakdown and the exact gradient
-assembled from the adjoint sweep.  Both run one code path up to the
+stencil, the window grid, J and eta, plus every buffer that an
+evaluation writes, so that evaluations allocate nothing large.
+``cost`` returns the cost breakdown alone; ``evaluate``, which the
+minimizer calls through ``make_objective``, returns the same breakdown
+and the exact gradient assembled from the adjoint sweep.  Both run one code path up to the
 gradient, so their costs agree bit for bit.
 """
 
@@ -23,11 +23,11 @@ import numpy as np
 
 from .adjoint import control_dim, misfit_gradient, window_misfit
 from .wave import (
-    BLOCK_LEVELS,
     BoundaryScheme,
     GridSpec,
     IntegrationDiverged,
     InteriorStencil,
+    Storage,
     integrate,
 )
 
@@ -63,8 +63,9 @@ class Window:
 
     grid is the window grid: the cost integrates levels 0..grid.n_steps,
     and obs holds the observed stacked states of at least those levels.
-    z (the trajectory) and res (the residual) are allocated once here;
-    every ``cost`` and ``evaluate`` overwrites them.
+    storage (the trajectory, its chain stack and the scratch of the chain
+    runs, see ``wave.Storage``) and res (the residual) are allocated once
+    here; every ``cost`` and ``evaluate`` overwrites them.
     """
 
     obs: np.ndarray
@@ -73,15 +74,15 @@ class Window:
     grid: GridSpec
     J: int
     eta: float = 0.0
-    z: np.ndarray = field(init=False, repr=False)
+    storage: Storage = field(init=False, repr=False)
     res: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 <= self.eta < math.inf:
             raise ValueError(f"regularization weight must be >= 0 and finite, got {self.eta}")
-        m, d = self.grid.n_steps, 2 * self.grid.N + 1
-        object.__setattr__(self, "z", np.empty((m + 2 * BLOCK_LEVELS + 1, d)))
-        object.__setattr__(self, "res", np.empty((m + 1, d)))
+        m, N = self.grid.n_steps, self.grid.N
+        object.__setattr__(self, "storage", Storage(m, N))
+        object.__setattr__(self, "res", np.empty((m + 1, 2 * N + 1)))
 
 
 def window_steps(T_window: float, grid: GridSpec) -> int:
@@ -98,18 +99,18 @@ def window_steps(T_window: float, grid: GridSpec) -> int:
     return m
 
 
-def _window_cost(x, win, squares):
+def _window_cost(x, win):
     """integrate, misfit and regularization at x: (report, traj, residual, reg gradient).
 
-    squares goes to ``window_misfit``.  traj and the residual are None when
-    the integration diverged.
+    The squares of the residual take the storage's chunk, a chunk of levels
+    at a time.  traj and the residual are None when the integration diverged.
     """
     bs = BoundaryScheme.from_control_vector(x, win.J)
     try:
-        traj = integrate(win.ic, win.stencil, bs, win.grid, out=win.z)
+        traj = integrate(win.ic, win.stencil, bs, win.grid, out=win.storage)
     except IntegrationDiverged:
         return CostReport(BLOWUP_PENALTY, BLOWUP_PENALTY, 0.0), None, None, None
-    misfit, res = window_misfit(traj, win.obs, out=win.res, squares=squares)
+    misfit, res = window_misfit(traj, win.obs, out=win.res, squares=win.storage.chunk)
 
     # One row per stencil group; a sum does not depend on the reversed
     # order of the tilde groups.  d/d alpha_j of eta * (sum alpha)^2 is the
@@ -123,10 +124,9 @@ def _window_cost(x, win, squares):
 def cost(x: np.ndarray, win: Window) -> CostReport:
     """Cost at control vector x over the window, with no adjoint.
 
-    The same bits as ``evaluate``'s report.  No residual is read
-    afterwards, so it is squared in place.
+    The same bits as ``evaluate``'s report.
     """
-    return _window_cost(x, win, win.res)[0]
+    return _window_cost(x, win)[0]
 
 
 def evaluate(x: np.ndarray, win: Window) -> tuple[CostReport, np.ndarray]:
@@ -137,8 +137,7 @@ def evaluate(x: np.ndarray, win: Window) -> tuple[CostReport, np.ndarray]:
     step and backtracks out of the unstable region.  Nothing returned
     refers to the window's storage.
     """
-    # The residual becomes the adjoint forcing, so its square needs storage of its own.
-    report, traj, res, reg_grad = _window_cost(x, win, None)
+    report, traj, res, reg_grad = _window_cost(x, win)
     if traj is None:
         return report, np.zeros(control_dim(win.J))
     grad = misfit_gradient(traj, res)

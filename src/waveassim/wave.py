@@ -21,15 +21,19 @@ half-stages so the start is second-order accurate and does not excite
 the odd/even leapfrog mode.  Since A only couples u with p, the
 leapfrog splits into two staggered chains with step 2 tau;
 :func:`chain_stack` unrolls them over BLOCK_LEVELS steps into one matrix
-per scheme.  :func:`advance_chains` takes the split start, then moves both
-chains a block per small product and fills a chunk of blocks' levels per
-large one, tangent-linear sources included, into one reused buffer given
-a consumer; :func:`transpose_chains` is its exact transpose for the
-adjoint.  :func:`check_levels` is the one blow-up scan.
+per scheme.  :func:`start_run` checks the start state and builds A and W.
+:func:`advance_chains` takes the split start, then moves both chains a
+block per small product and fills a chunk of blocks' levels per large
+one, tangent-linear sources included, into one reused buffer given a
+consumer; :func:`transpose_chains` is its exact transpose for the
+adjoint.  :func:`check_levels` is the one blow-up scan.  A
+:class:`Storage` holds every buffer a run and its sensitivity runs
+write, so that repeated runs on one window allocate nothing large.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -42,6 +46,7 @@ __all__ = [
     "GridSpec",
     "IntegrationDiverged",
     "InteriorStencil",
+    "Storage",
     "Trajectory",
     "integrate",
     "interior_stencil",
@@ -233,6 +238,36 @@ class BoundaryScheme:
         return {name: float(g.sum()) for name, g in self.groups().items()}
 
 
+class Storage:
+    """Every buffer that a run of n levels on 2N+1 values writes, allocated once.
+
+    z holds levels 0..n and what the last block overshoots.  W is a chain
+    stack whose structurally zero blocks are written here, once (see
+    :func:`chain_stack`).  chunk holds one chunk of chain levels: the
+    output of :func:`advance_chains`, the forcing of
+    :func:`transpose_chains`, or any caller's rows in between.  heads holds
+    the chain heads and their sources, lam and c the adjoint's source
+    values and block products.  Each run overwrites them all, so a
+    Trajectory integrated on a Storage lasts until the next run on it.
+    """
+
+    def __init__(self, n: int, N: int):
+        d, K = 2 * N + 1, BLOCK_LEVELS
+        self.z = np.empty((n + 2 * K + 1, d))
+        self.W = np.zeros((K * d, d + 4 * K))
+        self.chunk = np.empty((2 * K * CHUNK, d))
+        self.heads = np.empty((CHUNK + 1, 2, d + 4 * K))
+        self.lam = np.empty((n + 2 * K + 1, 4))
+        self.c = np.empty((CHUNK, 2, d + 4 * K))
+
+
+def _buffer(storage: Storage | None, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The leading entries of storage's buffer name shaped as shape; a new array without storage."""
+    if storage is None:
+        return np.empty(shape)
+    return getattr(storage, name).reshape(-1)[: math.prod(shape)].reshape(shape)
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Stacked states z = (u_0..u_N, p_1/2..p_N-1/2) at every leapfrog level.
@@ -242,7 +277,8 @@ class Trajectory:
     at t = tau/2 that the split first step produces, A the stacked operator
     the run was integrated with, W its chain stack (see :func:`chain_stack`)
     and bs the scheme they were built from: the sensitivity model reads all
-    of them.
+    of them.  storage is the Storage the run was integrated on, if any; the
+    sensitivity runs take their scratch buffers from it.
     """
 
     z: np.ndarray
@@ -251,6 +287,7 @@ class Trajectory:
     A: np.ndarray
     W: np.ndarray
     bs: BoundaryScheme
+    storage: Storage | None = None
 
     @property
     def N(self) -> int:
@@ -313,7 +350,7 @@ def stacked_operator(
     return A / grid.h
 
 
-def chain_stack(A: np.ndarray, tau: float) -> np.ndarray:
+def chain_stack(A: np.ndarray, tau: float, out: np.ndarray | None = None) -> np.ndarray:
     """The two staggered leapfrog chains unrolled over K = BLOCK_LEVELS steps.
 
     A couples u only with p, so z_{t+1} = z_{t-1} + B z_t (B = 2 tau A)
@@ -324,6 +361,8 @@ def chain_stack(A: np.ndarray, tau: float) -> np.ndarray:
     p_{t+2}.  Row block j-1 of the result holds M^j - I and M^{j-i} G for
     i = 1..K (zero for i > j), so y_j = y + (row block) @ [y; s_1; ...].
     M^j - I, not M^j, keeps the first step's rounding u_{t-1} + B D_p p_t.
+    out, if given, is the (K*d, d + 4K) storage filled; its blocks for
+    i > j must hold zeros, which no call writes.
     """
     d = A.shape[0]
     N, K = d // 2, BLOCK_LEVELS
@@ -333,7 +372,7 @@ def chain_stack(A: np.ndarray, tau: float) -> np.ndarray:
     E[N + 1 :, N + 1 :] = B[N + 1 :, : N + 1] @ B[: N + 1, N + 1 :]
     G = np.eye(d)[:, rows]
     G[:, 2:] += B[:, rows[2:]]  # a u source reaches p_{t+2} through B D_u
-    W = np.zeros((K, d, d + 4 * K))
+    W = np.zeros((K, d, d + 4 * K)) if out is None else out.reshape(K, d, d + 4 * K)
     P = W[:, :, :d]  # P[j-1] = M^j - I, by P[j] = P[j-1] + E + E P[j-1]
     P[0] = Pj = E
     for j in range(1, K):
@@ -346,12 +385,28 @@ def chain_stack(A: np.ndarray, tau: float) -> np.ndarray:
 
 def _chain_view(levels: np.ndarray, m: int) -> np.ndarray:
     """The 2*BLOCK_LEVELS*m rows of m blocks as (block, chain, step, column)."""
-    return levels.reshape(m, BLOCK_LEVELS, 2, -1).transpose(0, 2, 1, 3)
+    return levels.reshape(m, BLOCK_LEVELS, 2, levels.shape[1]).transpose(0, 2, 1, 3)
+
+
+def _to_chains(dst: np.ndarray, levels: np.ndarray) -> None:
+    """Write levels into dst (m, 2, BLOCK_LEVELS, w) as _chain_view lays them out.
+
+    levels holds at most the m blocks' 2*BLOCK_LEVELS*m rows: the last chunk
+    of a run may hold fewer, and dst is zero past them.
+    """
+    m, K = dst.shape[0], BLOCK_LEVELS
+    full, r = divmod(len(levels), 2 * K)
+    dst[:full] = _chain_view(levels[: 2 * K * full], full)
+    if full < m:
+        dst[full:] = 0.0
+        dst[full, 0, : (r + 1) // 2] = levels[2 * K * full :: 2]
+        dst[full, 1, : r // 2] = levels[2 * K * full + 1 :: 2]
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def advance_chains(
-    Z: np.ndarray, A: np.ndarray, W: np.ndarray, tau: float, n: int, q=None, q_half=None, emit=None
+    Z: np.ndarray, A: np.ndarray, W: np.ndarray, tau: float, n: int,
+    q=None, q_half=None, emit=None, storage: Storage | None = None,
 ) -> np.ndarray:
     """Fill levels 1..n of Z from level 0 with A and its chain stack W; return z_half.
 
@@ -361,11 +416,13 @@ def advance_chains(
     product fills all the chunk's levels from them.  The tangent-linear
     sources q (n, 4) at the controlled rows of levels 0..n-1 and q_half (4,)
     at the half stage add tau/2 q[0] to z_half, tau q_half to z_1 and
-    2 tau q[t] to level t+1.  Z has n + 2*BLOCK_LEVELS + 1 rows, for what the
-    last block overshoots.  Every level is filled, however large it grows:
-    blow-up is the caller's check (see :func:`check_levels`).  With emit, only
-    level 0 of Z is read; the chunks are filled into one reused buffer, and
-    emit(t, rows) gets each chunk's finished levels t, t+1, ... in turn.
+    2 tau q[t] to level t+1; each chunk weights its own rows of q.  Z has
+    n + 2*BLOCK_LEVELS + 1 rows, for what the last block overshoots.  Every
+    level is filled, however large it grows: blow-up is the caller's check
+    (see :func:`check_levels`).  With emit, only level 0 of Z is read; the
+    chunks are filled into one reused buffer, and emit(t, rows) gets each
+    chunk's finished levels t, t+1, ... in turn.  storage, if given, holds
+    the chunk and the chain heads.
     """
     d = Z.shape[1]
     N, K = d // 2, BLOCK_LEVELS
@@ -380,24 +437,23 @@ def advance_chains(
     if q is not None:
         Z[1, rows] += tau * q_half
     Z[2, pp] = Z[0, pp] + W[N + 1 : d, : N + 1] @ Z[1, uu]
-    if q is not None:
-        src = np.zeros((n + 2 * K + 1, 4))  # src[t]: what q[t-1] adds to level t
-        src[2 : n + 1] = 2.0 * tau * q[1:]
-        Z[2, rows[:2]] += src[2, :2]
+    if q is not None and n > 1:
+        Z[2, rows[:2]] += 2.0 * tau * q[1, :2]
     cols = d if q is None else d + 4 * K
     # X[b, c]: the head (u_{s-1+c}, p_{s+c}) of chain c at block b, then the
     # sources of its K steps; out[b, c, j] is that head after j+1 steps.
-    X = np.zeros((CHUNK + 1, 2, cols))
+    X = _buffer(storage, "heads", (CHUNK + 1, 2, cols))
     X[0, :, uu], X[0, :, pp] = Z[0:2, uu], Z[1:3, pp]
-    out = np.empty((CHUNK, 2, K, d))
+    out = _buffer(storage, "chunk", (CHUNK, 2, K, d))
     last, rest = W[(K - 1) * d :, :cols].T, W[: (K - 1) * d, :cols].T
     nb, t = (n + 2 * K - 2) // (2 * K), 0  # t: the level in row 0 of Z
     for b0 in range(0, nb, CHUNK):
         s, m = 1 + 2 * K * b0, min(CHUNK, nb - b0)
-        if q is not None:
+        if q is not None:  # level t+1 takes 2 tau q[t], up to level n
             xs = X[:m, :, d:].reshape(m, 2, K, 4)
-            xs[..., :2] = _chain_view(src[s + 2 : s + 2 + 2 * K * m, :2], m)
-            xs[..., 2:] = _chain_view(src[s + 1 : s + 1 + 2 * K * m, 2:], m)
+            _to_chains(xs[..., :2], q[s + 1 : s + 1 + 2 * K * m, :2])
+            _to_chains(xs[..., 2:], q[s : s + 2 * K * m, 2:])
+            xs *= 2.0 * tau
         for b in range(m):
             h = X[b + 1, :, :d]
             np.matmul(X[b], last, out=h)
@@ -420,13 +476,14 @@ def advance_chains(
 
 
 def transpose_chains(
-    a: np.ndarray, A: np.ndarray, W: np.ndarray, tau: float
+    a: np.ndarray, A: np.ndarray, W: np.ndarray, tau: float, storage: Storage | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """The adjoint (w, w_half) of advance_chains' q and q_half, from a zero level 0.
 
     a (n+1, 2N+1) holds the adjoint forcing of every level.  w (n, 4) and
     w_half (4,) are the adjoint at the controlled rows each source reaches,
-    times the weight it enters with.
+    times the weight it enters with.  storage, if given, holds the chunk,
+    the source adjoints and the block products.
     """
     n, d = a.shape[0] - 1, a.shape[1]
     N, K = d // 2, BLOCK_LEVELS
@@ -435,25 +492,24 @@ def transpose_chains(
     # Chunks and blocks in reverse.  W^T takes a chunk's forcing onto each
     # block's share of the adjoint of its heads and of its sources; the
     # carry from the next block adds through the last row block of W.
-    lam = np.zeros((n + 2 * K + 1, 4))
-    x = np.empty((CHUNK, 2, K, d))
+    lam = _buffer(storage, "lam", (n + 2 * K + 1, 4))
+    x = _buffer(storage, "chunk", (CHUNK, 2, K, d))
+    cm = _buffer(storage, "c", (CHUNK, 2, W.shape[1]))
     last = W[(K - 1) * d :]
     carry, carried = np.zeros((2, d)), np.empty((2, last.shape[1]))
     nb = (n + 2 * K - 2) // (2 * K)
     for b0 in reversed(range(0, nb, CHUNK)):
         s, m = 1 + 2 * K * b0, min(CHUNK, nb - b0)
-        f = a[s + 1 : s + 2 + 2 * K * m]
-        if len(f) < 2 * K * m + 1:  # the last block runs past level n
-            f = np.concatenate([f, np.zeros((2 * K * m + 1 - len(f), d))])
-        xm = x[:m]
-        xm[..., uu] = _chain_view(f[:-1, uu], m)
-        xm[..., pp] = _chain_view(f[1:, pp], m)
-        c = (xm.reshape(2 * m, K * d) @ W).reshape(m, 2, -1)
+        xm = x[:m]  # the forcing of the m blocks, zero past level n
+        _to_chains(xm[..., uu], a[s + 1 : s + 1 + 2 * K * m, uu])
+        _to_chains(xm[..., pp], a[s + 2 : s + 2 + 2 * K * m, pp])
+        c = cm[:m]
+        np.matmul(xm.reshape(2 * m, K * d), W, out=c.reshape(2 * m, -1))
         c[:, :, :d] += xm.sum(axis=2)
         for b in reversed(range(m)):
             c[b] += np.matmul(carry, last, out=carried)
             c[b, :, :d] += carry
-            carry = c[b, :, :d]
+            carry[:] = c[b, :, :d]
         ls = c[:, :, d:].reshape(m, 2, K, 4)
         _chain_view(lam[s + 2 : s + 2 + 2 * K * m, :2], m)[...] = ls[..., :2]
         _chain_view(lam[s + 1 : s + 1 + 2 * K * m, 2:], m)[...] = ls[..., 2:]
@@ -479,17 +535,43 @@ def check_levels(levels: np.ndarray, t: int, tau: float, blowup_threshold: float
         raise IntegrationDiverged(i, i * tau, amps[i - t])
 
 
+def start_run(
+    z0: np.ndarray, stencil: InteriorStencil, bs: BoundaryScheme, grid: GridSpec,
+    W: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The checked start state with u zeroed at the walls, A and its chain stack.
+
+    W, if given, is the chain stack storage filled (see :func:`chain_stack`).
+
+    Raises
+    ------
+    ValueError
+        If z0 is not a (2N+1,) row or u does not vanish at the walls.
+    """
+    N = grid.N
+    z0 = np.array(z0, dtype=float)
+    if z0.shape != (2 * N + 1,):
+        raise ValueError(f"start state must be a ({2 * N + 1},) row, got {z0.shape}")
+    if max(abs(z0[0]), abs(z0[N])) > 1e-9:
+        raise ValueError("u must vanish at both boundaries")
+    z0[0] = z0[N] = 0.0
+    A = stacked_operator(stencil, bs, grid)
+    return z0, A, chain_stack(A, grid.tau, W)
+
+
 def integrate(
     z0: np.ndarray,
     stencil: InteriorStencil,
     bs: BoundaryScheme,
     grid: GridSpec,
     blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD,
-    out: np.ndarray | None = None,
+    out: Storage | None = None,
 ) -> Trajectory:
     """Integrate the model from the stacked start state z0 over grid.n_steps levels.
 
-    out, if given, is the (n_steps + 2*BLOCK_LEVELS + 1, 2N+1) storage filled.
+    out, if given, is a Storage for grid.n_steps levels on grid.N cells; the
+    trajectory lives in it, and the sensitivity runs on the trajectory take
+    their scratch buffers from it.
 
     Raises
     ------
@@ -502,17 +584,9 @@ def integrate(
         minimization line search end up here.
     """
     N, tau, n = grid.N, grid.tau, grid.n_steps
-    z0 = np.asarray(z0, dtype=float)
-    if z0.shape != (2 * N + 1,):
-        raise ValueError(f"start state must be a ({2 * N + 1},) row, got {z0.shape}")
-    if max(abs(z0[0]), abs(z0[N])) > 1e-9:
-        raise ValueError("u must vanish at both boundaries")
-    A = stacked_operator(stencil, bs, grid)
-    W = chain_stack(A, tau)
-
-    Z = np.empty((n + 2 * BLOCK_LEVELS + 1, 2 * N + 1)) if out is None else out
+    z0, A, W = start_run(z0, stencil, bs, grid, None if out is None else out.W)
+    Z = np.empty((n + 2 * BLOCK_LEVELS + 1, 2 * N + 1)) if out is None else out.z
     Z[0] = z0
-    Z[0, 0] = Z[0, N] = 0.0
-    z_half = advance_chains(Z, A, W, tau, n)
+    z_half = advance_chains(Z, A, W, tau, n, storage=out)
     check_levels(Z[1 : n + 1], 1, tau, blowup_threshold)
-    return Trajectory(Z[: n + 1], z_half, tau, A, W, bs)
+    return Trajectory(Z[: n + 1], z_half, tau, A, W, bs, out)

@@ -92,7 +92,7 @@ def test_cost_dataclass_fields():
         "grid",
         "J",
         "eta",
-        "z",
+        "storage",
         "res",
     ]
     assert list(objective.CostReport.__dataclass_fields__) == [
@@ -118,7 +118,7 @@ SIGNATURES = [
     ("cli", "run_assimilation", ["exp", "T_window"]),
     ("cli", "cmd_gradcheck", ["cfg", "out_dir"]),
     ("cli", "_gradient_check", ["exp"]),
-    ("wave", "advance_chains", ["Z", "A", "W", "tau", "n", "q", "q_half", "emit"]),
+    ("wave", "advance_chains", ["Z", "A", "W", "tau", "n", "q", "q_half", "emit", "storage"]),
     ("exact", "project_initial", ["u0", "p0", "k_max"]),
     ("wave", "integrate", ["z0", "stencil", "bs", "grid", "blowup_threshold", "out"]),
     ("adjoint", "adjoint_sweep", ["traj", "forcing"]),
@@ -138,10 +138,14 @@ SIGNATURES = [
     ("exact", "mode_shapes", ["modes", "grid"]),
     # Every line search starts at the unit step; every stack spans one block.
     ("minimize", "wolfe_line_search", ["phi", "f0", "dphi0", "cfg"]),
-    ("wave", "chain_stack", ["A", "tau"]),
-    ("wave", "transpose_chains", ["a", "A", "W", "tau"]),
+    ("wave", "chain_stack", ["A", "tau", "out"]),
+    ("wave", "transpose_chains", ["a", "A", "W", "tau", "storage"]),
     # The quadrature is 16-point on max(8, k_max) panels, fixed.
     ("exact", "_composite_gauss", ["f", "n_panels"]),
+    # gradcheck fills one tangent-linear buffer for all its dot pairs.
+    ("adjoint", "tlm_run", ["traj", "dalpha", "out"]),
+    # The horizon report checks its start and builds A and W, then streams.
+    ("wave", "start_run", ["z0", "stencil", "bs", "grid", "W"]),
 ]
 
 

@@ -1,7 +1,11 @@
 """Cost function, norm, regularization, and their assembly."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_setup, split
-from waveassim.adjoint import window_misfit
+from waveassim.adjoint import misfit_gradient, tlm_run, window_misfit
 from waveassim.analysis import xi_series
 from waveassim.objective import (
     BLOWUP_PENALTY,
@@ -21,6 +25,9 @@ from waveassim.objective import (
     window_steps,
 )
 from waveassim.wave import BLOCK_LEVELS, BoundaryScheme, GridSpec, integrate, interior_stencil
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -84,8 +91,19 @@ class TestWindow:
     def test_storage_fits_the_window(self, grid30):
         _, stencil, _, _, obs, ic = make_setup(n_steps=720)
         win = Window(obs, ic, stencil, replace(grid30, n_steps=120), 1)
-        assert win.z.shape == (120 + 2 * BLOCK_LEVELS + 1, 61)
+        assert win.storage.z.shape == (120 + 2 * BLOCK_LEVELS + 1, 61)
+        assert win.storage.W.shape == (BLOCK_LEVELS * 61, 61 + 4 * BLOCK_LEVELS)
+        assert win.storage.lam.shape == (120 + 2 * BLOCK_LEVELS + 1, 4)
         assert win.res.shape == (121, 61)
+
+    def test_two_windows_share_no_storage(self, grid30):
+        _, stencil, _, _, obs, ic = make_setup(n_steps=720)
+        a, b = (Window(obs, ic, stencil, grid30, 1) for _ in range(2))
+        buffers = [[w.res] + list(vars(w.storage).values()) for w in (a, b)]
+        assert len(buffers[0]) == 7
+        for x in buffers[0]:
+            for y in buffers[1]:
+                assert not np.shares_memory(x, y)
 
     def test_window_steps(self, grid30):
         assert window_steps(6.0, grid30) == 720
@@ -215,3 +233,84 @@ def test_make_objective_buffers_leave_no_trace():
         assert fx == report.total
         assert c == report
         assert np.array_equal(gx, g)
+
+
+def _garbled(win):
+    """win with every buffer but the chain stack's zero blocks full of NaN."""
+    for name, buf in vars(win.storage).items():
+        if name != "W":
+            buf.fill(np.nan)
+    win.res.fill(np.nan)
+    return win
+
+
+@pytest.mark.parametrize("J, m", [(1, 1037), (4, 1037), (4, 514)])
+def test_storage_gives_the_bits_of_fresh_arrays(J, m):
+    # The window's storage, refilled with NaN first so that nothing is read
+    # before it is written, against the library calls that allocate every
+    # array fresh: cost, evaluate and tlm_run give the same bits.  m = 1037
+    # ends on a partial third chunk, m = 514 on a one-level block.
+    grid, stencil, _, _, obs, ic = make_setup(k=2, n_steps=m, order=4, J=J)
+    x = BoundaryScheme.classical(J).to_control_vector()
+    x += 0.01 * np.random.default_rng(5).standard_normal(x.size)
+    bs = BoundaryScheme.from_control_vector(x, J)
+    plain = integrate(ic, stencil, bs, grid)
+    misfit, res = window_misfit(plain, obs)
+    grad = misfit_gradient(plain, res)
+
+    win = _garbled(Window(obs, ic, stencil, grid, J))
+    assert cost(x, win).total == misfit
+    win = _garbled(win)
+    report, g = evaluate(x, win)
+    assert report.total == misfit
+    np.testing.assert_array_equal(g, grad)
+
+    win = _garbled(win)
+    traj = integrate(ic, stencil, bs, grid, out=win.storage)
+    np.testing.assert_array_equal(traj.z, plain.z)
+    dalpha = np.random.default_rng(6).standard_normal(x.size)
+    out = np.full_like(win.storage.z, np.nan)
+    dz = tlm_run(traj, dalpha, out)
+    assert np.shares_memory(dz, out)
+    np.testing.assert_array_equal(dz, tlm_run(plain, dalpha))
+
+
+def test_evaluations_repeat_on_reused_storage():
+    # x1, x2, then x1 again on one window: the third result is the first.
+    grid, stencil, bs, _, obs, ic = make_setup(k=2, n_steps=1037, J=4)
+    win = Window(obs, ic, stencil, grid, 4)
+    x1 = bs.to_control_vector()
+    x2 = x1 + 0.01 * np.random.default_rng(7).standard_normal(x1.size)
+    first, second, third = (evaluate(x, win) for x in (x1, x2, x1))
+    assert first[0] == third[0] != second[0]
+    np.testing.assert_array_equal(first[1], third[1])
+
+
+FAULTS = """
+import resource
+from waveassim.cli import _window, resolve_config, setup_experiment
+from waveassim.objective import evaluate
+from waveassim.wave import BoundaryScheme
+
+exp = setup_experiment(resolve_config("single-mode-second", None, {}))
+win = _window(exp, exp.config.T_window)
+x = BoundaryScheme.classical(1).to_control_vector()
+evaluate(x, win)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for k in range(20):
+    evaluate(x + 1e-4 * k, win)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+def test_evaluate_faults_in_no_pages():
+    # Every buffer of an evaluation belongs to the window, so after the
+    # first call none is handed back to the kernel and faulted in again.
+    # A fresh process keeps earlier tests' allocations from hiding it.
+    pytest.importorskip("resource")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run(
+        [sys.executable, "-c", FAULTS], env=env, capture_output=True, text=True, check=True
+    )
+    assert float(out.stdout) <= 5.0
