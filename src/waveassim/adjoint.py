@@ -11,7 +11,9 @@ is linear in d_alpha).  ``adjoint_sweep`` applies the exact transpose of
 that linear map: ``wave.transpose_chains`` yields the adjoint of the
 sources, then one projection takes it onto coefficient space.  Both keep
 the stacked layout of the trajectory: ``tlm_run`` returns dz shaped like
-traj.z and ``adjoint_sweep`` takes a forcing of that shape.
+traj.z and ``adjoint_sweep`` takes a forcing of that shape.  Both, and
+``window_misfit``'s residual, take their scratch from the trajectory's
+``wave.Storage``.
 
 The control vector is ``BoundaryScheme.to_control_vector``; the operator
 entries each of its four stencil groups sets, and so the sensitivity of
@@ -72,7 +74,7 @@ def tlm_run(traj: Trajectory, dalpha: np.ndarray, out: np.ndarray | None = None)
     dz = np.empty((n + 2 * BLOCK_LEVELS + 1, traj.z.shape[1])) if out is None else out
     dz[0] = 0.0
     q, q_half = (S * dg).sum(-1), (S_half * dg).sum(-1)
-    advance_chains(dz, traj.A, traj.W, traj.tau, n, q, q_half, storage=traj.storage)
+    advance_chains(dz, traj.A, traj.storage, traj.tau, n, q, q_half)
     return dz[: n + 1]
 
 
@@ -93,7 +95,7 @@ def adjoint_sweep(traj: Trajectory, forcing: np.ndarray) -> np.ndarray:
     J = traj.bs.J
     S_half, S = _sensitivity(traj.z_half, J), _sensitivity(traj.z[:-1], J)
     a = np.asarray(forcing, dtype=float)
-    w, w_half = transpose_chains(a, traj.A, traj.W, traj.tau, traj.storage)
+    w, w_half = transpose_chains(a, traj.A, traj.storage, traj.tau)
     g = np.einsum("tgj,tg->gj", S, w) + S_half * w_half[:, None]
     return g.ravel()
 
@@ -107,22 +109,16 @@ def time_weights(m: int, tau: float) -> np.ndarray:
     return w
 
 
-def window_misfit(
-    traj: Trajectory,
-    obs: np.ndarray,
-    out: np.ndarray | None = None,
-    squares: np.ndarray | None = None,
-) -> tuple[float, np.ndarray]:
+def window_misfit(traj: Trajectory, obs: np.ndarray) -> tuple[float, np.ndarray]:
     """Windowed misfit cost and the residual traj.z - obs it integrates.
 
     The cost is the trapezoid time integral over the trajectory's levels of
     the spatial integral of (u - u_obs)^2 + (p - p_obs)^2 (weight h on the
     p half-nodes and interior u nodes; u vanishes at the walls).  obs holds
     the observed stacked states, at least as many levels as the trajectory
-    stores.  out, if given, is traj.z-shaped storage for the residual.
-    squares, if given, holds the squares of as many levels as it has rows
-    at a time (each level's sums are its own, so any count gives the same
-    bits); by default it holds all of them.
+    stores.  The residual goes into traj.storage.res, so it lasts until the
+    next window_misfit on that storage, and its squares into
+    traj.storage.chunk, a chunk of levels at a time.
     """
     m, N = traj.n_steps, traj.N
     if obs.shape[1:] != traj.z.shape[1:] or len(obs) < m + 1:
@@ -130,8 +126,8 @@ def window_misfit(
             f"observations of shape {obs.shape} do not cover the trajectory's "
             f"{m + 1} levels of {traj.z.shape[1]} values"
         )
-    res = np.subtract(traj.z, obs[: m + 1], out=out)
-    squares = np.empty_like(res) if squares is None else squares
+    res = np.subtract(traj.z, obs[: m + 1], out=traj.storage.res[: m + 1])
+    squares = traj.storage.chunk
     level_misfit = np.empty(m + 1)
     for t in range(0, m + 1, len(squares)):
         r = res[t : t + len(squares)]

@@ -27,8 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from .exact import ModeSpec, exact_fields, mode_shapes
-from .wave import DEFAULT_BLOWUP_THRESHOLD, BoundaryScheme, GridSpec, InteriorStencil, Trajectory
-from .wave import advance_chains, check_levels, start_run
+from .wave import BLOCK_LEVELS, CHUNK, DEFAULT_BLOWUP_THRESHOLD, BoundaryScheme, GridSpec
+from .wave import InteriorStencil, Storage, Trajectory, advance_chains, check_levels, start_run
 
 __all__ = [
     "beta2",
@@ -211,7 +211,8 @@ def horizon_report(
     """xi_series of the run from z0 and, with a stride, its u rows at levels 0, stride, ...
 
     The bits and IntegrationDiverged of integrate + xi_series, but each chunk of
-    levels is checked and reduced as it is stepped, so no trajectory is stored.
+    levels is checked and reduced as it is stepped in a one-chunk Storage, so
+    no trajectory is stored.
     """
     times, xi = grid.times, np.empty(grid.n_steps + 1)
     u = None if stride is None else np.empty((len(times[::stride]), grid.N + 1))
@@ -224,8 +225,9 @@ def horizon_report(
             sampled = rows[-t % stride :: stride, : grid.N + 1]
             u[-(-t // stride) :][: len(sampled)] = sampled
 
-    z0, A, W = start_run(z0, stencil, bs, grid)
-    advance_chains(z0[None], A, W, grid.tau, grid.n_steps, emit=consume)
+    storage = Storage(min(grid.n_steps, 2 * BLOCK_LEVELS * CHUNK), grid.N)
+    A = start_run(z0, stencil, bs, grid, storage)
+    advance_chains(storage.z, A, storage, grid.tau, grid.n_steps, emit=consume)
     return times, xi, u
 
 

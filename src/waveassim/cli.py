@@ -421,8 +421,8 @@ def _gradient_check(exp: Experiment) -> dict:
     cfg = exp.config
     win = _window(exp, cfg.T_window)
     bs = BoundaryScheme.classical(cfg.J)
-    # The dot test runs on the window's own storage (trajectory and scratch in
-    # storage, forcing in res), which evaluate then refills; every pair's
+    # The dot test runs on the window's own storage (trajectory and scratch;
+    # res holds the forcing), which evaluate then refills; every pair's
     # tangent-linear run fills one buffer.
     traj = integrate(exp.ic, exp.stencil, bs, win.grid, out=win.storage)
     dz = np.empty_like(win.storage.z)
@@ -436,7 +436,7 @@ def _gradient_check(exp: Experiment) -> dict:
         fp = rng.standard_normal(traj.p.shape)
         du, dp = np.hsplit(tlm_run(traj, dalpha, dz), [cfg.N + 1])
         lhs = float((du * fu).sum() + (dp * fp).sum())
-        forcing = np.concatenate([fu, fp], axis=1, out=win.res)
+        forcing = np.concatenate([fu, fp], axis=1, out=win.storage.res)
         del du, dp, fu, fp  # only one pair's fields are alive at a time
         rhs = float(dalpha @ adjoint_sweep(traj, forcing))
         dot_residuals.append(abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))

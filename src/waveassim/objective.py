@@ -6,8 +6,9 @@ regularization penalizes the squared coefficient sum of each stencil
 group, which selects the zero-order-consistent point inside an otherwise
 flat (Hessian-kernel) direction.  A ``Window`` binds everything the cost
 depends on but the coefficients: observations, start state, interior
-stencil, the window grid, J and eta, plus every buffer that an
-evaluation writes, so that evaluations allocate nothing large.
+stencil, the window grid, J and eta, plus the ``wave.Storage`` that
+holds every buffer an evaluation writes, so that evaluations allocate
+nothing large.
 ``cost`` returns the cost breakdown alone; ``evaluate``, which the
 minimizer calls through ``make_objective``, returns the same breakdown
 and the exact gradient assembled from the adjoint sweep.  Both run one code path up to the
@@ -63,9 +64,9 @@ class Window:
 
     grid is the window grid: the cost integrates levels 0..grid.n_steps,
     and obs holds the observed stacked states of at least those levels.
-    storage (the trajectory, its chain stack and the scratch of the chain
-    runs, see ``wave.Storage``) and res (the residual) are allocated once
-    here; every ``cost`` and ``evaluate`` overwrites them.
+    storage (the trajectory, its chain stack, the residual and the scratch
+    of the chain runs, see ``wave.Storage``) is allocated once here; every
+    ``cost`` and ``evaluate`` overwrites it.
     """
 
     obs: np.ndarray
@@ -75,14 +76,11 @@ class Window:
     J: int
     eta: float = 0.0
     storage: Storage = field(init=False, repr=False)
-    res: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 <= self.eta < math.inf:
             raise ValueError(f"regularization weight must be >= 0 and finite, got {self.eta}")
-        m, N = self.grid.n_steps, self.grid.N
-        object.__setattr__(self, "storage", Storage(m, N))
-        object.__setattr__(self, "res", np.empty((m + 1, 2 * N + 1)))
+        object.__setattr__(self, "storage", Storage(self.grid.n_steps, self.grid.N))
 
 
 def window_steps(T_window: float, grid: GridSpec) -> int:
@@ -102,15 +100,15 @@ def window_steps(T_window: float, grid: GridSpec) -> int:
 def _window_cost(x, win):
     """integrate, misfit and regularization at x: (report, traj, residual, reg gradient).
 
-    The squares of the residual take the storage's chunk, a chunk of levels
-    at a time.  traj and the residual are None when the integration diverged.
+    traj and the residual, both in the window's storage, are None when the
+    integration diverged.
     """
     bs = BoundaryScheme.from_control_vector(x, win.J)
     try:
         traj = integrate(win.ic, win.stencil, bs, win.grid, out=win.storage)
     except IntegrationDiverged:
         return CostReport(BLOWUP_PENALTY, BLOWUP_PENALTY, 0.0), None, None, None
-    misfit, res = window_misfit(traj, win.obs, out=win.res, squares=win.storage.chunk)
+    misfit, res = window_misfit(traj, win.obs)
 
     # One row per stencil group; a sum does not depend on the reversed
     # order of the tilde groups.  d/d alpha_j of eta * (sum alpha)^2 is the

@@ -21,14 +21,14 @@ half-stages so the start is second-order accurate and does not excite
 the odd/even leapfrog mode.  Since A only couples u with p, the
 leapfrog splits into two staggered chains with step 2 tau;
 :func:`chain_stack` unrolls them over BLOCK_LEVELS steps into one matrix
-per scheme.  :func:`start_run` checks the start state and builds A and W.
+per scheme.  A run and its sensitivity runs write only into the run's
+:class:`Storage`, so repeated runs on one storage allocate nothing large.
+:func:`start_run` checks the start state into it and builds A and W.
 :func:`advance_chains` takes the split start, then moves both chains a
 block per small product and fills a chunk of blocks' levels per large
-one, tangent-linear sources included, into one reused buffer given a
-consumer; :func:`transpose_chains` is its exact transpose for the
-adjoint.  :func:`check_levels` is the one blow-up scan.  A
-:class:`Storage` holds every buffer a run and its sensitivity runs
-write, so that repeated runs on one window allocate nothing large.
+one, tangent-linear sources included, or hands them to a consumer a
+chunk at a time; :func:`transpose_chains` is its exact transpose for the
+adjoint.  :func:`check_levels` is the one blow-up scan.
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ class GridSpec:
             # short runs and derivative evaluations are still meaningful.
             warnings.warn(
                 f"tau/h = {self.tau * self.N:.3f} exceeds the CFL bound 1",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @property
@@ -241,14 +241,16 @@ class BoundaryScheme:
 class Storage:
     """Every buffer that a run of n levels on 2N+1 values writes, allocated once.
 
-    z holds levels 0..n and what the last block overshoots.  W is a chain
-    stack whose structurally zero blocks are written here, once (see
-    :func:`chain_stack`).  chunk holds one chunk of chain levels: the
-    output of :func:`advance_chains`, the forcing of
-    :func:`transpose_chains`, or any caller's rows in between.  heads holds
-    the chain heads and their sources, lam and c the adjoint's source
-    values and block products.  Each run overwrites them all, so a
-    Trajectory integrated on a Storage lasts until the next run on it.
+    z holds levels 0..n and what the last block overshoots; a run that
+    emits its levels refills it a chunk at a time, so n = 2*BLOCK_LEVELS*CHUNK
+    serves a run of any length.  W is a chain stack whose structurally zero
+    blocks are written here, once (see :func:`chain_stack`).  chunk holds
+    one chunk of chain levels: the output of :func:`advance_chains`, the
+    forcing of :func:`transpose_chains`, or any caller's rows in between.
+    heads holds the chain heads and their sources, lam and c the adjoint's
+    source values and block products, res the residual of levels 0..n.
+    Each run overwrites them, so a Trajectory lasts until the next run on
+    its storage.
     """
 
     def __init__(self, n: int, N: int):
@@ -259,12 +261,11 @@ class Storage:
         self.heads = np.empty((CHUNK + 1, 2, d + 4 * K))
         self.lam = np.empty((n + 2 * K + 1, 4))
         self.c = np.empty((CHUNK, 2, d + 4 * K))
+        self.res = np.empty((n + 1, d))
 
 
-def _buffer(storage: Storage | None, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """The leading entries of storage's buffer name shaped as shape; a new array without storage."""
-    if storage is None:
-        return np.empty(shape)
+def _buffer(storage: Storage, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The leading entries of storage's buffer name, shaped as shape."""
     return getattr(storage, name).reshape(-1)[: math.prod(shape)].reshape(shape)
 
 
@@ -275,19 +276,18 @@ class Trajectory:
     z has shape (n_steps+1, 2N+1); ``u`` (n_steps+1, N+1) and ``p``
     (n_steps+1, N) are views into it.  z_half holds the intermediate state
     at t = tau/2 that the split first step produces, A the stacked operator
-    the run was integrated with, W its chain stack (see :func:`chain_stack`)
-    and bs the scheme they were built from: the sensitivity model reads all
-    of them.  storage is the Storage the run was integrated on, if any; the
-    sensitivity runs take their scratch buffers from it.
+    the run was integrated with and bs the scheme it was built from.
+    storage is the Storage the run was integrated on: z lives in it, its W
+    is A's chain stack (see :func:`chain_stack`), and the sensitivity runs
+    take their scratch from it.
     """
 
     z: np.ndarray
     z_half: np.ndarray
     tau: float
     A: np.ndarray
-    W: np.ndarray
     bs: BoundaryScheme
-    storage: Storage | None = None
+    storage: Storage
 
     @property
     def N(self) -> int:
@@ -350,7 +350,7 @@ def stacked_operator(
     return A / grid.h
 
 
-def chain_stack(A: np.ndarray, tau: float, out: np.ndarray | None = None) -> np.ndarray:
+def chain_stack(A: np.ndarray, tau: float, storage: Storage) -> None:
     """The two staggered leapfrog chains unrolled over K = BLOCK_LEVELS steps.
 
     A couples u only with p, so z_{t+1} = z_{t-1} + B z_t (B = 2 tau A)
@@ -361,8 +361,8 @@ def chain_stack(A: np.ndarray, tau: float, out: np.ndarray | None = None) -> np.
     p_{t+2}.  Row block j-1 of the result holds M^j - I and M^{j-i} G for
     i = 1..K (zero for i > j), so y_j = y + (row block) @ [y; s_1; ...].
     M^j - I, not M^j, keeps the first step's rounding u_{t-1} + B D_p p_t.
-    out, if given, is the (K*d, d + 4K) storage filled; its blocks for
-    i > j must hold zeros, which no call writes.
+    The result fills storage.W, whose blocks for i > j hold the zeros that
+    the storage was made with: no call writes them.
     """
     d = A.shape[0]
     N, K = d // 2, BLOCK_LEVELS
@@ -372,7 +372,7 @@ def chain_stack(A: np.ndarray, tau: float, out: np.ndarray | None = None) -> np.
     E[N + 1 :, N + 1 :] = B[N + 1 :, : N + 1] @ B[: N + 1, N + 1 :]
     G = np.eye(d)[:, rows]
     G[:, 2:] += B[:, rows[2:]]  # a u source reaches p_{t+2} through B D_u
-    W = np.zeros((K, d, d + 4 * K)) if out is None else out.reshape(K, d, d + 4 * K)
+    W = storage.W.reshape(K, d, d + 4 * K)
     P = W[:, :, :d]  # P[j-1] = M^j - I, by P[j] = P[j-1] + E + E P[j-1]
     P[0] = Pj = E
     for j in range(1, K):
@@ -380,7 +380,6 @@ def chain_stack(A: np.ndarray, tau: float, out: np.ndarray | None = None) -> np.
     MG = np.concatenate([G[None], G + P[:-1] @ G])  # M^q G, q < K
     for i in range(K):
         W[i:, :, d + 4 * i : d + 4 * i + 4] = MG[: K - i]
-    return W.reshape(K * d, d + 4 * K)
 
 
 def _chain_view(levels: np.ndarray, m: int) -> np.ndarray:
@@ -405,10 +404,10 @@ def _to_chains(dst: np.ndarray, levels: np.ndarray) -> None:
 
 @np.errstate(over="ignore", invalid="ignore")
 def advance_chains(
-    Z: np.ndarray, A: np.ndarray, W: np.ndarray, tau: float, n: int,
-    q=None, q_half=None, emit=None, storage: Storage | None = None,
+    Z: np.ndarray, A: np.ndarray, storage: Storage, tau: float, n: int,
+    q=None, q_half=None, emit=None,
 ) -> np.ndarray:
-    """Fill levels 1..n of Z from level 0 with A and its chain stack W; return z_half.
+    """Fill levels 1..n of Z from level 0 with A and its chain stack storage.W; return z_half.
 
     The split first step z_half = z_0 + tau/2 A z_0, z_1 = z_0 + tau A z_half
     and p_2 = p_0 + B D_u u_1 start the two chains.  Then per CHUNK blocks of
@@ -419,15 +418,12 @@ def advance_chains(
     2 tau q[t] to level t+1; each chunk weights its own rows of q.  Z has
     n + 2*BLOCK_LEVELS + 1 rows, for what the last block overshoots.  Every
     level is filled, however large it grows: blow-up is the caller's check
-    (see :func:`check_levels`).  With emit, only level 0 of Z is read; the
-    chunks are filled into one reused buffer, and emit(t, rows) gets each
-    chunk's finished levels t, t+1, ... in turn.  storage, if given, holds
-    the chunk and the chain heads.
+    (see :func:`check_levels`).  With emit, Z is refilled a chunk at a time
+    (see :class:`Storage`), and emit(t, rows) gets each chunk's finished
+    levels t, t+1, ... in turn.  storage also holds the chunk and the heads.
     """
-    d = Z.shape[1]
+    d, W = Z.shape[1], storage.W
     N, K = d // 2, BLOCK_LEVELS
-    if emit is not None:  # the first chunk's levels and the one after them
-        Z = np.concatenate([Z[:1], np.empty((2 * K * CHUNK + 2, d))])
     uu, pp = slice(0, N + 1), slice(N + 1, d)
     rows = boundary_entries(N, 0)[0]
     z_half = Z[0] + 0.5 * tau * (A @ Z[0])
@@ -476,16 +472,16 @@ def advance_chains(
 
 
 def transpose_chains(
-    a: np.ndarray, A: np.ndarray, W: np.ndarray, tau: float, storage: Storage | None = None
+    a: np.ndarray, A: np.ndarray, storage: Storage, tau: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """The adjoint (w, w_half) of advance_chains' q and q_half, from a zero level 0.
 
     a (n+1, 2N+1) holds the adjoint forcing of every level.  w (n, 4) and
     w_half (4,) are the adjoint at the controlled rows each source reaches,
-    times the weight it enters with.  storage, if given, holds the chunk,
-    the source adjoints and the block products.
+    times the weight it enters with.  storage holds the chain stack W, the
+    chunk, the source adjoints and the block products.
     """
-    n, d = a.shape[0] - 1, a.shape[1]
+    n, d, W = a.shape[0] - 1, a.shape[1], storage.W
     N, K = d // 2, BLOCK_LEVELS
     uu, pp = slice(0, N + 1), slice(N + 1, d)
     rows = boundary_entries(N, 0)[0]
@@ -537,11 +533,11 @@ def check_levels(levels: np.ndarray, t: int, tau: float, blowup_threshold: float
 
 def start_run(
     z0: np.ndarray, stencil: InteriorStencil, bs: BoundaryScheme, grid: GridSpec,
-    W: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The checked start state with u zeroed at the walls, A and its chain stack.
+    storage: Storage,
+) -> np.ndarray:
+    """Check z0 into level 0 of storage.z, u zeroed at the walls; return A.
 
-    W, if given, is the chain stack storage filled (see :func:`chain_stack`).
+    storage.W takes A's chain stack (see :func:`chain_stack`).
 
     Raises
     ------
@@ -549,14 +545,16 @@ def start_run(
         If z0 is not a (2N+1,) row or u does not vanish at the walls.
     """
     N = grid.N
-    z0 = np.array(z0, dtype=float)
+    z0 = np.asarray(z0, dtype=float)
     if z0.shape != (2 * N + 1,):
         raise ValueError(f"start state must be a ({2 * N + 1},) row, got {z0.shape}")
     if max(abs(z0[0]), abs(z0[N])) > 1e-9:
         raise ValueError("u must vanish at both boundaries")
-    z0[0] = z0[N] = 0.0
     A = stacked_operator(stencil, bs, grid)
-    return z0, A, chain_stack(A, grid.tau, W)
+    chain_stack(A, grid.tau, storage)
+    storage.z[0] = z0
+    storage.z[0, [0, N]] = 0.0
+    return A
 
 
 def integrate(
@@ -569,9 +567,9 @@ def integrate(
 ) -> Trajectory:
     """Integrate the model from the stacked start state z0 over grid.n_steps levels.
 
-    out, if given, is a Storage for grid.n_steps levels on grid.N cells; the
-    trajectory lives in it, and the sensitivity runs on the trajectory take
-    their scratch buffers from it.
+    The run and the sensitivity runs on its trajectory write into out, a
+    Storage of at least grid.n_steps levels on grid.N cells; without out
+    they write into a new one.
 
     Raises
     ------
@@ -583,10 +581,9 @@ def integrate(
         such level.  Unstable boundary schemes reached during a
         minimization line search end up here.
     """
-    N, tau, n = grid.N, grid.tau, grid.n_steps
-    z0, A, W = start_run(z0, stencil, bs, grid, None if out is None else out.W)
-    Z = np.empty((n + 2 * BLOCK_LEVELS + 1, 2 * N + 1)) if out is None else out.z
-    Z[0] = z0
-    z_half = advance_chains(Z, A, W, tau, n, storage=out)
-    check_levels(Z[1 : n + 1], 1, tau, blowup_threshold)
-    return Trajectory(Z[: n + 1], z_half, tau, A, W, bs, out)
+    tau, n = grid.tau, grid.n_steps
+    storage = Storage(n, grid.N) if out is None else out
+    A = start_run(z0, stencil, bs, grid, storage)
+    z_half = advance_chains(storage.z, A, storage, tau, n)
+    check_levels(storage.z[1 : n + 1], 1, tau, blowup_threshold)
+    return Trajectory(storage.z[: n + 1], z_half, tau, A, bs, storage)

@@ -1,5 +1,7 @@
 """Tangent-linear model, adjoint sweep, and the misfit gradient."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from waveassim.wave import (
     CHUNK,
     BoundaryScheme,
     GridSpec,
+    Storage,
     integrate,
     interior_stencil,
 )
@@ -134,6 +137,21 @@ class TestAdjointSweep:
         kept = f.copy()
         adjoint_sweep(traj, f)
         np.testing.assert_array_equal(f, kept)
+
+    def test_scratch_comes_from_the_trajectory_storage(self):
+        # integrate without out gives the trajectory a Storage of its own,
+        # and the sweep takes its chunk, source adjoints and block products
+        # from it: at m = 720 no call allocates even one chunk buffer.
+        grid, stencil, bs, obs, ic, traj = small_case(N=30, n_steps=720)
+        assert isinstance(traj.storage, Storage)
+        f = random_forcing(np.random.default_rng(8), traj)
+        tracemalloc.start()
+        try:
+            adjoint_sweep(traj, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < traj.storage.chunk.nbytes
 
     @pytest.mark.parametrize("J,order", [(1, 2), (4, 2), (1, 4), (4, 4)])
     def test_dot_product_identity(self, J, order):
@@ -278,9 +296,9 @@ class TestMisfitGradient:
 
     @pytest.mark.parametrize("order, J", [(2, 1), (4, 3)])
     def test_bit_identical_to_the_residual_formula(self, order, J):
-        # The residual goes straight into one buffer and is squared into
-        # another; cost and gradient must equal, bit for bit, a copy of the
-        # trajectory minus the observations weighted as the adjoint forcing.
+        # The residual goes straight into the storage's res and is squared
+        # into its chunk; cost and gradient must equal, bit for bit, a copy of
+        # the trajectory minus the observations weighted as the adjoint forcing.
         obs = sample_observations(
             [ModeSpec(2, 1.0, 0.5), ModeSpec(5, 0.3, 1.0)], GridSpec(30, 1.0 / 120.0, 300)
         )
@@ -289,9 +307,8 @@ class TestMisfitGradient:
         x += 0.01 * np.random.default_rng(3).standard_normal(x.size)
         bs = BoundaryScheme.from_control_vector(x, J)
         traj = integrate(ic, interior_stencil(order), bs, GridSpec(30, 1.0 / 120.0, 250))
-        out, squares = np.empty_like(traj.z), np.empty_like(traj.z)
-        misfit, res_out = window_misfit(traj, obs, out=out, squares=squares)
-        assert res_out is out
+        misfit, res_out = window_misfit(traj, obs)
+        assert np.shares_memory(res_out, traj.storage.res)
         grad = misfit_gradient(traj, res_out)
 
         m, N, h = traj.n_steps, traj.N, 1.0 / traj.N

@@ -236,11 +236,16 @@ K = BLOCK_LEVELS
 
 
 class TestHorizonReport:
-    @pytest.mark.parametrize("n_steps", [1, 2, 5, 2 * K * CHUNK + 1, 2 * K * CHUNK + 2, 1037])
+    @pytest.mark.parametrize(
+        "n_steps",
+        [1, 2, 5, 2 * K * CHUNK + 1, 2 * K * CHUNK + 2, 1037, 2 * K * CHUNK - 1, 2 * K * CHUNK],
+    )
     @pytest.mark.parametrize("stride", [1, 13])
     def test_streamed_run_matches_the_stored_one(self, n_steps, stride):
         # One chunk holds levels 0..2*K*CHUNK+1; the edges and 1037 levels
-        # (three chunks, the last one partial) hand over mid-stride.
+        # (three chunks, the last one partial) hand over mid-stride.  The run
+        # steps in a Storage of min(n_steps, 2*K*CHUNK) levels, which still
+        # holds the whole run at 2*K*CHUNK - 1 and 2*K*CHUNK levels.
         grid, stencil, bs, modes, _, ic = make_setup(k=5, n_steps=n_steps, order=4)
         traj = integrate(ic, stencil, bs, grid)
         times, xi = analysis.xi_series(traj, modes)

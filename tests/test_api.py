@@ -93,7 +93,6 @@ def test_cost_dataclass_fields():
         "J",
         "eta",
         "storage",
-        "res",
     ]
     assert list(objective.CostReport.__dataclass_fields__) == [
         "total",
@@ -118,7 +117,7 @@ SIGNATURES = [
     ("cli", "run_assimilation", ["exp", "T_window"]),
     ("cli", "cmd_gradcheck", ["cfg", "out_dir"]),
     ("cli", "_gradient_check", ["exp"]),
-    ("wave", "advance_chains", ["Z", "A", "W", "tau", "n", "q", "q_half", "emit", "storage"]),
+    ("wave", "advance_chains", ["Z", "A", "storage", "tau", "n", "q", "q_half", "emit"]),
     ("exact", "project_initial", ["u0", "p0", "k_max"]),
     ("wave", "integrate", ["z0", "stencil", "bs", "grid", "blowup_threshold", "out"]),
     ("adjoint", "adjoint_sweep", ["traj", "forcing"]),
@@ -126,7 +125,7 @@ SIGNATURES = [
     ("analysis", "horizon_report", ["z0", "stencil", "bs", "grid", "modes", "stride"]),
     # The benchmark checks forward's xi.csv against integrate + xi_series.
     ("analysis", "xi_series", ["traj", "modes"]),
-    ("adjoint", "window_misfit", ["traj", "obs", "out", "squares"]),
+    ("adjoint", "window_misfit", ["traj", "obs"]),
     ("objective", "cost", ["x", "win"]),
     ("objective", "evaluate", ["x", "win"]),
     ("objective", "make_objective", ["win"]),
@@ -138,14 +137,14 @@ SIGNATURES = [
     ("exact", "mode_shapes", ["modes", "grid"]),
     # Every line search starts at the unit step; every stack spans one block.
     ("minimize", "wolfe_line_search", ["phi", "f0", "dphi0", "cfg"]),
-    ("wave", "chain_stack", ["A", "tau", "out"]),
-    ("wave", "transpose_chains", ["a", "A", "W", "tau", "storage"]),
+    ("wave", "chain_stack", ["A", "tau", "storage"]),
+    ("wave", "transpose_chains", ["a", "A", "storage", "tau"]),
     # The quadrature is 16-point on max(8, k_max) panels, fixed.
     ("exact", "_composite_gauss", ["f", "n_panels"]),
     # gradcheck fills one tangent-linear buffer for all its dot pairs.
     ("adjoint", "tlm_run", ["traj", "dalpha", "out"]),
     # The horizon report checks its start and builds A and W, then streams.
-    ("wave", "start_run", ["z0", "stencil", "bs", "grid", "W"]),
+    ("wave", "start_run", ["z0", "stencil", "bs", "grid", "storage"]),
 ]
 
 

@@ -94,12 +94,12 @@ class TestWindow:
         assert win.storage.z.shape == (120 + 2 * BLOCK_LEVELS + 1, 61)
         assert win.storage.W.shape == (BLOCK_LEVELS * 61, 61 + 4 * BLOCK_LEVELS)
         assert win.storage.lam.shape == (120 + 2 * BLOCK_LEVELS + 1, 4)
-        assert win.res.shape == (121, 61)
+        assert win.storage.res.shape == (121, 61)
 
     def test_two_windows_share_no_storage(self, grid30):
         _, stencil, _, _, obs, ic = make_setup(n_steps=720)
         a, b = (Window(obs, ic, stencil, grid30, 1) for _ in range(2))
-        buffers = [[w.res] + list(vars(w.storage).values()) for w in (a, b)]
+        buffers = [list(vars(w.storage).values()) for w in (a, b)]
         assert len(buffers[0]) == 7
         for x in buffers[0]:
             for y in buffers[1]:
@@ -240,7 +240,6 @@ def _garbled(win):
     for name, buf in vars(win.storage).items():
         if name != "W":
             buf.fill(np.nan)
-    win.res.fill(np.nan)
     return win
 
 

@@ -95,8 +95,10 @@ class TestTypes:
                 GridSpec(N, 1.0 / 120.0, n_steps)
 
     def test_cfl_soft_warning(self):
-        with pytest.warns(UserWarning, match="CFL"):
+        with pytest.warns(UserWarning, match="CFL") as record:
             GridSpec(30, 1.0 / 10.0, 5)
+        # The warning names the line that made the grid.
+        assert record[0].filename == __file__
 
     def test_interior_presets_consistent(self):
         offsets = np.array([-1, 0, 1, 2])
