@@ -7,8 +7,10 @@ window length, plus the fitted coefficient line), ``gradcheck``
 (adjoint and gradient verification; nonzero exit on failure) and
 ``dispersion`` (speed-error tables and analytic markers).  Series go to
 CSV with a one-line header, structured results to JSON; identical
-configurations produce byte-identical outputs on one machine and BLAS
-build (another BLAS may round differently and move a fit's iterates).
+configurations produce byte-identical outputs on one machine, BLAS build
+and BLAS thread count (another BLAS or thread count may round
+differently and move a fit's iterates; CI and the benchmark pin
+OPENBLAS_NUM_THREADS=1).
 """
 
 from __future__ import annotations

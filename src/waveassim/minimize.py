@@ -6,8 +6,9 @@ cubic-interpolation zoom).  A non-finite function value marks an
 infeasible step, so an objective that returns +inf inside an unstable
 parameter region is simply backtracked out of.  Everything is
 deterministic: identical inputs give bitwise identical iterates on one
-machine and BLAS build; another BLAS may round the objective differently
-and move the iterates.
+machine, BLAS build and BLAS thread count; another BLAS or thread count
+may round the objective differently and move the iterates (a fit at
+OPENBLAS_NUM_THREADS=1 and at 2 ends at different coefficients).
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, one printed PASS/FAIL line each.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  A run repeats bit for
-bit only on one machine and BLAS build: elsewhere rounding takes another
-path, and a fit with several local minima can end in another one.  The
+bit only on one machine, BLAS build and BLAS thread count (CI pins
+OPENBLAS_NUM_THREADS=1): elsewhere rounding takes another path, and a
+fit with several local minima can end in another one.  The
 rich-spectrum J = 1 fit is such a fit, so criterion 8 asserts its claim
 on each member of a rounding ensemble (the classical start plus four
 starts perturbed by 1e-10).  The heavy assimilation runs are shared

@@ -1,6 +1,8 @@
-"""Public API guard: exported names, removed names, and the bench tracer's hooks."""
+"""Public API guard: exported names, removed names, the bench tracer's hooks, and a CI
+workflow that leaves every check to the tests."""
 
 import ast
+import functools
 import importlib
 import importlib.util
 import inspect
@@ -52,6 +54,7 @@ REMOVED = {
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
+WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
 
 
 def test_all_names_import():
@@ -218,6 +221,7 @@ def _readme_python_blocks() -> list[str]:
     return re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.S | re.M)
 
 
+@functools.cache
 def _names_read_outside_tests() -> set[str]:
     """Names read by src/, the README example, the CI workflows or perfbench/."""
     names = set()
@@ -264,3 +268,36 @@ def test_package_exports_only_what_its_users_import():
     sources += [path.read_text() for path in (ROOT / "perfbench").glob("*.py")]
     imported = set().union(*map(_package_imports, sources))
     assert [name for name in waveassim.__all__ if name not in imported] == []
+
+
+# What asserts in a shell step: inline Python, a byte comparison, test, grep -q.
+_ASSERTION = re.compile(r"\bpython3? -c\b|\bcmp\b|\bassert\b|\bgrep -q\b|\btest ")
+
+
+def _workflow_steps() -> list[tuple[str, list[str]]]:
+    """tier1.yml cut at each step: its name (or uses:) and its lines, # comments left out.
+
+    The lines before the first step come first, under the name "".
+    """
+    steps = [("", [])]
+    for line in WORKFLOW.read_text().splitlines():
+        step = re.match(r"\s*- (?:name|uses): (.*)", line)
+        if step:
+            steps.append((step.group(1), []))
+        if not line.lstrip().startswith("#"):
+            steps[-1][1].append(line)
+    return steps
+
+
+def test_ci_asserts_only_in_the_benchmark_smoke():
+    # Every other check is a tier-1 test, so a local run sees what CI sees.
+    for name, lines in _workflow_steps():
+        if name != "Benchmark smoke":
+            assert [line for line in lines if _ASSERTION.search(line)] == [], name
+
+
+def test_ci_calls_each_subcommand_once():
+    # The installed entry point runs each command of the CLI once.
+    console = dict(_workflow_steps())["Console script"]
+    calls = [line.split()[1] for line in console if line.split()[:1] == ["waveassim"]]
+    assert sorted(calls) == sorted(cli._COMMANDS)

@@ -172,12 +172,14 @@ class TestForward:
         assert (a / "xi.csv").read_bytes() == (b / "xi.csv").read_bytes()
         assert (a / "error_xt.csv").read_bytes() == (b / "error_xt.csv").read_bytes()
 
-    @pytest.mark.parametrize("n_steps", [1100, 300, 200])
+    @pytest.mark.parametrize("n_steps", [1100, 300, 200, 512, 1037])
     def test_sampled_errors_match_full_arrays(self, tmp_path, n_steps):
         # The 13 polyexp modes on N = 13: 1100 steps span five chunks of
-        # xi_series, 300 span two and 200 stay inside one.  The exact fields written out at
-        # every level at once must give the same bits as the chunked series
-        # and the strided error_xt.csv samples.
+        # xi_series, 300 span two and 200 stay inside one.  The horizon run
+        # steps in one chunk of 512 levels: 512 fill it exactly, 1037 hand
+        # two full chunks on and end in a partial third.  The exact fields
+        # written out at every level at once must give the same bits as the
+        # chunked series and the strided error_xt.csv samples.
         overrides = {"ic": "polyexp", "N": 13, "n_steps": n_steps, "T_window": 1.0}
         argv = ["forward", "--out", str(tmp_path), "--ic", "polyexp", "--N", "13",
                 "--n-steps", str(n_steps), "--T-window", "1.0", "--xt-stride", "7"]
@@ -268,9 +270,10 @@ class TestWriteCsv:
         path = tmp_path / "empty.csv"
         cli._write_csv(path, "k,tau_over_h", [], [])
         assert path.read_bytes() == b"k,tau_over_h\n"
-        # dispersion with no resolvable mode passes no columns at all.
-        cli._write_csv(path, "k,tau_over_h")
-        assert path.read_bytes() == b"k,tau_over_h\n"
+        # dispersion with no mode k >= 1 passes no columns at all.
+        assert main(["dispersion", "--out", str(tmp_path), "--modes", "0:0:1"]) == 0
+        assert (tmp_path / "beta.csv").read_bytes() == b"k,tau_over_h,beta2_minus_1,beta4_minus_1\n"
+        assert json.loads((tmp_path / "markers.json").read_text())["modes"] == {}
 
 
 class TestAssimilate:
@@ -289,12 +292,16 @@ class TestAssimilate:
         assert xi.shape[0] == 641
 
     def test_deterministic(self, tmp_path):
-        a = tmp_path / "a"
-        b = tmp_path / "b"
-        for out in (a, b):
-            assert main(["assimilate", "--out", str(out)] + TINY) == 0
-        assert (a / "result.json").read_bytes() == (b / "result.json").read_bytes()
-        assert (a / "xi.csv").read_bytes() == (b / "xi.csv").read_bytes()
+        # Every evaluation refills the window's storage: J = 4 fills all of
+        # the chain source columns, and a 600-level window ends on a partial
+        # chunk.
+        j4 = ["--preset", "single-mode-second", "--J", "4", "--T-window", "5.0", "--n-steps", "800"]
+        for i, args in enumerate([TINY, j4]):
+            a, b = tmp_path / f"{i}a", tmp_path / f"{i}b"
+            for out in (a, b):
+                assert main(["assimilate", "--out", str(out)] + args) == 0
+            assert (a / "result.json").read_bytes() == (b / "result.json").read_bytes()
+            assert (a / "xi.csv").read_bytes() == (b / "xi.csv").read_bytes()
 
     @pytest.mark.parametrize("n_steps", [223, 300])
     def test_post_window_levels_picked_by_index(self, tmp_path, n_steps):
@@ -328,20 +335,28 @@ class TestSweep:
         assert cli._sweep_windows(cfg) == list(range(600, 721))
 
     def test_alphas_columns_in_control_vector_order(self, tmp_path):
-        assert main(["sweep", "--out", str(tmp_path)] + TINY[:-1] + ["1"]) == 0
-        header = read_csv(tmp_path / "alphas.csv")[0]
+        # A second sweep writes the same bytes.
+        for out in (tmp_path / "a", tmp_path / "b"):
+            assert main(["sweep", "--out", str(out)] + TINY[:-1] + ["1"]) == 0
+        alphas = (tmp_path / "a" / "alphas.csv").read_bytes()
+        assert alphas == (tmp_path / "b" / "alphas.csv").read_bytes()
+        header = read_csv(tmp_path / "a" / "alphas.csv")[0]
         groups = ["alpha_u", "alpha_u_tilde", "alpha_p", "alpha_p_tilde"]
         assert header[3:] == [f"{g}_{j}" for g in groups for j in (0, 1)]
 
 
 class TestGradcheck:
     def test_healthy_configuration_passes(self, tmp_path, capsys):
-        rc = main(["gradcheck", "--out", str(tmp_path)] + TINY)
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "dot-product test" in out
-        assert "worst relative error" in out
-        assert "ok" in out.splitlines()[-1]
+        # The small grid, every preset's defaults, and J = 4, whose boundary
+        # footprints reach past the classical two points.
+        runs = [TINY] + [["--preset", name] for name in PRESETS]
+        for args in runs + [["--preset", "rich-spectrum", "--J", "4"]]:
+            rc = main(["gradcheck", "--out", str(tmp_path)] + args)
+            out = capsys.readouterr().out
+            assert rc == 0, args
+            assert "dot-product test" in out
+            assert "worst relative error" in out
+            assert "ok" in out.splitlines()[-1]
 
     def test_reports_all_components(self, tmp_path, capsys):
         rc = main(["gradcheck", "--out", str(tmp_path), "--J", "2"] + TINY)
@@ -357,6 +372,10 @@ class TestGradcheck:
         assert record["worst"] == max(record["dot_residuals"] + record["relative_error"])
         assert record["worst"] <= record["tolerance"] == 1e-5
         assert f"worst relative error: {record['worst']:.3e}" in out
+        # A second run writes the same bytes.
+        assert main(["gradcheck", "--out", str(tmp_path / "b"), "--J", "2"] + TINY) == 0
+        again = (tmp_path / "b" / "gradcheck.json").read_bytes()
+        assert again == (tmp_path / "gradcheck.json").read_bytes()
 
     def test_one_adjoint_sweep_per_dot_pair_and_one_for_the_gradient(
         self, tmp_path, monkeypatch
@@ -649,7 +668,8 @@ class TestExitCodes:
     def test_refused_allocation_is_a_config_error(self, tmp_path, capsys, monkeypatch):
         # The times of 10**15 levels take 7.1 PiB, more than any address
         # space: the request fails at once and used to end in a traceback.
-        # assimilate refuses it before its fit, not after: no evaluation runs.
+        # assimilate refuses it before its fit, not after: run as shipped,
+        # then once more counting its evaluations, it runs none.
         evaluations = []
         evaluate = objective.evaluate
 
@@ -657,11 +677,11 @@ class TestExitCodes:
             evaluations.append(1)
             return evaluate(*args)
 
-        monkeypatch.setattr(objective, "evaluate", counted)
-        for command in ("forward", "assimilate"):
-            argv = [command, "--out", str(tmp_path), "--preset", "single-mode-second",
-                    "--n-steps", str(10**15)]
-            assert main(argv) == 1
+        args = ["--out", str(tmp_path), "--preset", "single-mode-second", "--n-steps", str(10**15)]
+        for command, counting in [("forward", False), ("assimilate", False), ("assimilate", True)]:
+            if counting:
+                monkeypatch.setattr(objective, "evaluate", counted)
+            assert main([command] + args) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "Traceback" not in err
             assert list(tmp_path.iterdir()) == []
