@@ -10,14 +10,22 @@ CSV with a one-line header, structured results to JSON; identical
 configurations produce byte-identical outputs on one machine, BLAS build
 and BLAS thread count (another BLAS or thread count may round
 differently and move a fit's iterates; CI and the benchmark pin
-OPENBLAS_NUM_THREADS=1).
+OPENBLAS_NUM_THREADS=1), however many CPUs the process may use.
+``gradcheck``'s central differences and ``sweep``'s windows run across
+those CPUs (``_map``): each forked worker computes its share on a
+copy-on-write copy of the parent's state, the window's storage included,
+and sends the values back; the parent prints and writes every output.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import os
+import pickle
+import signal
 import sys
 from dataclasses import Field, asdict, dataclass, fields, replace
 from numbers import Integral, Real
@@ -308,6 +316,88 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _map(fn, items: Sequence) -> list:
+    """[fn(i) for i in items], computed on each CPU that the process may use.
+
+    With n = min(CPUs, items) slots the items are dealt round-robin: the
+    calling process takes items 0, n, 2n, ... and one forked worker per
+    other slot takes the items from its slot on, n apart.  A worker starts
+    from a copy-on-write copy of the caller's state, so each value has the
+    bits of the serial loop; it pickles its values back through a pipe and
+    leaves through os._exit.  A slot stops at its first error, and the
+    error of the first failing item in item order is raised, as the loop
+    would raise it; a worker that ends without its values (killed, or a
+    value that does not pickle) raises ChildProcessError.  Every worker is
+    reaped before this returns or raises, a running one killed first.
+    Without sched_getaffinity or fork, or with one CPU, the loop runs here.
+    """
+    items = list(items)
+    forks = hasattr(os, "sched_getaffinity") and hasattr(os, "fork")
+    n = min(len(os.sched_getaffinity(0)) if forks else 1, len(items))
+    if n <= 1:
+        return [fn(i) for i in items]
+    running = {}  # slot -> (pid, read end of its pipe)
+    try:
+        for slot in range(1, n):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(r)
+                    with os.fdopen(w, "wb") as fh:
+                        fh.write(pickle.dumps(_run_share(fn, items[slot::n])))
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(w)
+            running[slot] = pid, os.fdopen(r, "rb")
+        shares = [_run_share(fn, items[::n])]
+        for slot in range(1, n):
+            if _first_failure(shares, n)[0] < slot:
+                break  # every item of this slot and the next comes after it
+            pid, fh = running[slot]
+            with fh:
+                data = fh.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del running[slot]
+            if code != 0:
+                raise ChildProcessError(f"worker {pid} exited with code {code}")
+            shares.append(pickle.loads(data))
+    finally:
+        for pid, fh in running.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            fh.close()
+    error = _first_failure(shares, n)[1]
+    if error is not None:
+        raise error
+    values = [None] * len(items)
+    for s, (v, _) in enumerate(shares):
+        values[s::n] = v
+    return values
+
+
+def _run_share(fn, share: list) -> tuple[list, BaseException | None]:
+    """fn of each item in share up to the first that raises, and that error."""
+    values = []
+    try:
+        for item in share:
+            values.append(fn(item))
+    except Exception as exc:
+        return values, exc
+    return values, None
+
+
+def _first_failure(shares: list, n: int) -> tuple[float, BaseException | None]:
+    """Item index and error of the first failing item among slots 0, 1, ... of shares.
+
+    Slot s fails, if at all, at item s + n * (the values it made).
+    """
+    failed = [(s + n * len(v), e) for s, (v, e) in enumerate(shares) if e is not None]
+    return min(failed, key=lambda f: f[0], default=(math.inf, None))
+
+
 def _scheme_dict(bs: BoundaryScheme) -> dict:
     return {name: g.tolist() for name, g in bs.groups().items()}
 
@@ -386,10 +476,11 @@ def _sweep_windows(cfg: ExperimentConfig) -> list[int]:
 def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     """One assimilation per window length; coefficients and the fitted line."""
     exp = setup_experiment(cfg)
+    windows = _sweep_windows(cfg)
+    fits = _map(lambda steps: run_assimilation(exp, T_window=steps * cfg.tau), windows)
     rows = []
     pairs = []
-    for steps in _sweep_windows(cfg):
-        result, bs = run_assimilation(exp, T_window=steps * cfg.tau)
+    for steps, (result, bs) in zip(windows, fits):
         groups = _scheme_dict(bs)
         rows.append([steps, steps * cfg.tau, result.f] + [v for g in groups.values() for v in g])
         pairs.append((bs.alpha_p[0], bs.alpha_p[1]))
@@ -447,12 +538,15 @@ def _gradient_check(exp: Experiment) -> dict:
     # One adjoint gradient at x0; the central differences need the cost alone.
     x0 = bs.to_control_vector()
     _, grad = evaluate(x0, win)
-    fd = np.empty(dim)
-    for j in range(dim):
+
+    def difference(j: int) -> float:
         e = np.zeros(dim)
         e[j] = FD_STEP
         f_plus, f_minus = cost(x0 + e, win), cost(x0 - e, win)
-        fd[j] = (f_plus.total - f_minus.total) / (2.0 * FD_STEP)
+        return (f_plus.total - f_minus.total) / (2.0 * FD_STEP)
+
+    # Each worker refills its copy-on-write copy of the window's storage.
+    fd = np.array(_map(difference, range(dim)))
     scale = max(float(np.abs(grad).max()), float(np.abs(fd).max()), 1e-300)
     rel = np.abs(grad - fd) / np.maximum.reduce(
         [np.abs(grad), np.abs(fd), np.full(dim, 1e-10 * scale)]
@@ -538,7 +632,14 @@ def _add_common_options(sub: argparse.ArgumentParser) -> None:
         sub.add_argument("--" + f.name.replace("_", "-"), type=_field_kind(f)[1], help=text)
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Building it leaves reference cycles (argparse makes a help formatter
+    per argument), which only a full garbage collection frees; one parser
+    per main call grew ten in-process calls by about 0.8 MB.
+    """
     parser = argparse.ArgumentParser(
         prog="waveassim",
         description="Boundary-stencil identification experiments for the 1D wave model",
@@ -547,7 +648,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     for name in sorted(_COMMANDS):
         sub = subparsers.add_parser(name)
         _add_common_options(sub)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         overrides = {key: value for key, value in vars(args).items() if key in _CONFIG_FIELDS}

@@ -81,6 +81,11 @@ class IntegrationDiverged(RuntimeError):
         self.time = time
         self.amplitude = amplitude
 
+    def __reduce__(self):
+        # args hold only the message; a pickle (a worker's error, see
+        # cli._map) rebuilds the exception from its fields.
+        return type(self), (self.step, self.time, self.amplitude)
+
 
 @dataclass(frozen=True)
 class GridSpec:

@@ -157,22 +157,11 @@ def test_signature(module, name, params):
     assert list(inspect.signature(fn).parameters) == params
 
 
-def test_import_leaves_scipy_unloaded():
-    # No command needs scipy (only the tests' quadrature oracle does), so
-    # none should pay for loading it.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
-    )
-    code = "import sys, waveassim, waveassim.cli; print('scipy' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "False"
-
-
 def test_dispersion_leaves_scipy_unloaded(tmp_path):
-    # Its singularity root is a bisection, not scipy.optimize.brentq.
+    # No command needs scipy (only the tests' quadrature oracle does), so
+    # none should pay for loading it: not the import of waveassim and its
+    # CLI, whose modules stay in sys.modules, nor dispersion, whose
+    # singularity root is a bisection, not scipy.optimize.brentq.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]

@@ -1,8 +1,12 @@
 """Experiment runner: commands, config handling, determinism, exit codes."""
 
+import gc
 import importlib.util
 import json
 import math
+import os
+import signal
+import time
 import tracemalloc
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -37,6 +41,16 @@ TINY = [
 
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def on_cpus(monkeypatch, count, call):
+    """call() with the process allowed `count` CPUs; no worker outlives it."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    try:
+        return call()
+    finally:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def read_csv(path):
@@ -223,6 +237,21 @@ class TestMemory:
             tracemalloc.stop()
         assert peak <= 0.2 * trajectory_bytes
 
+    def test_a_call_leaves_no_reference_cycles(self, tmp_path):
+        # main builds its parser once.  A parser per call left about 600
+        # objects in cycles (argparse makes a help formatter per argument),
+        # and ten in-process calls grew by about 0.8 MB until a full
+        # collection freed them.
+        argv = ["forward", "--out", str(tmp_path)] + TINY
+        assert main(argv) == 0
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(argv) == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 class TestWriteCsv:
     def test_each_value_is_its_float_repr(self, tmp_path):
@@ -333,6 +362,19 @@ class TestSweep:
         overrides = {"window_start": 600, "window_end": 720, "window_count": 10**15}
         cfg = resolve_config("single-mode-second", None, overrides)
         assert cli._sweep_windows(cfg) == list(range(600, 721))
+
+    def test_outputs_do_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch):
+        # One CPU runs the windows and central differences in this process;
+        # more fork workers that pickle their values back.
+        sweep = ["sweep"] + TINY[:-3] + ["128", "--window-count", "2"]
+        gradcheck = ["gradcheck", "--J", "2"] + TINY
+        for cpus in (1, 2, 3):
+            for argv in (sweep, gradcheck):
+                out = ["--out", str(tmp_path / str(cpus))]
+                assert on_cpus(monkeypatch, cpus, lambda: main(argv + out)) == 0
+        for name in ("alphas.csv", "kernel_line.json", "gradcheck.json"):
+            one, two, three = ((tmp_path / str(cpus) / name).read_bytes() for cpus in (1, 2, 3))
+            assert one == two == three
 
     def test_alphas_columns_in_control_vector_order(self, tmp_path):
         # A second sweep writes the same bytes.
@@ -687,15 +729,95 @@ class TestExitCodes:
             assert list(tmp_path.iterdir()) == []
             assert evaluations == []
 
-    def test_diverged_start_fails_sweep(self, tmp_path, capsys):
-        # The classical start diverges inside every window: no fit exists,
-        # so no alphas.csv with penalty costs and start coefficients.
+    def unstable_sweep(self, tmp_path, capsys, monkeypatch, start, end):
+        """stderr of a sweep of the unstable scheme on one CPU, then on two."""
         argv = ["sweep", "--out", str(tmp_path), "--preset", "single-mode-fourth",
-                "--tau", "0.03", "--n-steps", "400", "--window-start", "50",
-                "--window-end", "100", "--window-count", "2"]
-        assert main(argv) == 1
-        assert capsys.readouterr().err.startswith("error: integration diverged at step 19")
+                "--tau", "0.03", "--n-steps", "400", "--window-start", start,
+                "--window-end", end, "--window-count", "2"]
+        errors = []
+        for cpus in (1, 2):
+            assert on_cpus(monkeypatch, cpus, lambda: main(argv)) == 1
+            errors.append(capsys.readouterr().err)
         assert not (tmp_path / "alphas.csv").exists()
+        return errors
+
+    def test_diverged_start_fails_sweep(self, tmp_path, capsys, monkeypatch):
+        # The classical start diverges inside every window: no fit exists,
+        # so no alphas.csv with penalty costs and start coefficients.  On
+        # two CPUs this process's own window fails first; the worker is
+        # still reaped.
+        one, two = self.unstable_sweep(tmp_path, capsys, monkeypatch, "50", "100")
+        assert one.startswith("error: integration diverged at step 19")
+        assert two == one
+
+    def test_window_diverged_in_a_worker_fails_sweep(self, tmp_path, capsys, monkeypatch):
+        # The 10-step window fits; the start diverges at step 19 of the
+        # 50-step one, which a worker runs on two CPUs.  Its error crosses
+        # the pipe as a pickle and ends the call as the serial loop does.
+        one, two = self.unstable_sweep(tmp_path, capsys, monkeypatch, "10", "50")
+        assert one.startswith("error: integration diverged at step 19")
+        assert two == one
+
+
+class TestMap:
+    def test_values_in_item_order(self, monkeypatch):
+        def tagged():
+            return cli._map(lambda i: (i, os.getpid()), range(7))
+
+        for cpus in (1, 2, 3, 8):
+            values = on_cpus(monkeypatch, cpus, tagged)
+            assert [i for i, _ in values] == list(range(7))
+            # Slot s of n = min(cpus, 7) computes items s, s + n, ..., and
+            # slot 0 is this process.
+            n = min(cpus, 7)
+            assert len({pid for _, pid in values}) == n
+            assert [pid for _, pid in values] == [values[i % n][1] for i in range(7)]
+            assert values[0][1] == os.getpid()
+
+    def test_runs_in_process_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert cli._map(lambda i: os.getpid(), range(4)) == [os.getpid()] * 4
+
+    @pytest.mark.parametrize(
+        "failing, first",
+        [({2, 4}, 2),  # the first failure is in the second worker's slot
+         ({3, 4, 5}, 3),  # this process's item 3 fails before both workers'
+         ({1, 6}, 1)],  # a worker's item fails before this process's item 6
+    )
+    def test_first_failing_item_in_item_order_raises(self, monkeypatch, failing, first):
+        # Three slots: this process takes items 0, 3, 6, the workers 1, 4
+        # and 2, 5.
+        def fn(i):
+            if i in failing:
+                raise ValueError(i)
+            return i
+
+        with pytest.raises(ValueError) as err:
+            on_cpus(monkeypatch, 3, lambda: cli._map(fn, range(7)))
+        assert err.value.args == (first,)
+
+    def test_own_first_item_failing_stops_the_workers(self, monkeypatch):
+        # The serial loop would stop at item 0, so no worker's item counts:
+        # they are killed, not waited for.
+        def fn(i):
+            if i == 0:
+                raise ValueError(i)
+            time.sleep(60)
+
+        start = time.monotonic()
+        with pytest.raises(ValueError):
+            on_cpus(monkeypatch, 3, lambda: cli._map(fn, range(3)))
+        assert time.monotonic() - start < 30
+
+    @pytest.mark.parametrize(
+        "fn",
+        [lambda i: os.kill(os.getpid(), signal.SIGKILL) if i else i,
+         lambda i: (lambda: i)],  # a value that does not pickle
+        ids=["killed", "unpicklable"],
+    )
+    def test_worker_without_a_result_fails_the_call(self, monkeypatch, fn):
+        with pytest.raises(ChildProcessError, match="worker"):
+            on_cpus(monkeypatch, 2, lambda: cli._map(fn, range(2)))
 
 
 class TestExperimentHelpers:

@@ -1,5 +1,6 @@
 """Discrete operators and time stepping."""
 
+import pickle
 import warnings
 from dataclasses import replace
 
@@ -403,6 +404,15 @@ class TestIntegrate:
         with pytest.raises(IntegrationDiverged) as err:
             integrate(ic, st_, flipped, grid)
         assert err.value.time < 300.0
+
+    def test_divergence_survives_a_pickle(self):
+        # A sweep window or a central difference that diverges in a forked
+        # worker comes back to the parent as a pickle.
+        exc = IntegrationDiverged(19, 0.57, 1e7)
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is IntegrationDiverged
+        assert str(back) == str(exc)
+        assert (back.step, back.time, back.amplitude) == (19, 0.57, 1e7)
 
     def test_second_order_error_beat(self):
         # Classical scheme, k = 3: the error norm rises to ~120 and returns
