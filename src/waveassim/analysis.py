@@ -15,7 +15,8 @@ angular wavenumber k*pi internally.
 ``xi_series`` measures trajectory error against the exact solution as a
 plain grid-point sum of squares (no quadrature weight), the convention
 used for all quoted error levels; multiply by h for the integral norm.
-It samples the exact fields a chunk of levels at a time, not all at once.
+It samples the exact fields into the run's chunk buffer, a chunk of
+levels at a time, not all at once.
 ``horizon_report`` gives the same series, and strided u rows, for a run
 that it steps, checks and reduces a chunk at a time without storing it.
 """
@@ -27,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .exact import ModeSpec, exact_fields, mode_shapes
-from .wave import BLOCK_LEVELS, CHUNK, DEFAULT_BLOWUP_THRESHOLD, BoundaryScheme, GridSpec
+from .wave import BLOCK_LEVELS, CHUNK, BoundaryScheme, GridSpec
 from .wave import InteriorStencil, Storage, Trajectory, advance_chains, check_levels, start_run
 
 __all__ = [
@@ -163,13 +164,6 @@ def dispersion_report(k: int, N: int, tau: float) -> dict[str, float]:
     }
 
 
-# Levels of exact fields that xi_series samples and reduces at a time.  Each
-# series builds the mode shapes and one (XI_CHUNK, 2N+1) buffer of exact rows
-# once and refills it per chunk; the chunk size bounds that buffer and the
-# per-mode product that exact_fields adds into it (125 kB each at N = 30).
-XI_CHUNK = 256
-
-
 def xi_series(
     traj: Trajectory, modes: Sequence[ModeSpec]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -180,22 +174,22 @@ def xi_series(
     """
     grid = GridSpec(traj.N, traj.tau, traj.n_steps)
     xi = np.empty(grid.n_steps + 1)
-    _xi_rows(modes, grid)(traj.z, grid.times, xi)
+    _xi_rows(modes, grid, traj.storage)(traj.z, grid.times, xi)
     return grid.times, xi
 
 
-def _xi_rows(modes, grid: GridSpec):
+def _xi_rows(modes, grid: GridSpec, storage: Storage):
     """A function that writes the xi of stacked rows z at times into xi.
 
-    It reduces XI_CHUNK levels at a time into exact rows that it refills:
-    the mode shapes and that buffer are made once, here, for every call.
+    It reduces a chunk of levels at a time: the exact rows fill storage.chunk,
+    and the mode shapes are made once, here, for every call.
     """
     shapes = mode_shapes(modes, grid)
-    exact = np.empty((XI_CHUNK, 2 * grid.N + 1))
+    exact = storage.chunk
 
     def reduce(z: np.ndarray, times: np.ndarray, xi: np.ndarray) -> None:
-        for t0 in range(0, times.size, XI_CHUNK):
-            rows = slice(t0, t0 + XI_CHUNK)
+        for t0 in range(0, times.size, len(exact)):
+            rows = slice(t0, t0 + len(exact))
             dz = exact_fields(modes, grid, times[rows], shapes, exact[: len(times[rows])])
             np.square(np.subtract(z[rows], dz, out=dz), out=dz)
             xi[rows] = dz[:, : grid.N + 1].sum(axis=1)
@@ -216,16 +210,16 @@ def horizon_report(
     """
     times, xi = grid.times, np.empty(grid.n_steps + 1)
     u = None if stride is None else np.empty((len(times[::stride]), grid.N + 1))
-    reduce_xi = _xi_rows(modes, grid)
+    storage = Storage(min(grid.n_steps, 2 * BLOCK_LEVELS * CHUNK), grid.N)
+    reduce_xi = _xi_rows(modes, grid, storage)
 
     def consume(t: int, rows: np.ndarray) -> None:
-        check_levels(rows[1:] if t == 0 else rows, t or 1, grid.tau, DEFAULT_BLOWUP_THRESHOLD)
+        check_levels(rows[1:] if t == 0 else rows, t or 1, grid.tau)
         reduce_xi(rows, times[t : t + len(rows)], xi[t : t + len(rows)])
         if stride is not None:
             sampled = rows[-t % stride :: stride, : grid.N + 1]
             u[-(-t // stride) :][: len(sampled)] = sampled
 
-    storage = Storage(min(grid.n_steps, 2 * BLOCK_LEVELS * CHUNK), grid.N)
     A = start_run(z0, stencil, bs, grid, storage)
     advance_chains(storage.z, A, storage, grid.tau, grid.n_steps, emit=consume)
     return times, xi, u

@@ -257,12 +257,8 @@ def _window(exp: Experiment, T_window: float) -> Window:
     return Window(obs, exp.ic, exp.stencil, wgrid, exp.config.J, exp.config.eta)
 
 
-def run_assimilation(
-    exp: Experiment, T_window: float | None = None
-) -> tuple[OptimResult, BoundaryScheme]:
-    """Minimize the windowed misfit from the classical starting scheme.
-
-    T_window overrides the configured window length (``sweep`` sets it).
+def run_assimilation(win: Window) -> tuple[OptimResult, BoundaryScheme]:
+    """Minimize the misfit over the window (see ``_window``) from the classical scheme.
 
     Raises
     ------
@@ -270,15 +266,13 @@ def run_assimilation(
         If the starting scheme diverges inside the window, where the cost
         is +inf and there is nothing to minimize.
     """
-    cfg = exp.config
-    win = _window(exp, cfg.T_window if T_window is None else T_window)
-    start = BoundaryScheme.classical(cfg.J)
+    start = BoundaryScheme.classical(win.J)
     result = lbfgs(make_objective(win), start.to_control_vector())
     if result.f == BLOWUP_PENALTY:
         # L-BFGS accepts only decreasing steps, so the start itself diverged;
         # integrate it again to raise with the level at which it did.
-        integrate(exp.ic, exp.stencil, start, win.grid)
-    return result, BoundaryScheme.from_control_vector(result.x, cfg.J)
+        integrate(win.ic, win.stencil, start, win.grid, out=win.storage)
+    return result, BoundaryScheme.from_control_vector(result.x, win.J)
 
 
 def _write_csv(path: Path, header: str, *columns) -> None:
@@ -427,7 +421,7 @@ def cmd_assimilate(cfg: ExperimentConfig, out_dir: Path) -> int:
     if cfg.n_steps <= m:
         raise ValueError(f"n_steps must exceed the {m}-step window to leave a horizon")
     np.empty(cfg.n_steps + 1)  # the report's xi: refuse a horizon too long for it before the fit
-    result, bs = run_assimilation(exp)
+    result, bs = run_assimilation(_window(exp, cfg.T_window))
     payload = {
         "config": asdict(cfg),
         "start": _scheme_dict(BoundaryScheme.classical(cfg.J)),
@@ -477,7 +471,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     """One assimilation per window length; coefficients and the fitted line."""
     exp = setup_experiment(cfg)
     windows = _sweep_windows(cfg)
-    fits = _map(lambda steps: run_assimilation(exp, T_window=steps * cfg.tau), windows)
+    fits = _map(lambda steps: run_assimilation(_window(exp, steps * cfg.tau)), windows)
     rows = []
     pairs = []
     for steps, (result, bs) in zip(windows, fits):
@@ -510,13 +504,15 @@ DOT_PAIRS, DOT_SEED, FD_STEP, GRADCHECK_TOL = 5, 0, 1e-5, 1e-5
 
 
 def _gradient_check(exp: Experiment) -> dict:
-    """Dot-product residuals and adjoint-vs-finite-difference errors."""
+    """Dot-product residuals and adjoint-vs-finite-difference errors.
+
+    The dot test runs on the window's own storage (trajectory and scratch),
+    which evaluate then refills.  Every pair's tangent-linear run fills one
+    buffer, dz; once the pair's left-hand side is taken, dz holds its forcing.
+    """
     cfg = exp.config
     win = _window(exp, cfg.T_window)
     bs = BoundaryScheme.classical(cfg.J)
-    # The dot test runs on the window's own storage (trajectory and scratch;
-    # res holds the forcing), which evaluate then refills; every pair's
-    # tangent-linear run fills one buffer.
     traj = integrate(exp.ic, exp.stencil, bs, win.grid, out=win.storage)
     dz = np.empty_like(win.storage.z)
 
@@ -529,11 +525,11 @@ def _gradient_check(exp: Experiment) -> dict:
         fp = rng.standard_normal(traj.p.shape)
         du, dp = np.hsplit(tlm_run(traj, dalpha, dz), [cfg.N + 1])
         lhs = float((du * fu).sum() + (dp * fp).sum())
-        forcing = np.concatenate([fu, fp], axis=1, out=win.storage.res)
+        forcing = np.concatenate([fu, fp], axis=1, out=dz[: len(traj.z)])
         del du, dp, fu, fp  # only one pair's fields are alive at a time
         rhs = float(dalpha @ adjoint_sweep(traj, forcing))
         dot_residuals.append(abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
-    del dz
+    del dz, forcing
 
     # One adjoint gradient at x0; the central differences need the cost alone.
     x0 = bs.to_control_vector()

@@ -190,7 +190,10 @@ def lbfgs(
 
         def phi(a, x=x, d=d):
             fa, ga = fg(x + a * d)
-            return fa, float(ga @ d), ga
+            # A gradient near the float range (a huge penalty) gives a
+            # non-finite slope, which the line search bisects past, silently.
+            with np.errstate(over="ignore", invalid="ignore"):
+                return fa, float(ga @ d), ga
 
         hit = wolfe_line_search(phi, f, slope, cfg)
         if hit is None:

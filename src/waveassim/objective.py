@@ -112,10 +112,13 @@ def _window_cost(x, win):
 
     # One row per stencil group; a sum does not depend on the reversed
     # order of the tilde groups.  d/d alpha_j of eta * (sum alpha)^2 is the
-    # same for every j of the group.
+    # same for every j of the group.  eta * sums first keeps a zero sum's
+    # gradient zero at any finite eta; a penalty that overflows costs +inf,
+    # an infeasible step for the line search, as a diverged run is.
     sums = np.reshape(x, (4, win.J + 1)).sum(axis=1)
-    reg = float(win.eta * (sums @ sums))
-    reg_grad = np.repeat(2.0 * win.eta * sums, win.J + 1)
+    with np.errstate(over="ignore"):
+        reg = float(win.eta * (sums @ sums))
+        reg_grad = np.repeat(2.0 * (win.eta * sums), win.J + 1)
     return CostReport(misfit + reg, misfit, reg), traj, res, reg_grad
 
 

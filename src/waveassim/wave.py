@@ -41,7 +41,7 @@ import numpy as np
 
 __all__ = [
     "BLOCK_LEVELS",
-    "DEFAULT_BLOWUP_THRESHOLD",
+    "BLOWUP_THRESHOLD",
     "BoundaryScheme",
     "GridSpec",
     "IntegrationDiverged",
@@ -53,7 +53,7 @@ __all__ = [
     "stacked_operator",
 ]
 
-DEFAULT_BLOWUP_THRESHOLD = 1.0e6
+BLOWUP_THRESHOLD = 1.0e6
 
 # Steps of each staggered chain per block (2 * BLOCK_LEVELS leapfrog
 # levels), and blocks per chunk filled by one product.
@@ -252,10 +252,11 @@ class Storage:
     blocks are written here, once (see :func:`chain_stack`).  chunk holds
     one chunk of chain levels: the output of :func:`advance_chains`, the
     forcing of :func:`transpose_chains`, or any caller's rows in between.
-    heads holds the chain heads and their sources, lam and c the adjoint's
-    source values and block products, res the residual of levels 0..n.
-    Each run overwrites them, so a Trajectory lasts until the next run on
-    its storage.
+    heads holds the chain heads and their sources, or the adjoint's block
+    products (a forward and an adjoint run never overlap), lam the
+    adjoint's source values and res the residual of levels 0..n.  Each run
+    overwrites them, so a Trajectory lasts until the next run on its
+    storage.
     """
 
     def __init__(self, n: int, N: int):
@@ -265,7 +266,6 @@ class Storage:
         self.chunk = np.empty((2 * K * CHUNK, d))
         self.heads = np.empty((CHUNK + 1, 2, d + 4 * K))
         self.lam = np.empty((n + 2 * K + 1, 4))
-        self.c = np.empty((CHUNK, 2, d + 4 * K))
         self.res = np.empty((n + 1, d))
 
 
@@ -483,8 +483,9 @@ def transpose_chains(
 
     a (n+1, 2N+1) holds the adjoint forcing of every level.  w (n, 4) and
     w_half (4,) are the adjoint at the controlled rows each source reaches,
-    times the weight it enters with.  storage holds the chain stack W, the
-    chunk, the source adjoints and the block products.
+    times the weight it enters with; w is a view of storage.lam.  storage
+    holds the chain stack W, the chunk, the block products (in heads) and
+    the source adjoints.
     """
     n, d, W = a.shape[0] - 1, a.shape[1], storage.W
     N, K = d // 2, BLOCK_LEVELS
@@ -495,7 +496,7 @@ def transpose_chains(
     # carry from the next block adds through the last row block of W.
     lam = _buffer(storage, "lam", (n + 2 * K + 1, 4))
     x = _buffer(storage, "chunk", (CHUNK, 2, K, d))
-    cm = _buffer(storage, "c", (CHUNK, 2, W.shape[1]))
+    cm = _buffer(storage, "heads", (CHUNK, 2, W.shape[1]))
     last = W[(K - 1) * d :]
     carry, carried = np.zeros((2, d)), np.empty((2, last.shape[1]))
     nb = (n + 2 * K - 2) // (2 * K)
@@ -522,17 +523,17 @@ def transpose_chains(
         a1[pp] += carry[0, pp]
     # Level t feeds level t+1 with weight 2 tau; the split first step feeds
     # level 1 through z_half (q[0]) and directly (q_half).
-    w = np.empty((n, 4))
+    w = lam[1 : n + 1]
+    w[1:] *= 2.0 * tau
     w[0] = 0.5 * tau * (tau * (a1 @ A[:, rows]))
-    w[1:] = 2.0 * tau * lam[2 : n + 1]
     return w, tau * a1[rows]
 
 
-def check_levels(levels: np.ndarray, t: int, tau: float, blowup_threshold: float) -> None:
-    """Raise IntegrationDiverged at the first of levels t, t+1, ... past the threshold."""
-    if not np.maximum(levels.max(), -levels.min()) <= blowup_threshold:  # or NaN
+def check_levels(levels: np.ndarray, t: int, tau: float) -> None:
+    """Raise IntegrationDiverged at the first of levels t, t+1, ... past BLOWUP_THRESHOLD."""
+    if not np.maximum(levels.max(), -levels.min()) <= BLOWUP_THRESHOLD:  # or NaN
         amps = np.maximum(levels.max(axis=1), -levels.min(axis=1))
-        i = t + int(np.argmin(amps <= blowup_threshold))
+        i = t + int(np.argmin(amps <= BLOWUP_THRESHOLD))
         raise IntegrationDiverged(i, i * tau, amps[i - t])
 
 
@@ -567,7 +568,6 @@ def integrate(
     stencil: InteriorStencil,
     bs: BoundaryScheme,
     grid: GridSpec,
-    blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD,
     out: Storage | None = None,
 ) -> Trajectory:
     """Integrate the model from the stacked start state z0 over grid.n_steps levels.
@@ -581,7 +581,7 @@ def integrate(
     ValueError
         If z0 is not a (2N+1,) row or u does not vanish at the walls.
     IntegrationDiverged
-        If max(|u|, |p|) exceeds ``blowup_threshold`` (or turns non-finite)
+        If max(|u|, |p|) exceeds ``BLOWUP_THRESHOLD`` (or turns non-finite)
         at any level; one scan of the computed levels names the first
         such level.  Unstable boundary schemes reached during a
         minimization line search end up here.
@@ -590,5 +590,5 @@ def integrate(
     storage = Storage(n, grid.N) if out is None else out
     A = start_run(z0, stencil, bs, grid, storage)
     z_half = advance_chains(storage.z, A, storage, tau, n)
-    check_levels(storage.z[1 : n + 1], 1, tau, blowup_threshold)
+    check_levels(storage.z[1 : n + 1], 1, tau)
     return Trajectory(storage.z[: n + 1], z_half, tau, A, bs, storage)

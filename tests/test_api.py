@@ -117,12 +117,12 @@ def test_minimize_config_fields():
 
 # Each signature holds only parameters that some caller sets.
 SIGNATURES = [
-    ("cli", "run_assimilation", ["exp", "T_window"]),
+    ("cli", "run_assimilation", ["win"]),
     ("cli", "cmd_gradcheck", ["cfg", "out_dir"]),
     ("cli", "_gradient_check", ["exp"]),
     ("wave", "advance_chains", ["Z", "A", "storage", "tau", "n", "q", "q_half", "emit"]),
     ("exact", "project_initial", ["u0", "p0", "k_max"]),
-    ("wave", "integrate", ["z0", "stencil", "bs", "grid", "blowup_threshold", "out"]),
+    ("wave", "integrate", ["z0", "stencil", "bs", "grid", "out"]),
     ("adjoint", "adjoint_sweep", ["traj", "forcing"]),
     ("adjoint", "misfit_gradient", ["traj", "res"]),
     ("analysis", "horizon_report", ["z0", "stencil", "bs", "grid", "modes", "stride"]),
@@ -148,6 +148,10 @@ SIGNATURES = [
     ("adjoint", "tlm_run", ["traj", "dalpha", "out"]),
     # The horizon report checks its start and builds A and W, then streams.
     ("wave", "start_run", ["z0", "stencil", "bs", "grid", "storage"]),
+    # The blow-up threshold is one module constant, BLOWUP_THRESHOLD.
+    ("wave", "check_levels", ["levels", "t", "tau"]),
+    # The error series refills the run's chunk buffer, not a buffer of its own.
+    ("analysis", "_xi_rows", ["modes", "grid", "storage"]),
 ]
 
 

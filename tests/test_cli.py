@@ -8,6 +8,7 @@ import os
 import signal
 import time
 import tracemalloc
+import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -331,6 +332,19 @@ class TestAssimilate:
                 assert main(["assimilate", "--out", str(out)] + args) == 0
             assert (a / "result.json").read_bytes() == (b / "result.json").read_bytes()
             assert (a / "xi.csv").read_bytes() == (b / "xi.csv").read_bytes()
+
+    def test_largest_eta_writes_valid_json(self, tmp_path):
+        # eta = 1e308 used to write "grad_norm_history": [NaN], which JSON
+        # has no constant for, and an overflow warning to stderr.
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        args = ["--preset", "single-mode-second", "--eta", "1e308", "--n-steps", "800"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["assimilate", "--out", str(tmp_path)] + args) == 0
+        payload = json.loads((tmp_path / "result.json").read_text(), parse_constant=refuse)
+        assert payload["termination"] == "line_search_failed"
 
     @pytest.mark.parametrize("n_steps", [223, 300])
     def test_post_window_levels_picked_by_index(self, tmp_path, n_steps):
@@ -841,7 +855,7 @@ class TestExperimentHelpers:
         exp = setup_experiment(cfg)
         assert cli.cmd_forward(cfg, tmp_path) == 0
         assert sampled == []
-        run_assimilation(exp, T_window=1.0)
+        run_assimilation(cli._window(exp, 1.0))
         assert sampled == [64]
 
     def test_rich_spectrum_modes(self):
@@ -855,6 +869,6 @@ class TestExperimentHelpers:
         cfg = resolve_config(overrides={"N": 16, "tau": 1.0 / 64.0, "n_steps": 320,
                                         "T_window": 2.0})
         exp = setup_experiment(cfg)
-        result, bs = run_assimilation(exp)
+        result, bs = run_assimilation(cli._window(exp, cfg.T_window))
         assert result.f < result.cost_history[0]
         assert bs.J == 1

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -100,7 +101,7 @@ class TestWindow:
         _, stencil, _, _, obs, ic = make_setup(n_steps=720)
         a, b = (Window(obs, ic, stencil, grid30, 1) for _ in range(2))
         buffers = [list(vars(w.storage).values()) for w in (a, b)]
-        assert len(buffers[0]) == 7
+        assert len(buffers[0]) == 6
         for x in buffers[0]:
             for y in buffers[1]:
                 assert not np.shares_memory(x, y)
@@ -151,6 +152,23 @@ class TestEvaluate:
         assert report.total == BLOWUP_PENALTY == math.inf
         assert not g.any()
         assert report.misfit == BLOWUP_PENALTY and report.regularization == 0.0
+
+    def test_largest_eta_keeps_a_zero_sum_gradient_finite(self):
+        # At the classical start every group sums to 0: 2 * eta overflows at
+        # eta = 1e308, and inf * 0 would give NaN.  A trial step whose
+        # penalty overflows costs +inf, with no floating-point warning.
+        grid, stencil, bs, modes, obs, ic = make_setup(n_steps=120)
+        win = Window(obs, ic, stencil, grid, 1, eta=1e308)
+        x0 = bs.to_control_vector()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report, g = evaluate(x0, win)
+            assert np.isfinite(g).all() and report.regularization == 0.0
+            assert report.total == report.misfit
+            np.testing.assert_array_equal(g, evaluate(x0, replace(win, eta=0.0))[1])
+            report, _ = evaluate(x0 + 1.4 * np.eye(8)[4], win)  # alpha_p sums to 1.4
+        assert report.total == report.regularization == math.inf
+        assert math.isfinite(report.misfit)
 
     def test_gradient_with_regularization_vs_fd(self):
         grid, stencil, bs, modes, obs, ic = make_setup(n_steps=240)

@@ -19,14 +19,14 @@ from conftest import (
     naive_integrate,
     naive_leapfrog_step,
 )
-from waveassim import analysis
+from waveassim import analysis, wave
 from waveassim.adjoint import _sensitivity
 from waveassim.exact import ModeSpec, sample_observations
 from waveassim.objective import BLOWUP_PENALTY, Window, evaluate
 from waveassim.wave import (
     BLOCK_LEVELS,
     CHUNK,
-    DEFAULT_BLOWUP_THRESHOLD,
+    BLOWUP_THRESHOLD,
     BoundaryScheme,
     GridSpec,
     IntegrationDiverged,
@@ -512,7 +512,9 @@ def test_stacked_operator_property(N, order, J, seed):
     u0 = rng.standard_normal(N + 1)
     u0[0] = u0[-1] = 0.0
     z0 = np.concatenate([u0, rng.standard_normal(N)])
-    traj = integrate(z0, st_, bs, grid, blowup_threshold=1e300)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wave, "BLOWUP_THRESHOLD", 1e300)
+        traj = integrate(z0, st_, bs, grid)
     assert not traj.u[:, 0].any() and not traj.u[:, -1].any()
 
 
@@ -567,7 +569,9 @@ def test_integrate_matches_level_loop_at_block_edges(N, order, J, n_steps, seed)
     u0 = rng.standard_normal(N + 1)
     u0[0] = u0[-1] = 0.0
     p0 = rng.standard_normal(N)
-    traj = integrate(np.concatenate([u0, p0]), st_, bs, grid, blowup_threshold=1e300)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wave, "BLOWUP_THRESHOLD", 1e300)
+        traj = integrate(np.concatenate([u0, p0]), st_, bs, grid)
     u, p = naive_integrate(u0, p0, st_.a, bs, N, grid.h, grid.tau, n_steps)
     assert traj.u.shape == u.shape and traj.p.shape == p.shape
     scale = max(np.abs(u).max(), np.abs(p).max())
@@ -575,7 +579,7 @@ def test_integrate_matches_level_loop_at_block_edges(N, order, J, n_steps, seed)
     assert np.abs(traj.p - p).max() <= 1e-12 * scale
 
 
-def test_divergence_reports_first_level_over_threshold():
+def test_divergence_reports_first_level_over_threshold(monkeypatch):
     # A flipped boundary scheme grows by about 19 % per level from level 9
     # on.  For every level L that sets a new amplitude record, a threshold
     # between the old record and amps[L] must trip at L exactly, wherever L
@@ -597,8 +601,9 @@ def test_divergence_reports_first_level_over_threshold():
         if amps[L] <= record * (1.0 + 1e-9):
             continue
         threshold = np.sqrt(record * amps[L])
+        monkeypatch.setattr(wave, "BLOWUP_THRESHOLD", threshold)
         with pytest.raises(IntegrationDiverged) as err:
-            integrate(z0, st_, flipped, grid, blowup_threshold=threshold)
+            integrate(z0, st_, flipped, grid)
         assert err.value.step == L
         assert err.value.time == pytest.approx(L * grid.tau)
         assert err.value.amplitude == pytest.approx(amps[L], rel=1e-12)
@@ -623,7 +628,7 @@ def test_divergence_past_float_range_inside_a_chunk():
         u, p = naive_integrate(u0, p0, st_.a, unstable, grid.N, grid.h, grid.tau, grid.n_steps)
         amps = np.maximum(np.abs(u).max(axis=1), np.abs(p).max(axis=1))
     assert not np.isfinite(amps[: 2 * BLOCK_LEVELS * CHUNK + 1]).all()
-    L = int(np.argmin(amps <= DEFAULT_BLOWUP_THRESHOLD))
+    L = int(np.argmin(amps <= BLOWUP_THRESHOLD))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(IntegrationDiverged) as err:
