@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .wave import BLOCK_LEVELS, Trajectory, advance_chains, boundary_entries, transpose_chains
+from .wave import Trajectory, advance_chains, boundary_entries, transpose_chains
 
 __all__ = [
     "adjoint_sweep",
@@ -62,8 +62,8 @@ def tlm_run(traj: Trajectory, dalpha: np.ndarray, out: np.ndarray | None = None)
 
     The perturbation starts from zero fields and is driven by the tendency
     sources of every level.  Returns dz, shaped like traj.z (its u wall
-    columns stay zero).  out, if given, is the (n_steps + 2*BLOCK_LEVELS + 1,
-    2N+1) storage filled, other than the trajectory's own.
+    columns stay zero).  out, if given, is the buffer filled, shaped like
+    traj.storage.z but other than it; without out a new one is.
     """
     n, J = traj.n_steps, traj.bs.J
     dalpha = np.asarray(dalpha, dtype=float)
@@ -71,7 +71,7 @@ def tlm_run(traj: Trajectory, dalpha: np.ndarray, out: np.ndarray | None = None)
         raise ValueError(f"control vector must have length {control_dim(J)}, got {dalpha.shape}")
     dg = dalpha.reshape(4, J + 1)  # one row per stencil group, in control-vector order
     S_half, S = _sensitivity(traj.z_half, J), _sensitivity(traj.z[:-1], J)
-    dz = np.empty((n + 2 * BLOCK_LEVELS + 1, traj.z.shape[1])) if out is None else out
+    dz = np.empty_like(traj.storage.z) if out is None else out
     dz[0] = 0.0
     q, q_half = (S * dg).sum(-1), (S_half * dg).sum(-1)
     advance_chains(dz, traj.A, traj.storage, traj.tau, n, q, q_half)

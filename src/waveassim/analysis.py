@@ -28,8 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from .exact import ModeSpec, exact_fields, mode_shapes
-from .wave import BLOCK_LEVELS, CHUNK, BoundaryScheme, GridSpec
-from .wave import InteriorStencil, Storage, Trajectory, advance_chains, check_levels, start_run
+from .wave import BoundaryScheme, GridSpec, InteriorStencil, Storage, Trajectory
+from .wave import advance_chains, check_levels, start_run
 
 __all__ = [
     "beta2",
@@ -205,12 +205,12 @@ def horizon_report(
     """xi_series of the run from z0 and, with a stride, its u rows at levels 0, stride, ...
 
     The bits and IntegrationDiverged of integrate + xi_series, but each chunk of
-    levels is checked and reduced as it is stepped in a one-chunk Storage, so
-    no trajectory is stored.
+    levels is checked and reduced as it is stepped in Storage(0, N), which
+    keeps no levels, so no trajectory is stored.
     """
     times, xi = grid.times, np.empty(grid.n_steps + 1)
     u = None if stride is None else np.empty((len(times[::stride]), grid.N + 1))
-    storage = Storage(min(grid.n_steps, 2 * BLOCK_LEVELS * CHUNK), grid.N)
+    storage = Storage(0, grid.N)
     reduce_xi = _xi_rows(modes, grid, storage)
 
     def consume(t: int, rows: np.ndarray) -> None:

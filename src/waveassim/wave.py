@@ -33,14 +33,12 @@ adjoint.  :func:`check_levels` is the one blow-up scan.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "BLOCK_LEVELS",
     "BLOWUP_THRESHOLD",
     "BoundaryScheme",
     "GridSpec",
@@ -244,34 +242,30 @@ class BoundaryScheme:
 
 
 class Storage:
-    """Every buffer that a run of n levels on 2N+1 values writes, allocated once.
+    """Every buffer that a run keeping n levels on 2N+1 values writes, allocated once.
 
-    z holds levels 0..n and what the last block overshoots; a run that
-    emits its levels refills it a chunk at a time, so n = 2*BLOCK_LEVELS*CHUNK
-    serves a run of any length.  W is a chain stack whose structurally zero
-    blocks are written here, once (see :func:`chain_stack`).  chunk holds
-    one chunk of chain levels: the output of :func:`advance_chains`, the
-    forcing of :func:`transpose_chains`, or any caller's rows in between.
-    heads holds the chain heads and their sources, or the adjoint's block
-    products (a forward and an adjoint run never overlap), lam the
-    adjoint's source values and res the residual of levels 0..n.  Each run
-    overwrites them, so a Trajectory lasts until the next run on its
-    storage.
+    z holds levels 0..n, or one chunk of levels if that is more, and what
+    the last block overshoots; a run that emits its levels refills it a
+    chunk at a time, so Storage(0, N) serves a run of any length, and the
+    rows that a shorter run never writes are never touched.  W is a chain
+    stack whose structurally zero blocks are written here, once (see
+    :func:`chain_stack`).  chunk holds one chunk of chain levels: the output
+    of :func:`advance_chains`, the forcing of :func:`transpose_chains`, or
+    any caller's rows in between.  heads holds the chain heads and their
+    sources, or the adjoint's block products (a forward and an adjoint run
+    never overlap), lam the adjoint's source values and res the residual
+    of levels 0..n, whose shape integrate checks.  Each run overwrites
+    them, so a Trajectory lasts until the next run on its storage.
     """
 
     def __init__(self, n: int, N: int):
         d, K = 2 * N + 1, BLOCK_LEVELS
-        self.z = np.empty((n + 2 * K + 1, d))
+        self.z = np.empty((max(n, 2 * K * CHUNK) + 2 * K + 1, d))
         self.W = np.zeros((K * d, d + 4 * K))
         self.chunk = np.empty((2 * K * CHUNK, d))
         self.heads = np.empty((CHUNK + 1, 2, d + 4 * K))
         self.lam = np.empty((n + 2 * K + 1, 4))
         self.res = np.empty((n + 1, d))
-
-
-def _buffer(storage: Storage, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """The leading entries of storage's buffer name, shaped as shape."""
-    return getattr(storage, name).reshape(-1)[: math.prod(shape)].reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -420,8 +414,8 @@ def advance_chains(
     product fills all the chunk's levels from them.  The tangent-linear
     sources q (n, 4) at the controlled rows of levels 0..n-1 and q_half (4,)
     at the half stage add tau/2 q[0] to z_half, tau q_half to z_1 and
-    2 tau q[t] to level t+1; each chunk weights its own rows of q.  Z has
-    n + 2*BLOCK_LEVELS + 1 rows, for what the last block overshoots.  Every
+    2 tau q[t] to level t+1; each chunk weights its own rows of q.  Z is
+    storage.z or shaped like it, for what the last block overshoots.  Every
     level is filled, however large it grows: blow-up is the caller's check
     (see :func:`check_levels`).  With emit, Z is refilled a chunk at a time
     (see :class:`Storage`), and emit(t, rows) gets each chunk's finished
@@ -443,9 +437,10 @@ def advance_chains(
     cols = d if q is None else d + 4 * K
     # X[b, c]: the head (u_{s-1+c}, p_{s+c}) of chain c at block b, then the
     # sources of its K steps; out[b, c, j] is that head after j+1 steps.
-    X = _buffer(storage, "heads", (CHUNK + 1, 2, cols))
+    # Without sources the heads are narrower rows, read from storage.heads' start.
+    X = storage.heads.reshape(-1)[: (CHUNK + 1) * 2 * cols].reshape(CHUNK + 1, 2, cols)
     X[0, :, uu], X[0, :, pp] = Z[0:2, uu], Z[1:3, pp]
-    out = _buffer(storage, "chunk", (CHUNK, 2, K, d))
+    out = storage.chunk.reshape(CHUNK, 2, K, d)
     last, rest = W[(K - 1) * d :, :cols].T, W[: (K - 1) * d, :cols].T
     nb, t = (n + 2 * K - 2) // (2 * K), 0  # t: the level in row 0 of Z
     for b0 in range(0, nb, CHUNK):
@@ -494,9 +489,8 @@ def transpose_chains(
     # Chunks and blocks in reverse.  W^T takes a chunk's forcing onto each
     # block's share of the adjoint of its heads and of its sources; the
     # carry from the next block adds through the last row block of W.
-    lam = _buffer(storage, "lam", (n + 2 * K + 1, 4))
-    x = _buffer(storage, "chunk", (CHUNK, 2, K, d))
-    cm = _buffer(storage, "heads", (CHUNK, 2, W.shape[1]))
+    lam, x = storage.lam, storage.chunk.reshape(CHUNK, 2, K, d)
+    cm = storage.heads[:CHUNK]
     last = W[(K - 1) * d :]
     carry, carried = np.zeros((2, d)), np.empty((2, last.shape[1]))
     nb = (n + 2 * K - 2) // (2 * K)
@@ -573,13 +567,14 @@ def integrate(
     """Integrate the model from the stacked start state z0 over grid.n_steps levels.
 
     The run and the sensitivity runs on its trajectory write into out, a
-    Storage of at least grid.n_steps levels on grid.N cells; without out
-    they write into a new one.
+    Storage that keeps at least grid.n_steps levels on grid.N cells;
+    without out they write into a new one.
 
     Raises
     ------
     ValueError
-        If z0 is not a (2N+1,) row or u does not vanish at the walls.
+        If out cannot hold the run, z0 is not a (2N+1,) row or u does not
+        vanish at the walls.
     IntegrationDiverged
         If max(|u|, |p|) exceeds ``BLOWUP_THRESHOLD`` (or turns non-finite)
         at any level; one scan of the computed levels names the first
@@ -588,6 +583,10 @@ def integrate(
     """
     tau, n = grid.tau, grid.n_steps
     storage = Storage(n, grid.N) if out is None else out
+    kept, d = storage.res.shape
+    if kept <= n or d != 2 * grid.N + 1:
+        need = f"a run of {n} levels on {grid.N} cells"
+        raise ValueError(f"a Storage of {kept - 1} levels on {d // 2} cells cannot hold {need}")
     A = start_run(z0, stencil, bs, grid, storage)
     z_half = advance_chains(storage.z, A, storage, tau, n)
     check_levels(storage.z[1 : n + 1], 1, tau)

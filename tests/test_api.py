@@ -29,6 +29,7 @@ REMOVED = {
         "controlled_rows",
         "second_order",
         "fourth_order",
+        "_buffer",
     ],
     "adjoint": [
         "SensitivitySource",
@@ -192,6 +193,14 @@ def test_traced_names_resolve():
     for module, name in tracer.TRACED:
         mod = importlib.import_module(f"waveassim.{module}")
         assert callable(getattr(mod, name)), f"waveassim.{module}.{name}"
+
+
+def test_only_wave_sizes_the_chain_buffers():
+    # BLOCK_LEVELS and CHUNK fix the chain engine's block and chunk geometry.
+    # Every other module takes its buffer sizes from a wave.Storage.
+    for path in (ROOT / "src" / "waveassim").glob("*.py"):
+        if path.name != "wave.py":
+            assert not re.search(r"\b(BLOCK_LEVELS|CHUNK)\b", path.read_text()), path.name
 
 
 def _read_names(source: str) -> set[str]:

@@ -25,7 +25,7 @@ from waveassim.objective import (
     make_objective,
     window_steps,
 )
-from waveassim.wave import BLOCK_LEVELS, BoundaryScheme, GridSpec, integrate, interior_stencil
+from waveassim.wave import BLOCK_LEVELS, CHUNK, BoundaryScheme, GridSpec, integrate, interior_stencil
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -92,7 +92,9 @@ class TestWindow:
     def test_storage_fits_the_window(self, grid30):
         _, stencil, _, _, obs, ic = make_setup(n_steps=720)
         win = Window(obs, ic, stencil, replace(grid30, n_steps=120), 1)
-        assert win.storage.z.shape == (120 + 2 * BLOCK_LEVELS + 1, 61)
+        # z holds at least one chunk of levels, for a run that emits them.
+        z_rows = max(120, 2 * BLOCK_LEVELS * CHUNK) + 2 * BLOCK_LEVELS + 1
+        assert win.storage.z.shape == (z_rows, 61)
         assert win.storage.W.shape == (BLOCK_LEVELS * 61, 61 + 4 * BLOCK_LEVELS)
         assert win.storage.lam.shape == (120 + 2 * BLOCK_LEVELS + 1, 4)
         assert win.storage.res.shape == (121, 61)

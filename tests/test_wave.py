@@ -31,6 +31,7 @@ from waveassim.wave import (
     GridSpec,
     IntegrationDiverged,
     InteriorStencil,
+    Storage,
     boundary_entries,
     integrate,
     interior_stencil,
@@ -414,6 +415,21 @@ class TestIntegrate:
         assert str(back) == str(exc)
         assert (back.step, back.time, back.amplitude) == (19, 0.57, 1e7)
 
+    @pytest.mark.parametrize("kept, cells", [(10, 30), (1000, 20)], ids=["short", "other-N"])
+    def test_storage_that_cannot_hold_the_run_is_refused(self, kept, cells):
+        # A 40-level run on N = 30 needs a Storage of at least 40 levels on
+        # 30 cells.  Any other is refused before the run writes into it.
+        grid = GridSpec(30, 1.0 / 120.0, 40)
+        _, st_, bs, _, _, ic = make_setup(n_steps=40)
+        storage = Storage(kept, cells)
+        need = "a run of 40 levels on 30 cells"
+        with pytest.raises(ValueError, match=f"Storage of {kept} levels on {cells} cells.*{need}"):
+            integrate(ic, st_, bs, grid, out=storage)
+        assert not storage.W.any()
+        # A storage that keeps more levels than the run holds it.
+        z = integrate(ic, st_, bs, grid, out=Storage(41, 30)).z
+        np.testing.assert_array_equal(z, integrate(ic, st_, bs, grid).z)
+
     def test_second_order_error_beat(self):
         # Classical scheme, k = 3: the error norm rises to ~120 and returns
         # to ~0 when the numerical wave has slipped one full period.
@@ -561,7 +577,10 @@ K = BLOCK_LEVELS
 def test_integrate_matches_level_loop_at_block_edges(N, order, J, n_steps, seed):
     # The chain stack against one longhand step per level, for runs that
     # end before, on and just past the edge of a 2K-level block (2K + 1
-    # levels fill one) and of a chunk of blocks.
+    # levels fill one) and of a chunk of blocks.  Each level is checked
+    # against the longhand step from the run's own levels before it, so
+    # the rounding of a random, mostly unstable scheme does not compound
+    # over the run; the scale is the amplitude of the run's last block.
     rng = np.random.default_rng(seed)
     grid = GridSpec(N, 1.0 / (4 * N), n_steps)
     st_ = interior_stencil(order)
@@ -572,11 +591,17 @@ def test_integrate_matches_level_loop_at_block_edges(N, order, J, n_steps, seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(wave, "BLOWUP_THRESHOLD", 1e300)
         traj = integrate(np.concatenate([u0, p0]), st_, bs, grid)
-    u, p = naive_integrate(u0, p0, st_.a, bs, N, grid.h, grid.tau, n_steps)
-    assert traj.u.shape == u.shape and traj.p.shape == p.shape
-    scale = max(np.abs(u).max(), np.abs(p).max())
-    assert np.abs(traj.u - u).max() <= 1e-12 * scale
-    assert np.abs(traj.p - p).max() <= 1e-12 * scale
+    u, p = traj.u, traj.p
+    assert u.shape == (n_steps + 1, N + 1) and p.shape == (n_steps + 1, N)
+    assert np.array_equal(u[0], u0) and np.array_equal(p[0], p0)
+    step = (st_.a, bs, N, grid.h, grid.tau)
+    levels = [naive_first_step(u0, p0, *step)[1]]
+    for t in range(2, n_steps + 1):
+        levels.append(naive_leapfrog_step(u[t - 2], p[t - 2], u[t - 1], p[t - 1], *step))
+    want_u, want_p = map(np.array, zip(*levels))
+    scale = np.abs(traj.z[-2 * K :]).max()
+    assert np.abs(u[1:] - want_u).max() <= 1e-13 * scale
+    assert np.abs(p[1:] - want_p).max() <= 1e-13 * scale
 
 
 def test_divergence_reports_first_level_over_threshold(monkeypatch):
