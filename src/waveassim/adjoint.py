@@ -57,25 +57,28 @@ def _sensitivity(z: np.ndarray, J: int) -> np.ndarray:
     return S
 
 
-def tlm_run(traj: Trajectory, dalpha: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def tlm_run(traj: Trajectory, dalpha: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Propagate a coefficient perturbation along a stored trajectory.
 
     The perturbation starts from zero fields and is driven by the tendency
     sources of every level.  Returns dz, shaped like traj.z (its u wall
-    columns stay zero).  out, if given, is the buffer filled, shaped like
-    traj.storage.z but other than it; without out a new one is.
+    columns stay zero), as the leading rows of out: the buffer filled,
+    shaped like traj.storage.z but other than it.
     """
     n, J = traj.n_steps, traj.bs.J
     dalpha = np.asarray(dalpha, dtype=float)
     if dalpha.shape != (control_dim(J),):
         raise ValueError(f"control vector must have length {control_dim(J)}, got {dalpha.shape}")
+    if out.shape != traj.storage.z.shape:
+        raise ValueError(
+            f"out of shape {out.shape} is not shaped like the storage's z {traj.storage.z.shape}"
+        )
     dg = dalpha.reshape(4, J + 1)  # one row per stencil group, in control-vector order
     S_half, S = _sensitivity(traj.z_half, J), _sensitivity(traj.z[:-1], J)
-    dz = np.empty_like(traj.storage.z) if out is None else out
-    dz[0] = 0.0
+    out[0] = 0.0
     q, q_half = (S * dg).sum(-1), (S_half * dg).sum(-1)
-    advance_chains(dz, traj.A, traj.storage, traj.tau, n, q, q_half)
-    return dz[: n + 1]
+    advance_chains(out, traj.A, traj.storage, traj.tau, n, q, q_half)
+    return out[: n + 1]
 
 
 def adjoint_sweep(traj: Trajectory, forcing: np.ndarray) -> np.ndarray:

@@ -172,7 +172,7 @@ def xi_series(
     xi(t) = sum_i (u_i - u_exact)^2 + sum_i (p_{i-1/2} - p_exact)^2,
     an unweighted sum over grid points.
     """
-    grid = GridSpec(traj.N, traj.tau, traj.n_steps)
+    grid = GridSpec.quiet(traj.N, traj.tau, traj.n_steps)
     xi = np.empty(grid.n_steps + 1)
     _xi_rows(modes, grid, traj.storage)(traj.z, grid.times, xi)
     return grid.times, xi

@@ -27,7 +27,7 @@ import os
 import pickle
 import signal
 import sys
-from dataclasses import Field, asdict, dataclass, fields, replace
+from dataclasses import Field, asdict, dataclass, fields
 from numbers import Integral, Real
 from pathlib import Path
 from typing import Sequence
@@ -252,7 +252,7 @@ def setup_experiment(cfg: ExperimentConfig) -> Experiment:
 
 def _window(exp: Experiment, T_window: float) -> Window:
     """The fit window of T_window time units, observed at each of its levels."""
-    wgrid = replace(exp.grid, n_steps=window_steps(T_window, exp.grid))
+    wgrid = GridSpec.quiet(exp.grid.N, exp.grid.tau, window_steps(T_window, exp.grid))
     obs = sample_observations(exp.modes, wgrid)
     return Window(obs, exp.ic, exp.stencil, wgrid, exp.config.J, exp.config.eta)
 

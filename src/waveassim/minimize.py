@@ -9,6 +9,12 @@ deterministic: identical inputs give bitwise identical iterates on one
 machine, BLAS build and BLAS thread count; another BLAS or thread count
 may round the objective differently and move the iterates (a fit at
 OPENBLAS_NUM_THREADS=1 and at 2 ends at different coefficients).
+
+Six module constants set the method: MEMORY curvature pairs, at most
+MAX_ITERS iterations, the relative gradient tolerance GRAD_TOL, the
+strong-Wolfe constants C1 and C2, and MAX_LINE_SEARCH trials per
+expansion or zoom.  Every fit uses these values; the functions read them
+when they run, so a test patches them on the module.
 """
 
 from __future__ import annotations
@@ -20,31 +26,14 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["MinimizeConfig", "OptimResult", "lbfgs", "wolfe_line_search"]
+__all__ = ["OptimResult", "lbfgs", "wolfe_line_search"]
 
-
-@dataclass(frozen=True)
-class MinimizeConfig:
-    """Iteration limits, memory depth, and line-search constants."""
-
-    memory: int = 8
-    max_iters: int = 500
-    grad_tol: float = 1e-8
-    c1: float = 1e-4
-    c2: float = 0.9
-    max_line_search: int = 30
-
-    def __post_init__(self):
-        if self.memory < 1:
-            raise ValueError(f"memory must be >= 1, got {self.memory}")
-        if self.max_iters < 0:
-            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
-        if self.max_line_search < 1:
-            raise ValueError(f"max_line_search must be >= 1, got {self.max_line_search}")
-        if not 0.0 < self.grad_tol < 1.0:
-            raise ValueError(f"grad_tol must be in (0, 1), got {self.grad_tol}")
-        if not 0.0 < self.c1 < self.c2 < 1.0:
-            raise ValueError(f"need 0 < c1 < c2 < 1, got c1 = {self.c1}, c2 = {self.c2}")
+MEMORY = 8
+MAX_ITERS = 500
+GRAD_TOL = 1e-8
+C1 = 1e-4
+C2 = 0.9
+MAX_LINE_SEARCH = 30
 
 
 @dataclass(frozen=True)
@@ -74,12 +63,7 @@ def _cubic_step(a_lo, f_lo, d_lo, a_hi, f_hi, d_hi):
     return step if math.isfinite(step) else None
 
 
-def wolfe_line_search(
-    phi: Callable,
-    f0: float,
-    dphi0: float,
-    cfg: MinimizeConfig = MinimizeConfig(),
-):
+def wolfe_line_search(phi: Callable, f0: float, dphi0: float):
     """Strong-Wolfe step along a descent direction.
 
     ``phi(a)`` must return (f, dphi, payload) at x + a*d; payload is handed
@@ -95,7 +79,7 @@ def wolfe_line_search(
         # Invariant: a_lo satisfies sufficient decrease and is the best such
         # point; the interval [a_lo, a_hi] brackets an acceptable step.
         best = None
-        for _ in range(cfg.max_line_search):
+        for _ in range(MAX_LINE_SEARCH):
             a = _cubic_step(a_lo, f_lo, d_lo, a_hi, f_hi, d_hi)
             lo, hi = min(a_lo, a_hi), max(a_lo, a_hi)
             width = hi - lo
@@ -104,10 +88,10 @@ def wolfe_line_search(
             if width <= 1e-14 * max(1.0, abs(a_lo)):
                 return best
             f, d, payload = phi(a)
-            if not math.isfinite(f) or f > f0 + cfg.c1 * a * dphi0 or f >= f_lo:
+            if not math.isfinite(f) or f > f0 + C1 * a * dphi0 or f >= f_lo:
                 a_hi, f_hi, d_hi = a, f, d
             else:
-                if abs(d) <= -cfg.c2 * dphi0:
+                if abs(d) <= -C2 * dphi0:
                     return a, f, d, payload
                 best = (a, f, d, payload)
                 if d * (a_hi - a_lo) >= 0.0:
@@ -117,11 +101,11 @@ def wolfe_line_search(
 
     a_prev, f_prev, d_prev = 0.0, f0, dphi0
     a = 1.0  # the unit step of a quasi-Newton direction
-    for i in range(cfg.max_line_search):
+    for i in range(MAX_LINE_SEARCH):
         f, d, payload = phi(a)
-        if not math.isfinite(f) or f > f0 + cfg.c1 * a * dphi0 or (i > 0 and f >= f_prev):
+        if not math.isfinite(f) or f > f0 + C1 * a * dphi0 or (i > 0 and f >= f_prev):
             return zoom(a_prev, f_prev, d_prev, a, f, d)
-        if abs(d) <= -cfg.c2 * dphi0:
+        if abs(d) <= -C2 * dphi0:
             return a, f, d, payload
         if d >= 0.0:
             return zoom(a, f, d, a_prev, f_prev, d_prev)
@@ -147,14 +131,10 @@ def _two_loop(g, history):
     return q
 
 
-def lbfgs(
-    f_and_grad: Callable,
-    x0: np.ndarray,
-    cfg: MinimizeConfig = MinimizeConfig(),
-) -> OptimResult:
+def lbfgs(f_and_grad: Callable, x0: np.ndarray) -> OptimResult:
     """Minimize f via L-BFGS; f_and_grad(x) returns (f, grad).
 
-    Stops when ||g|| <= grad_tol * max(1, ||g0||), on max_iters, or when the
+    Stops when ||g|| <= GRAD_TOL * max(1, ||g0||), after MAX_ITERS, or when the
     line search cannot make progress (reported in ``termination``, never
     raised).  The cost history only records accepted iterates, so it is
     non-increasing by construction.
@@ -172,12 +152,12 @@ def lbfgs(
     g0_norm = float(np.linalg.norm(g))
     costs = [f]
     gnorms = [g0_norm]
-    history: deque = deque(maxlen=cfg.memory)
+    history: deque = deque(maxlen=MEMORY)
     termination = "max_iters"
     iters = 0
 
-    for _ in range(cfg.max_iters):
-        if gnorms[-1] <= cfg.grad_tol * max(1.0, g0_norm):
+    for _ in range(MAX_ITERS):
+        if gnorms[-1] <= GRAD_TOL * max(1.0, g0_norm):
             termination = "gradient"
             break
         d = -_two_loop(g, history) if history else -g
@@ -195,7 +175,7 @@ def lbfgs(
             with np.errstate(over="ignore", invalid="ignore"):
                 return fa, float(ga @ d), ga
 
-        hit = wolfe_line_search(phi, f, slope, cfg)
+        hit = wolfe_line_search(phi, f, slope)
         if hit is None:
             termination = "line_search_failed"
             break
@@ -211,7 +191,7 @@ def lbfgs(
         gnorms.append(float(np.linalg.norm(g)))
         iters += 1
     else:
-        if gnorms[-1] <= cfg.grad_tol * max(1.0, g0_norm):
+        if gnorms[-1] <= GRAD_TOL * max(1.0, g0_norm):
             termination = "gradient"
 
     return OptimResult(

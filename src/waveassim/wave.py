@@ -142,6 +142,16 @@ class GridSpec:
     def times(self) -> np.ndarray:
         return np.arange(self.n_steps + 1) * self.tau
 
+    @classmethod
+    def quiet(cls, N: int, tau: float, n_steps: int) -> "GridSpec":
+        """GridSpec(N, tau, n_steps) for an N and tau that a grid has checked.
+
+        That grid gave the CFL warning, if any; this one gives it no second time.
+        """
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "tau/h", UserWarning)
+            return cls(N, tau, n_steps)
+
 
 @dataclass(frozen=True)
 class InteriorStencil:
@@ -214,7 +224,7 @@ class BoundaryScheme:
         return self.alpha_u.size - 1
 
     @classmethod
-    def classical(cls, J: int = 1) -> "BoundaryScheme":
+    def classical(cls, J: int) -> "BoundaryScheme":
         """Plain two-point boundary derivatives, zero-padded to width J+1."""
         if J < 1:
             raise ValueError(f"the classical boundary stencil needs J >= 1, got {J}")

@@ -6,9 +6,13 @@ separate from the vectorized library code so the two can check each
 other.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 
+from waveassim import minimize
+from waveassim.adjoint import tlm_run
 from waveassim.exact import ModeSpec, sample_observations
 from waveassim.wave import BoundaryScheme, GridSpec, interior_stencil
 
@@ -22,6 +26,24 @@ def make_setup(k=3, N=30, tau=1.0 / 120.0, n_steps=720, order=2, J=1):
     obs = sample_observations(modes, grid)
     ic = obs[0].copy()
     return grid, stencil, bs, modes, obs, ic
+
+
+@contextlib.contextmanager
+def minimizer(**values):
+    """The minimizer's module constants set for the block, named in lower case.
+
+    minimizer(max_iters=50, grad_tol=1e-12) sets minimize.MAX_ITERS and
+    minimize.GRAD_TOL and restores both on exit; an unknown name raises.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in values.items():
+            mp.setattr(minimize, name.upper(), value)
+        yield
+
+
+def tlm(traj, dalpha):
+    """tlm_run on a new buffer shaped like the trajectory's storage z."""
+    return tlm_run(traj, dalpha, np.empty_like(traj.storage.z))
 
 
 def split(z, N):

@@ -21,14 +21,16 @@ from conftest import (
     compensation_coefficient,
     first_peak_and_return,
     log_growth_rate,
+    minimizer,
     plateau_level,
+    tlm,
     trend_drift,
 )
 from waveassim import analysis
-from waveassim.adjoint import adjoint_sweep, control_dim, tlm_run
+from waveassim.adjoint import adjoint_sweep, control_dim
 from waveassim.cli import resolve_config, setup_experiment
 from waveassim.exact import ModeSpec, sample_observations
-from waveassim.minimize import MinimizeConfig, lbfgs
+from waveassim.minimize import lbfgs
 from waveassim.objective import Window, evaluate, make_objective
 from waveassim.wave import (
     BoundaryScheme,
@@ -178,7 +180,8 @@ def rich_j1(rich_experiment):
     starts = [x0] + [x0 + 1e-10 * rng.standard_normal(x0.size) for _ in range(4)]
     fits = []
     for start in starts:
-        result = lbfgs(f, start, MinimizeConfig(grad_tol=1e-7))
+        with minimizer(grad_tol=1e-7):
+            result = lbfgs(f, start)
         bs = BoundaryScheme.from_control_vector(result.x, cfg.J)
         _, xi1 = analysis.xi_series(integrate(exp.ic, exp.stencil, bs, exp.grid), exp.modes)
         fits.append((result, xi1))
@@ -210,7 +213,8 @@ def rich_j4(rich_experiment):
     ic = obs[0].copy()
     f = make_objective(Window(obs, ic, exp.stencil, GridSpec(30, TAU, m_window), 4, eta=10.0))
     classical = BoundaryScheme.classical(4)
-    result = lbfgs(f, classical.to_control_vector(), MinimizeConfig(max_iters=600, memory=20))
+    with minimizer(max_iters=600, memory=20):
+        result = lbfgs(f, classical.to_control_vector())
 
     def drift_over_osc(bs):
         times, xi = analysis.xi_series(integrate(ic, exp.stencil, bs, grid), exp.modes)
@@ -241,7 +245,7 @@ def test_criterion_01_adjoint_identity(k3_second):
                 f = np.hstack(
                     [rng.standard_normal(traj.u.shape), rng.standard_normal(traj.p.shape)]
                 )
-                lhs = float((tlm_run(traj, d) * f).sum())
+                lhs = float((tlm(traj, d) * f).sum())
                 rhs = float(d @ adjoint_sweep(traj, f))
                 worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
                 n_pairs += 1
@@ -459,11 +463,8 @@ def test_criterion_10_minimizer_sanity():
         M = rng.standard_normal((8, 8))
         A = M @ M.T + 8.0 * np.eye(8)
         x0 = rng.standard_normal(8)
-        r = lbfgs(
-            lambda x: (0.5 * x @ A @ x, A @ x),
-            x0,
-            MinimizeConfig(memory=8, grad_tol=1e-12, max_iters=50),
-        )
+        with minimizer(grad_tol=1e-12, max_iters=50):
+            r = lbfgs(lambda x: (0.5 * x @ A @ x, A @ x), x0)
         worst_g = max(worst_g, float(np.linalg.norm(A @ r.x)))
         worst_iters = max(worst_iters, r.n_iterations)
     ok = rosen_err < 1e-6 and worst_g < 1e-10 and worst_iters <= 50

@@ -1,5 +1,6 @@
 """Tangent-linear model, adjoint sweep, and the misfit gradient."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import tlm
 from waveassim.adjoint import (
     adjoint_sweep,
     control_dim,
@@ -55,17 +57,27 @@ def small_case(N=12, J=1, n_steps=25, order=2, k=3):
 class TestTangentLinearModel:
     def test_zero_perturbation(self):
         grid, stencil, bs, obs, ic, traj = small_case()
-        assert not tlm_run(traj, np.zeros(control_dim(1))).any()
+        assert not tlm(traj, np.zeros(control_dim(1))).any()
 
     @pytest.mark.parametrize("length", [7, 9, 16])
     def test_wrong_control_length_rejected(self, length):
         grid, stencil, bs, obs, ic, traj = small_case()
         with pytest.raises(ValueError, match="control vector must have length 8"):
-            tlm_run(traj, np.zeros(length))
+            tlm(traj, np.zeros(length))
+
+    @pytest.mark.parametrize("rows, width", [(100, 61), (None, 41)], ids=["short", "narrow"])
+    def test_out_of_another_shape_rejected(self, rows, width):
+        # A short out used to be written two rows deep before a reshape failed.
+        grid, stencil, bs, obs, ic, traj = small_case(N=30, n_steps=720)
+        out = np.full((rows or len(traj.storage.z), width), np.nan)
+        shapes = f"{out.shape} is not shaped like the storage's z {traj.storage.z.shape}"
+        with pytest.raises(ValueError, match=re.escape(shapes)):
+            tlm_run(traj, np.ones(control_dim(1)), out)
+        assert np.isnan(out).all()
 
     def test_output_is_stacked_like_the_trajectory(self):
         grid, stencil, bs, obs, ic, traj = small_case()
-        dz = tlm_run(traj, np.random.default_rng(1).standard_normal(8))
+        dz = tlm(traj, np.random.default_rng(1).standard_normal(8))
         assert dz.shape == traj.z.shape
         assert np.abs(dz[1:, 1:12]).max() > 0.0 and np.abs(dz[1:, 13:]).max() > 0.0
         assert not dz[:, 0].any() and not dz[:, 12].any()
@@ -76,9 +88,9 @@ class TestTangentLinearModel:
         d1 = rng.standard_normal(8)
         d2 = rng.standard_normal(8)
         a, b = 1.3, -0.8
-        dz1 = tlm_run(traj, d1)
-        dz2 = tlm_run(traj, d2)
-        dz = tlm_run(traj, a * d1 + b * d2)
+        dz1 = tlm(traj, d1)
+        dz2 = tlm(traj, d2)
+        dz = tlm(traj, a * d1 + b * d2)
         np.testing.assert_allclose(dz, a * dz1 + b * dz2, rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("comp", range(8))
@@ -88,7 +100,7 @@ class TestTangentLinearModel:
         grid, stencil, bs, obs, ic, traj = small_case(N=16, n_steps=40)
         e = np.zeros(8)
         e[comp] = 1.0
-        dz = tlm_run(traj, e)
+        dz = tlm(traj, e)
         x0 = bs.to_control_vector()
 
         def residual(eps):
@@ -118,7 +130,7 @@ class TestTangentLinearModel:
             integrate(ic, stencil, BoundaryScheme.from_control_vector(x + sign * eps * d, J), grid)
             for sign in (1.0, -1.0)
         )
-        tl = tlm_run(traj, d)
+        tl = tlm(traj, d)
         fd = (plus.z - minus.z) / (2.0 * eps)
         assert np.abs(fd - tl).max() <= 1e-8 * np.abs(tl).max()
 
@@ -165,7 +177,7 @@ class TestAdjointSweep:
         rng = np.random.default_rng(6)
         grid, stencil, bs, obs, ic, traj = small_case(N=8, J=J, n_steps=n_steps)
         dim = control_dim(J)
-        A = np.column_stack([tlm_run(traj, e).ravel() for e in np.eye(dim)])
+        A = np.column_stack([tlm(traj, e).ravel() for e in np.eye(dim)])
         f = random_forcing(rng, traj)
         np.testing.assert_allclose(adjoint_sweep(traj, f), A.T @ f.ravel(), rtol=1e-12, atol=1e-13)
 
@@ -183,7 +195,7 @@ class TestAdjointSweep:
         for _ in range(5):
             d = rng.standard_normal(control_dim(J))
             f = random_forcing(rng, traj)
-            lhs = float((tlm_run(traj, d) * f).sum())
+            lhs = float((tlm(traj, d) * f).sum())
             rhs = float(d @ adjoint_sweep(traj, f))
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
 
@@ -225,7 +237,7 @@ def test_dot_product_identity_property(N, J, n_steps, order, seed):
         traj = integrate(ic, stencil, bs, grid)
     d = rng.standard_normal(control_dim(J))
     f = random_forcing(rng, traj)
-    lhs = float((tlm_run(traj, d) * f).sum())
+    lhs = float((tlm(traj, d) * f).sum())
     rhs = float(d @ adjoint_sweep(traj, f))
     assert abs(lhs - rhs) <= 1e-11 * max(abs(lhs), abs(rhs), 1.0)
 

@@ -1,5 +1,7 @@
 """Dispersion formulas, kernel-line predictions, and error diagnostics."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,15 @@ class TestErrorSeries:
         modes_m = [ModeSpec(m.k, -((-1.0) ** m.k) * m.a, -((-1.0) ** m.k) * m.b) for m in modes]
         _, xi_m = analysis.xi_series(traj_m, modes_m)
         np.testing.assert_allclose(xi_m, xi, rtol=1e-12, atol=1e-15)
+
+    def test_no_second_cfl_warning(self):
+        # The grid the run was integrated on has given it.
+        with pytest.warns(UserWarning, match="CFL"):
+            grid, stencil, bs, modes, _, ic = make_setup(tau=0.04, n_steps=20)
+        traj = integrate(ic, stencil, bs, grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            analysis.xi_series(traj, modes)
 
     def test_first_peak_and_return_on_synthetic_beat(self):
         t = np.linspace(0.0, 10.0, 2001)

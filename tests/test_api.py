@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import waveassim
-from waveassim import cli, minimize, objective, wave
+from waveassim import adjoint, cli, objective, wave
 
 REMOVED = {
     "wave": [
@@ -41,6 +41,7 @@ REMOVED = {
         "split_control",
     ],
     "objective": ["state_norm2", "GROUP_NAMES", "CostConfig", "window_buffers"],
+    "minimize": ["MinimizeConfig"],
     "exact": ["exact_mode", "exact_superposition", "Observations"],
     "analysis": [
         "grid_misfit_series",
@@ -105,17 +106,6 @@ def test_cost_dataclass_fields():
     ]
 
 
-def test_minimize_config_fields():
-    assert list(minimize.MinimizeConfig.__dataclass_fields__) == [
-        "memory",
-        "max_iters",
-        "grad_tol",
-        "c1",
-        "c2",
-        "max_line_search",
-    ]
-
-
 # Each signature holds only parameters that some caller sets.
 SIGNATURES = [
     ("cli", "run_assimilation", ["win"]),
@@ -140,7 +130,7 @@ SIGNATURES = [
     ("exact", "exact_fields", ["modes", "grid", "times", "shapes", "out"]),
     ("exact", "mode_shapes", ["modes", "grid"]),
     # Every line search starts at the unit step; every stack spans one block.
-    ("minimize", "wolfe_line_search", ["phi", "f0", "dphi0", "cfg"]),
+    ("minimize", "wolfe_line_search", ["phi", "f0", "dphi0"]),
     ("wave", "chain_stack", ["A", "tau", "storage"]),
     ("wave", "transpose_chains", ["a", "A", "storage", "tau"]),
     # The quadrature is 16-point on max(8, k_max) panels, fixed.
@@ -153,6 +143,8 @@ SIGNATURES = [
     ("wave", "check_levels", ["levels", "t", "tau"]),
     # The error series refills the run's chunk buffer, not a buffer of its own.
     ("analysis", "_xi_rows", ["modes", "grid", "storage"]),
+    # The minimizer's settings are module constants, from MEMORY to MAX_LINE_SEARCH.
+    ("minimize", "lbfgs", ["f_and_grad", "x0"]),
 ]
 
 
@@ -160,6 +152,16 @@ SIGNATURES = [
 def test_signature(module, name, params):
     fn = getattr(importlib.import_module(f"waveassim.{module}"), name)
     assert list(inspect.signature(fn).parameters) == params
+
+
+# Every caller passes these, so none has a default that only the tests take.
+@pytest.mark.parametrize(
+    "fn, param",
+    [(adjoint.tlm_run, "out"), (wave.BoundaryScheme.classical, "J")],
+    ids=["tlm_run", "classical"],
+)
+def test_parameter_has_no_default(fn, param):
+    assert inspect.signature(fn).parameters[param].default is inspect.Parameter.empty
 
 
 def test_dispersion_leaves_scipy_unloaded(tmp_path):

@@ -6,6 +6,8 @@ import json
 import math
 import os
 import signal
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
@@ -42,6 +44,7 @@ TINY = [
 
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def on_cpus(monkeypatch, count, call):
@@ -771,6 +774,39 @@ class TestExitCodes:
         one, two = self.unstable_sweep(tmp_path, capsys, monkeypatch, "10", "50")
         assert one.startswith("error: integration diverged at step 19")
         assert two == one
+
+
+# tau/h = 1.2: past the CFL bound, and the 50-step window's start diverges.
+PAST_CFL = ["--preset", "single-mode-second", "--tau", "0.04", "--n-steps", "400",
+            "--T-window", "2.0"]
+
+
+class TestCflWarning:
+    @pytest.mark.parametrize("command", ["assimilate", "gradcheck"])
+    def test_given_once_by_the_horizon_grid(self, tmp_path, command):
+        # The window grid has the horizon grid's N and tau, which have warned.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--out", str(tmp_path)] + PAST_CFL) == 1
+        assert [(w.category, Path(w.filename).name) for w in caught] == [(UserWarning, "cli.py")]
+
+    def test_sweep_workers_give_none(self, tmp_path):
+        # Each forked worker builds its window's grid; on two CPUs the
+        # command used to print the warning three times.
+        code = (
+            "import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
+            "from waveassim.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        argv = ["sweep", "--out", str(tmp_path)] + PAST_CFL + [
+            "--window-start", "40", "--window-end", "50", "--window-count", "2"]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+        run = subprocess.run(
+            [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True,
+            timeout=300,
+        )
+        assert run.returncode == 1
+        assert run.stderr.count("exceeds the CFL bound") == 1
 
 
 class TestMap:

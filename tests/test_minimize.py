@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from conftest import minimizer
 from waveassim import minimize
-from waveassim.minimize import MinimizeConfig, lbfgs, wolfe_line_search
+from waveassim.minimize import lbfgs, wolfe_line_search
 
 
 def rosenbrock(x):
@@ -37,11 +38,8 @@ class TestLbfgs:
         M = rng.standard_normal((8, 8))
         A = M @ M.T + 8.0 * np.eye(8)
         x0 = rng.standard_normal(8)
-        res = lbfgs(
-            lambda x: (0.5 * x @ A @ x, A @ x),
-            x0,
-            MinimizeConfig(memory=8, grad_tol=1e-12, max_iters=50),
-        )
+        with minimizer(grad_tol=1e-12, max_iters=50):
+            res = lbfgs(lambda x: (0.5 * x @ A @ x, A @ x), x0)
         assert np.linalg.norm(A @ res.x) < 1e-10
         assert res.n_iterations <= 50
 
@@ -51,11 +49,8 @@ class TestLbfgs:
         M = rng.standard_normal((8, 8))
         A = M @ M.T + 8.0 * np.eye(8)
         b = rng.standard_normal(8)
-        res = lbfgs(
-            lambda x: (0.5 * x @ A @ x + b @ x, A @ x + b),
-            np.zeros(8),
-            MinimizeConfig(memory=8, grad_tol=1e-12, max_iters=60),
-        )
+        with minimizer(grad_tol=1e-12, max_iters=60):
+            res = lbfgs(lambda x: (0.5 * x @ A @ x + b @ x, A @ x + b), np.zeros(8))
         x_star = np.linalg.solve(A, -b)
         assert np.abs(res.x - x_star).max() < 1e-6
 
@@ -68,11 +63,8 @@ class TestLbfgs:
         M = rng.standard_normal((n, n))
         A = M @ M.T + n * np.eye(n)
         x0 = rng.standard_normal(n)
-        res = lbfgs(
-            lambda x: (0.5 * x @ A @ x, A @ x),
-            x0,
-            MinimizeConfig(memory=n, grad_tol=1e-10, max_iters=60, c2=0.1),
-        )
+        with minimizer(memory=n, grad_tol=1e-10, max_iters=60, c2=0.1):
+            res = lbfgs(lambda x: (0.5 * x @ A @ x, A @ x), x0)
         assert res.termination == "gradient"
         assert res.n_iterations <= 2 * n
 
@@ -90,7 +82,8 @@ class TestLbfgs:
                 return math.inf, np.zeros(1)
             return (x[0] - 3.0) ** 2, np.array([2.0 * (x[0] - 3.0)])
 
-        res = lbfgs(cliff, np.zeros(1), MinimizeConfig(max_iters=50))
+        with minimizer(max_iters=50):
+            res = lbfgs(cliff, np.zeros(1))
         assert res.x[0] <= 1.0
         assert res.f < cliff(np.zeros(1))[0]
         assert np.all(np.diff(res.cost_history) <= 0.0)
@@ -104,11 +97,8 @@ class TestLbfgs:
         np.testing.assert_array_equal(res.x, np.ones(2))
 
     def test_unbounded_descent_hits_max_iters(self):
-        res = lbfgs(
-            lambda x: (float(x[0]), np.array([1.0])),
-            np.zeros(1),
-            MinimizeConfig(max_iters=5),
-        )
+        with minimizer(max_iters=5):
+            res = lbfgs(lambda x: (float(x[0]), np.array([1.0])), np.zeros(1))
         assert res.termination == "max_iters"
         assert res.n_iterations == 5
 
@@ -129,21 +119,10 @@ class TestLbfgs:
     def test_convergence_on_the_last_iteration_is_reported(self):
         # The exact line search of 0.5 |x|^2 lands on 0 in the one allowed
         # iteration: that is convergence, not an exhausted budget.
-        res = lbfgs(lambda x: (0.5 * x @ x, x), np.array([1.0, 2.0]), MinimizeConfig(max_iters=1))
+        with minimizer(max_iters=1):
+            res = lbfgs(lambda x: (0.5 * x @ x, x), np.array([1.0, 2.0]))
         assert res.termination == "gradient"
         assert res.n_iterations == 1
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            MinimizeConfig(memory=0)
-        with pytest.raises(ValueError):
-            MinimizeConfig(grad_tol=2.0)
-        with pytest.raises(ValueError):
-            MinimizeConfig(c1=0.5, c2=0.3)
-        with pytest.raises(ValueError, match="max_iters"):
-            MinimizeConfig(max_iters=-3)
-        with pytest.raises(ValueError, match="max_line_search"):
-            MinimizeConfig(max_line_search=0)
 
 
 class TestWolfeLineSearch:
@@ -155,35 +134,31 @@ class TestWolfeLineSearch:
 
         return phi
 
-    def _assert_strong_wolfe(self, phi, f0, dphi0, cfg):
-        hit = wolfe_line_search(phi, f0, dphi0, cfg)
+    def _assert_strong_wolfe(self, phi, f0, dphi0):
+        hit = wolfe_line_search(phi, f0, dphi0)
         assert hit is not None
         a, f_a, dphi_a, _ = hit
-        assert f_a <= f0 + cfg.c1 * a * dphi0 + 1e-15
-        assert abs(dphi_a) <= -cfg.c2 * dphi0 + 1e-15
+        assert f_a <= f0 + minimize.C1 * a * dphi0 + 1e-15
+        assert abs(dphi_a) <= -minimize.C2 * dphi0 + 1e-15
         return a
 
     def test_quadratic_direction(self):
-        cfg = MinimizeConfig()
         A = np.diag([1.0, 30.0])
         f = lambda x: (0.5 * x @ A @ x, A @ x)
         x = np.array([4.0, -2.0])
         d = -f(x)[1]
         phi = self._phi_factory(f, x, d)
         f0, dphi0 = f(x)[0], float(f(x)[1] @ d)
-        self._assert_strong_wolfe(phi, f0, dphi0, cfg)
+        self._assert_strong_wolfe(phi, f0, dphi0)
 
     def test_rosenbrock_direction(self):
-        cfg = MinimizeConfig()
         x = np.array([-1.2, 1.0])
         d = -rosenbrock(x)[1]
         phi = self._phi_factory(rosenbrock, x, d)
         f0, dphi0 = rosenbrock(x)[0], float(rosenbrock(x)[1] @ d)
-        self._assert_strong_wolfe(phi, f0, dphi0, cfg)
+        self._assert_strong_wolfe(phi, f0, dphi0)
 
     def test_penalty_wall_respected(self):
-        cfg = MinimizeConfig()
-
         def f(x):
             if x[0] > 2.0:
                 return math.inf, np.zeros(1)
@@ -193,7 +168,7 @@ class TestWolfeLineSearch:
         d = np.array([20.0])  # first unit trial lands inside the wall
         phi = self._phi_factory(f, x, d)
         f0, dphi0 = f(x)[0], float(f(x)[1] @ d)
-        hit = wolfe_line_search(phi, f0, dphi0, cfg)
+        hit = wolfe_line_search(phi, f0, dphi0)
         assert hit is not None
         a = hit[0]
         assert x[0] + a * d[0] <= 2.0
@@ -203,7 +178,6 @@ class TestWolfeLineSearch:
         # The first trial (expansion) and a zoom trial return NaN with a
         # zero slope, which would pass the curvature test if taken at face
         # value; a +inf trial in between must not be interpolated through.
-        cfg = MinimizeConfig()
         bad = {1.0: math.nan, 0.5: math.inf, 0.25: math.nan}
         trials = []
 
@@ -213,7 +187,7 @@ class TestWolfeLineSearch:
                 return bad[a], 0.0, None
             return (a - 0.125) ** 2, 2.0 * (a - 0.125), a
 
-        hit = wolfe_line_search(phi, 0.125**2, -0.25, cfg)
+        hit = wolfe_line_search(phi, 0.125**2, -0.25)
         assert trials[:3] == [1.0, 0.5, 0.25]
         assert hit is not None
         a, f_a, _, payload = hit
@@ -229,7 +203,8 @@ class TestWolfeLineSearch:
             trials.append(a)
             return (-a, -1.0, a) if a < 0.3 else (math.inf, 0.0, None)
 
-        a, f_a, _, payload = wolfe_line_search(phi, 0.0, -1.0, MinimizeConfig(max_line_search=100))
+        with minimizer(max_line_search=100):
+            a, f_a, _, payload = wolfe_line_search(phi, 0.0, -1.0)
         assert 0.3 - 1e-13 < a < 0.3 and f_a == -a and payload == a
         assert len(trials) < 60  # returned on the collapse, not the iteration budget
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_setup, split
+from conftest import make_setup, split, tlm
 from waveassim.adjoint import misfit_gradient, tlm_run, window_misfit
 from waveassim.analysis import xi_series
 from waveassim.objective import (
@@ -291,7 +291,7 @@ def test_storage_gives_the_bits_of_fresh_arrays(J, m):
     out = np.full_like(win.storage.z, np.nan)
     dz = tlm_run(traj, dalpha, out)
     assert np.shares_memory(dz, out)
-    np.testing.assert_array_equal(dz, tlm_run(plain, dalpha))
+    np.testing.assert_array_equal(dz, tlm(plain, dalpha))
 
 
 def test_evaluations_repeat_on_reused_storage():
