@@ -13,7 +13,8 @@ sources, then one projection takes it onto coefficient space.  Both keep
 the stacked layout of the trajectory: ``tlm_run`` returns dz shaped like
 traj.z and ``adjoint_sweep`` takes a forcing of that shape.  Both, and
 ``window_misfit``'s residual, take their scratch from the trajectory's
-``wave.Storage``.
+``wave.Storage``.  ``level_misfit`` is the misfit of one level, which
+``window_misfit`` and the streamed ``objective.cost`` share.
 
 The control vector is ``BoundaryScheme.to_control_vector``; the operator
 entries each of its four stencil groups sets, and so the sensitivity of
@@ -29,6 +30,7 @@ from .wave import Trajectory, advance_chains, boundary_entries, transpose_chains
 __all__ = [
     "adjoint_sweep",
     "control_dim",
+    "level_misfit",
     "misfit_gradient",
     "time_weights",
     "tlm_run",
@@ -121,9 +123,9 @@ def window_misfit(traj: Trajectory, obs: np.ndarray) -> tuple[float, np.ndarray]
     the observed stacked states, at least as many levels as the trajectory
     stores.  The residual goes into traj.storage.res, so it lasts until the
     next window_misfit on that storage, and its squares into
-    traj.storage.chunk, a chunk of levels at a time.
+    traj.storage.chunk, a chunk of levels at a time (see ``level_misfit``).
     """
-    m, N = traj.n_steps, traj.N
+    m = traj.n_steps
     if obs.shape[1:] != traj.z.shape[1:] or len(obs) < m + 1:
         raise ValueError(
             f"observations of shape {obs.shape} do not cover the trajectory's "
@@ -131,14 +133,23 @@ def window_misfit(traj: Trajectory, obs: np.ndarray) -> tuple[float, np.ndarray]
         )
     res = np.subtract(traj.z, obs[: m + 1], out=traj.storage.res[: m + 1])
     squares = traj.storage.chunk
-    level_misfit = np.empty(m + 1)
+    levels = np.empty(m + 1)
     for t in range(0, m + 1, len(squares)):
-        r = res[t : t + len(squares)]
-        sq = np.multiply(r, r, out=squares[: len(r)])
-        level_misfit[t : t + len(r)] = (1.0 / N) * (
-            sq[:, 1:N].sum(axis=1) + sq[:, N + 1 :].sum(axis=1)
-        )
-    return float(time_weights(m, traj.tau) @ level_misfit), res
+        level_misfit(res[t : t + len(squares)], squares, levels[t : t + len(squares)])
+    return float(time_weights(m, traj.tau) @ levels), res
+
+
+def level_misfit(res: np.ndarray, squares: np.ndarray, out: np.ndarray) -> None:
+    """The spatial misfit of each residual row of res, into out.
+
+    That is (1/N) times the sum of the squares of the row's interior u and
+    its p values.  The squares fill the leading rows of squares, which may
+    be res itself.  A complex residual is squared, not taken in modulus, so
+    the misfit stays analytic for a complex step.
+    """
+    N = res.shape[1] // 2
+    sq = np.multiply(res, res, out=squares[: len(res)])
+    out[...] = (1.0 / N) * (sq[:, 1:N].sum(axis=1) + sq[:, N + 1 :].sum(axis=1))
 
 
 def misfit_gradient(traj: Trajectory, res: np.ndarray) -> np.ndarray:

@@ -11,10 +11,9 @@ configurations produce byte-identical outputs on one machine, BLAS build
 and BLAS thread count (another BLAS or thread count may round
 differently and move a fit's iterates; CI and the benchmark pin
 OPENBLAS_NUM_THREADS=1), however many CPUs the process may use.
-``gradcheck``'s central differences and ``sweep``'s windows run across
-those CPUs (``_map``): each forked worker computes its share on a
-copy-on-write copy of the parent's state, the window's storage included,
-and sends the values back; the parent prints and writes every output.
+``sweep``'s windows run across those CPUs (``_map``): each forked worker
+fits its share on a copy-on-write copy of the parent's state and sends
+the fits back; the parent prints and writes every output.
 """
 
 from __future__ import annotations
@@ -498,17 +497,20 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     return 0
 
 
-# Gradient check: random dot-product pairs and their seed, central-difference
-# step, and the largest relative error that passes.
-DOT_PAIRS, DOT_SEED, FD_STEP, GRADCHECK_TOL = 5, 0, 1e-5, 1e-5
+# Gradient check: random dot-product pairs and their seed, the complex step,
+# the floor of the directional error scale, and the largest error that passes.
+DOT_PAIRS, DOT_SEED, COMPLEX_STEP, GRADCHECK_FLOOR, GRADCHECK_TOL = 5, 0, 1e-30, 1e-20, 1e-12
 
 
 def _gradient_check(exp: Experiment) -> dict:
-    """Dot-product residuals and adjoint-vs-finite-difference errors.
+    """Dot-product residuals, and the adjoint gradient against complex steps.
 
     The dot test runs on the window's own storage (trajectory and scratch),
     which evaluate then refills.  Every pair's tangent-linear run fills one
     buffer, dz; once the pair's left-hand side is taken, dz holds its forcing.
+    Each pair's d_alpha is then a direction v: the adjoint's g . v is checked
+    against Im cost(x0 + i h v) / h, one complex cost run in this process,
+    with an error relative to max(|g| |v|, GRADCHECK_FLOOR).
     """
     cfg = exp.config
     win = _window(exp, cfg.T_window)
@@ -518,9 +520,10 @@ def _gradient_check(exp: Experiment) -> dict:
 
     rng = np.random.default_rng(DOT_SEED)
     dim = control_dim(cfg.J)
-    dot_residuals = []
+    dot_residuals, directions = [], []
     for _ in range(DOT_PAIRS):
         dalpha = rng.standard_normal(dim)
+        directions.append(dalpha)
         fu = rng.standard_normal(traj.u.shape)
         fp = rng.standard_normal(traj.p.shape)
         du, dp = np.hsplit(tlm_run(traj, dalpha, dz), [cfg.N + 1])
@@ -531,27 +534,24 @@ def _gradient_check(exp: Experiment) -> dict:
         dot_residuals.append(abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
     del dz, forcing
 
-    # One adjoint gradient at x0; the central differences need the cost alone.
+    directions = np.array(directions)
     x0 = bs.to_control_vector()
     _, grad = evaluate(x0, win)
 
-    def difference(j: int) -> float:
-        e = np.zeros(dim)
-        e[j] = FD_STEP
-        f_plus, f_minus = cost(x0 + e, win), cost(x0 - e, win)
-        return (f_plus.total - f_minus.total) / (2.0 * FD_STEP)
+    def complex_step(v: np.ndarray) -> float:
+        total = cost(x0 + 1j * COMPLEX_STEP * v, win).total
+        # A diverged run costs +inf and has no slope: NaN fails the check.
+        return total.imag / COMPLEX_STEP if np.isfinite(total) else math.nan
 
-    # Each worker refills its copy-on-write copy of the window's storage.
-    fd = np.array(_map(difference, range(dim)))
-    scale = max(float(np.abs(grad).max()), float(np.abs(fd).max()), 1e-300)
-    rel = np.abs(grad - fd) / np.maximum.reduce(
-        [np.abs(grad), np.abs(fd), np.full(dim, 1e-10 * scale)]
-    )
+    adjoint = directions @ grad
+    stepped = np.array([complex_step(v) for v in directions])
+    scale = np.linalg.norm(grad) * np.linalg.norm(directions, axis=1)
     return {
         "dot_residuals": dot_residuals,
-        "adjoint": grad,
-        "finite_difference": fd,
-        "relative_error": rel,
+        "gradient": grad,
+        "adjoint": adjoint,
+        "complex_step": stepped,
+        "relative_error": np.abs(adjoint - stepped) / np.maximum(scale, GRADCHECK_FLOOR),
         "gradient_norm": float(np.linalg.norm(grad)),
     }
 
@@ -564,13 +564,13 @@ def cmd_gradcheck(cfg: ExperimentConfig, out_dir: Path) -> int:
     for i, r in enumerate(report["dot_residuals"]):
         print(f"  pair {i}: relative residual {r:.3e}")
     print(f"gradient norm: {report['gradient_norm']:.6e}")
-    print("component  adjoint            finite-diff        rel-error")
-    for j, (ga, gf, r) in enumerate(
-        zip(report["adjoint"], report["finite_difference"], report["relative_error"])
+    print("direction  adjoint g.v        complex step       rel-error")
+    for i, (ga, gc, r) in enumerate(
+        zip(report["adjoint"], report["complex_step"], report["relative_error"])
     ):
-        print(f"{j:9d}  {ga: .10e}  {gf: .10e}  {r:.3e}")
-    # np.max keeps a NaN (both points of a difference diverged), which the
-    # test below then fails.
+        print(f"{i:9d}  {ga: .10e}  {gc: .10e}  {r:.3e}")
+    # np.max keeps a NaN (a complex run diverged), which the test below
+    # then fails.
     worst = float(np.max([*report["dot_residuals"], *report["relative_error"]]))
     print(f"worst relative error: {worst:.3e} (tolerance {GRADCHECK_TOL:.1e})")
     record = {key: np.asarray(value).tolist() for key, value in report.items()}

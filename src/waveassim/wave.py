@@ -28,7 +28,9 @@ per scheme.  A run and its sensitivity runs write only into the run's
 block per small product and fills a chunk of blocks' levels per large
 one, tangent-linear sources included, or hands them to a consumer a
 chunk at a time; :func:`transpose_chains` is its exact transpose for the
-adjoint.  :func:`check_levels` is the one blow-up scan.
+adjoint.  :func:`check_levels` is the one blow-up scan.  The forward
+engine runs in the dtype of the scheme and its storage: float64, or
+complex for the complex-step cost of ``objective.cost``.
 """
 
 from __future__ import annotations
@@ -184,6 +186,12 @@ def interior_stencil(order: int) -> InteriorStencil:
     raise ValueError(f"interior order must be 2 or 4, got {order}")
 
 
+def _inexact(x) -> np.ndarray:
+    """x as a float64 array, or in its own dtype if that is a wider float or a complex one."""
+    x = np.asarray(x)
+    return x.astype(np.result_type(x, float), copy=False)
+
+
 @dataclass(frozen=True)
 class BoundaryScheme:
     """One-sided derivative stencils at the rows adjacent to the boundaries.
@@ -199,6 +207,8 @@ class BoundaryScheme:
     coefficients equal to the plain ones.  All four groups together form
     the 4(J+1)-dimensional control space, laid out as ``BOUNDARY_GROUPS``
     lists them (u groups before p groups, tilde groups descending).
+    Complex or wider float groups keep their dtype, and A and its runs take
+    it (see :class:`Storage`); any other becomes float64.
     """
 
     alpha_u: np.ndarray
@@ -208,7 +218,7 @@ class BoundaryScheme:
 
     def __post_init__(self):
         for name, g in self.groups().items():
-            object.__setattr__(self, name, np.atleast_1d(np.asarray(g, dtype=float)))
+            object.__setattr__(self, name, _inexact(np.atleast_1d(g)))
         widths = {g.shape for g in self.groups().values()}
         if len(widths) != 1 or self.alpha_u.ndim != 1:
             raise ValueError(f"stencil groups must share one width, got {widths}")
@@ -239,7 +249,7 @@ class BoundaryScheme:
 
     @classmethod
     def from_control_vector(cls, x: np.ndarray, J: int) -> "BoundaryScheme":
-        x = np.asarray(x, dtype=float)
+        x = _inexact(x)
         w = J + 1
         if x.shape != (4 * w,):
             raise ValueError(f"control vector must have length {4 * w}, got {x.shape}")
@@ -265,17 +275,19 @@ class Storage:
     sources, or the adjoint's block products (a forward and an adjoint run
     never overlap), lam the adjoint's source values and res the residual
     of levels 0..n, whose shape integrate checks.  Each run overwrites
-    them, so a Trajectory lasts until the next run on its storage.
+    them, so a Trajectory lasts until the next run on its storage.  Every
+    buffer has the storage's dtype, which the run's scheme must share: a
+    complex one carries a complex step (see ``objective.cost``).
     """
 
-    def __init__(self, n: int, N: int):
+    def __init__(self, n: int, N: int, dtype=np.float64):
         d, K = 2 * N + 1, BLOCK_LEVELS
-        self.z = np.empty((max(n, 2 * K * CHUNK) + 2 * K + 1, d))
-        self.W = np.zeros((K * d, d + 4 * K))
-        self.chunk = np.empty((2 * K * CHUNK, d))
-        self.heads = np.empty((CHUNK + 1, 2, d + 4 * K))
-        self.lam = np.empty((n + 2 * K + 1, 4))
-        self.res = np.empty((n + 1, d))
+        self.z = np.empty((max(n, 2 * K * CHUNK) + 2 * K + 1, d), dtype)
+        self.W = np.zeros((K * d, d + 4 * K), dtype)
+        self.chunk = np.empty((2 * K * CHUNK, d), dtype)
+        self.heads = np.empty((CHUNK + 1, 2, d + 4 * K), dtype)
+        self.lam = np.empty((n + 2 * K + 1, 4), dtype)
+        self.res = np.empty((n + 1, d), dtype)
 
 
 @dataclass(frozen=True)
@@ -342,7 +354,7 @@ def stacked_operator(
     :func:`boundary_entries`), every other row the interior stencil.  The
     wall rows 0 and N stay zero, so u stays exactly zero at the walls; the
     wall columns keep D_u's entries, which therefore only ever multiply
-    zeros.
+    zeros.  A has the dtype of bs's coefficients.
     """
     N, J, a = grid.N, bs.J, stencil.a
     if J + 1 > N - 1:
@@ -350,7 +362,7 @@ def stacked_operator(
             f"boundary stencil width J+1 = {J + 1} reaches the opposite "
             f"boundary region on an N = {N} grid"
         )
-    A = np.zeros((2 * N + 1, 2 * N + 1))
+    A = np.zeros((2 * N + 1, 2 * N + 1), bs.alpha_u.dtype)
     for D in (A[1:N, N + 1 :], A[N + 1 :, : N + 1]):  # D_p, then D_u
         r = np.arange(1, len(D) - 1)[:, None]  # every row but the two boundary ones
         D[r, r - 1 + np.arange(4)] = a
@@ -379,7 +391,7 @@ def chain_stack(A: np.ndarray, tau: float, storage: Storage) -> None:
     B = 2.0 * tau * A
     E = B.copy()
     E[N + 1 :, N + 1 :] = B[N + 1 :, : N + 1] @ B[: N + 1, N + 1 :]
-    G = np.eye(d)[:, rows]
+    G = np.eye(d, dtype=A.dtype)[:, rows]
     G[:, 2:] += B[:, rows[2:]]  # a u source reaches p_{t+2} through B D_u
     W = storage.W.reshape(K, d, d + 4 * K)
     P = W[:, :, :d]  # P[j-1] = M^j - I, by P[j] = P[j-1] + E + E P[j-1]
@@ -534,7 +546,11 @@ def transpose_chains(
 
 
 def check_levels(levels: np.ndarray, t: int, tau: float) -> None:
-    """Raise IntegrationDiverged at the first of levels t, t+1, ... past BLOWUP_THRESHOLD."""
+    """Raise IntegrationDiverged at the first of levels t, t+1, ... past BLOWUP_THRESHOLD.
+
+    Complex levels are checked on their real part.
+    """
+    levels = levels.real
     if not np.maximum(levels.max(), -levels.min()) <= BLOWUP_THRESHOLD:  # or NaN
         amps = np.maximum(levels.max(axis=1), -levels.min(axis=1))
         i = t + int(np.argmin(amps <= BLOWUP_THRESHOLD))
@@ -552,7 +568,8 @@ def start_run(
     Raises
     ------
     ValueError
-        If z0 is not a (2N+1,) row or u does not vanish at the walls.
+        If z0 is not a (2N+1,) row, u does not vanish at the walls or the
+        storage's dtype is not the scheme's.
     """
     N = grid.N
     z0 = np.asarray(z0, dtype=float)
@@ -561,6 +578,8 @@ def start_run(
     if max(abs(z0[0]), abs(z0[N])) > 1e-9:
         raise ValueError("u must vanish at both boundaries")
     A = stacked_operator(stencil, bs, grid)
+    if A.dtype != storage.W.dtype:
+        raise ValueError(f"a {A.dtype} scheme cannot run on a {storage.W.dtype} Storage")
     chain_stack(A, grid.tau, storage)
     storage.z[0] = z0
     storage.z[0, [0, N]] = 0.0

@@ -106,7 +106,9 @@ def test_cost_dataclass_fields():
     ]
 
 
-# Each signature holds only parameters that some caller sets.
+# Each signature holds only parameters that some caller sets.  The test ids
+# are positional (params0, params1, ...): add new entries at the end, and
+# change an entry in place, so that no test id is renamed.
 SIGNATURES = [
     ("cli", "run_assimilation", ["win"]),
     ("cli", "cmd_gradcheck", ["cfg", "out_dir"]),
@@ -145,6 +147,10 @@ SIGNATURES = [
     ("analysis", "_xi_rows", ["modes", "grid", "storage"]),
     # The minimizer's settings are module constants, from MEMORY to MAX_LINE_SEARCH.
     ("minimize", "lbfgs", ["f_and_grad", "x0"]),
+    # window_misfit and the streamed cost reduce residual rows one way.
+    ("adjoint", "level_misfit", ["res", "squares", "out"]),
+    # The dtype is float64 but for cost's complex step.
+    ("wave", "Storage", ["n", "N", "dtype"]),
 ]
 
 

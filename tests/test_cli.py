@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from waveassim import adjoint, analysis, cli, objective
+from waveassim import adjoint, analysis, cli, objective, wave
 from waveassim.cli import (
     PRESETS,
     ExperimentConfig,
@@ -381,8 +381,8 @@ class TestSweep:
         assert cli._sweep_windows(cfg) == list(range(600, 721))
 
     def test_outputs_do_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch):
-        # One CPU runs the windows and central differences in this process;
-        # more fork workers that pickle their values back.
+        # One CPU runs the windows in this process; more fork workers that
+        # pickle their fits back.  gradcheck runs in this process on any.
         sweep = ["sweep"] + TINY[:-3] + ["128", "--window-count", "2"]
         gradcheck = ["gradcheck", "--J", "2"] + TINY
         for cpus in (1, 2, 3):
@@ -407,9 +407,16 @@ class TestSweep:
 class TestGradcheck:
     def test_healthy_configuration_passes(self, tmp_path, capsys):
         # The small grid, every preset's defaults, and J = 4, whose boundary
-        # footprints reach past the classical two points.
+        # footprints reach past the classical two points.  The last two
+        # failed with central differences: on N = 6 at J = 4 some gradient
+        # components are zero, and the 0:0:1 window has a zero gradient.
         runs = [TINY] + [["--preset", name] for name in PRESETS]
-        for args in runs + [["--preset", "rich-spectrum", "--J", "4"]]:
+        runs += [
+            ["--preset", "rich-spectrum", "--J", "4"],
+            ["--N", "6", "--n-steps", "40", "--T-window", "0.25", "--tau", "0.0125", "--J", "4"],
+            ["--modes", "0:0:1", "--n-steps", "20", "--T-window", "0.1"],
+        ]
+        for args in runs:
             rc = main(["gradcheck", "--out", str(tmp_path)] + args)
             out = capsys.readouterr().out
             assert rc == 0, args
@@ -421,15 +428,19 @@ class TestGradcheck:
         rc = main(["gradcheck", "--out", str(tmp_path), "--J", "2"] + TINY)
         out = capsys.readouterr().out
         assert rc == 0
-        assert sum(1 for line in out.splitlines() if line.strip().startswith(tuple("0123456789"))) >= 12
-        # The same table, read back from gradcheck.json.
+        rows = [line.split() for line in out.splitlines() if line[:9].strip().isdigit()]
+        assert [int(row[0]) for row in rows] == list(range(cli.DOT_PAIRS))
+        # The same table, read back from gradcheck.json, and all 12
+        # components of the gradient whose g . v it checks.
         record = json.loads((tmp_path / "gradcheck.json").read_text())
         assert len(record["dot_residuals"]) == 5
         assert max(record["dot_residuals"]) <= 1e-12
-        for key in ("adjoint", "finite_difference", "relative_error"):
-            assert len(record[key]) == 12
+        assert len(record["gradient"]) == 12
+        for key in ("adjoint", "complex_step", "relative_error"):
+            assert len(record[key]) == 5
+        assert [float(row[3]) for row in rows] == pytest.approx(record["relative_error"], rel=1e-3)
         assert record["worst"] == max(record["dot_residuals"] + record["relative_error"])
-        assert record["worst"] <= record["tolerance"] == 1e-5
+        assert record["worst"] <= record["tolerance"] == 1e-12
         assert f"worst relative error: {record['worst']:.3e}" in out
         # A second run writes the same bytes.
         assert main(["gradcheck", "--out", str(tmp_path / "b"), "--J", "2"] + TINY) == 0
@@ -439,8 +450,8 @@ class TestGradcheck:
     def test_one_adjoint_sweep_per_dot_pair_and_one_for_the_gradient(
         self, tmp_path, monkeypatch
     ):
-        # The central differences evaluate the cost alone: no adjoint runs
-        # for any of their 2 * 4(J+1) points.
+        # The complex steps evaluate the cost alone: no adjoint runs for
+        # any of their DOT_PAIRS directions.
         sweeps = []
         transpose_chains = adjoint.transpose_chains
 
@@ -453,15 +464,17 @@ class TestGradcheck:
         assert len(sweeps) == cli.DOT_PAIRS + 1
 
     def test_diverged_difference_fails_closed(self, tmp_path, capsys, monkeypatch):
-        # Both points of one component diverge, so its finite difference is
-        # (inf - inf) / 2h = NaN.  That must fail the check, not pass it.
-        x0 = BoundaryScheme.classical(1).to_control_vector()
+        # Every complex cost run diverges (a blow-up threshold that only
+        # they see), so its cost is +inf and has no slope: NaN.  That must
+        # fail the check, not pass it.
         cost = cli.cost
 
-        def diverging(x, *args):
-            if x[2] != x0[2]:
-                return CostReport(math.inf, math.inf, 0.0)
-            return cost(x, *args)
+        def diverging(x, win):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(wave, "BLOWUP_THRESHOLD", 1e-3)
+                report = cost(x, win)
+            assert report == CostReport(math.inf, math.inf, 0.0)
+            return report
 
         monkeypatch.setattr(cli, "cost", diverging)
         rc = main(["gradcheck", "--out", str(tmp_path)] + TINY)
@@ -470,6 +483,23 @@ class TestGradcheck:
         assert out.splitlines()[-1] == "FAILED"
         assert "worst relative error: nan" in out
         assert math.isnan(json.loads((tmp_path / "gradcheck.json").read_text())["worst"])
+
+    def test_gate_catches_a_source_weight_off_by_1e_8(self, tmp_path, capsys, monkeypatch):
+        # The adjoint's per-level source weights w scaled by 1 + 1e-8: the
+        # central differences' 1e-5 gate passed this adjoint.  The complex
+        # steps alone catch it, as do the dot residuals.
+        transpose_chains = adjoint.transpose_chains
+
+        def scaled(*args):
+            w, w_half = transpose_chains(*args)
+            return w * (1.0 + 1e-8), w_half
+
+        monkeypatch.setattr(adjoint, "transpose_chains", scaled)
+        rc = main(["gradcheck", "--out", str(tmp_path)] + TINY)
+        assert rc == 2
+        assert capsys.readouterr().out.splitlines()[-1] == "FAILED"
+        record = json.loads((tmp_path / "gradcheck.json").read_text())
+        assert min(record["relative_error"]) > record["tolerance"]
 
 
 class TestDispersion:

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_setup, split, tlm
+from waveassim import cli
 from waveassim.adjoint import misfit_gradient, tlm_run, window_misfit
 from waveassim.analysis import xi_series
 from waveassim.objective import (
@@ -214,6 +215,42 @@ class TestEvaluate:
         assert xi.size == 241
         assert report.misfit == pytest.approx(1.0 / grid.N * float(w @ xi), rel=1e-13)
         assert xi[0] == pytest.approx(0.0, abs=1e-20)
+
+
+@pytest.mark.parametrize("m", [1, 2, 513, 514, 515, 1026, 1027, 2400])
+def test_float_cost_is_evaluates_report(m):
+    # cost reduces the levels as it steps them: the chain run hands them
+    # over 514 and then 512 at a time, and cost squares at most 512 at a
+    # time.  evaluate reduces the stored trajectory.  Same report, bit for bit.
+    grid, stencil, _, _, obs, ic = make_setup(k=2, n_steps=m, J=4)
+    win = Window(obs, ic, stencil, grid, 4, eta=0.5)
+    x = BoundaryScheme.classical(4).to_control_vector()
+    x += 0.01 * np.random.default_rng(m).standard_normal(x.size)
+    report = cost(x, win)
+    assert report == evaluate(x, win)[0]
+    assert type(report.total) is float
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.5])
+@pytest.mark.parametrize("J", [1, 4])
+@pytest.mark.parametrize("preset", sorted(cli.PRESETS))
+def test_complex_step_matches_the_adjoint(preset, J, eta):
+    # Each preset's initial data on a small grid, at a scheme near the
+    # classical one: Im cost(x + i h v) / h is the adjoint's g . v to within
+    # 1e-13 of |g| |v|, the scale of gradcheck's gate, and the real part is
+    # the float cost to rounding.
+    overrides = {"N": 12, "tau": 1.0 / 48.0, "n_steps": 96, "T_window": 2.0, "J": J, "eta": eta}
+    exp = cli.setup_experiment(cli.resolve_config(preset, None, overrides))
+    win = cli._window(exp, 2.0)
+    rng = np.random.default_rng(J)
+    x = BoundaryScheme.classical(J).to_control_vector()
+    x += 0.01 * rng.standard_normal(x.size)
+    report, g = evaluate(x, win)
+    for v in rng.standard_normal((3, x.size)):
+        stepped = cost(x + 1j * cli.COMPLEX_STEP * v, win)
+        assert stepped.total.real == pytest.approx(report.total, rel=1e-14)
+        slope = stepped.total.imag / cli.COMPLEX_STEP
+        assert abs(g @ v - slope) <= 1e-13 * np.linalg.norm(g) * np.linalg.norm(v)
 
 
 def test_make_objective_matches_evaluate():

@@ -19,10 +19,10 @@ from conftest import (
     naive_integrate,
     naive_leapfrog_step,
 )
-from waveassim import analysis, wave
+from waveassim import analysis, cli, wave
 from waveassim.adjoint import _sensitivity
 from waveassim.exact import ModeSpec, sample_observations
-from waveassim.objective import BLOWUP_PENALTY, Window, evaluate
+from waveassim.objective import BLOWUP_PENALTY, CostReport, Window, cost, evaluate
 from waveassim.wave import (
     BLOCK_LEVELS,
     CHUNK,
@@ -407,13 +407,26 @@ class TestIntegrate:
         assert err.value.time < 300.0
 
     def test_divergence_survives_a_pickle(self):
-        # A sweep window or a central difference that diverges in a forked
-        # worker comes back to the parent as a pickle.
+        # A sweep window that diverges in a forked worker comes back to
+        # the parent as a pickle.
         exc = IntegrationDiverged(19, 0.57, 1e7)
         back = pickle.loads(pickle.dumps(exc))
         assert type(back) is IntegrationDiverged
         assert str(back) == str(exc)
         assert (back.step, back.time, back.amplitude) == (19, 0.57, 1e7)
+
+    def test_storage_of_another_dtype_is_refused(self):
+        # A complex scheme would drop its imaginary part into a float
+        # storage, and a float one would run in complex: both are refused.
+        grid = GridSpec(30, 1.0 / 120.0, 40)
+        _, st_, bs, _, _, ic = make_setup(n_steps=40)
+        stepped = BoundaryScheme.from_control_vector(bs.to_control_vector() + 1e-30j, 1)
+        assert stepped.alpha_p.dtype == complex
+        for scheme, dtype in [(bs, complex), (stepped, float)]:
+            storage = Storage(40, 30, dtype)
+            assert all(buf.dtype == dtype for buf in vars(storage).values())
+            with pytest.raises(ValueError, match="scheme cannot run on a .* Storage"):
+                integrate(ic, st_, scheme, grid, out=storage)
 
     @pytest.mark.parametrize("kept, cells", [(10, 30), (1000, 20)], ids=["short", "other-N"])
     def test_storage_that_cannot_hold_the_run_is_refused(self, kept, cells):
@@ -661,5 +674,27 @@ def test_divergence_past_float_range_inside_a_chunk():
         assert err.value.step == L
         assert err.value.amplitude == pytest.approx(amps[L], rel=1e-12)
         report, g = evaluate(unstable.to_control_vector(), Window(obs, ic, st_, grid, 1))
+        streamed = cost(unstable.to_control_vector(), Window(obs, ic, st_, grid, 1))
     assert report.total == BLOWUP_PENALTY
     assert not g.any()
+    assert streamed == CostReport(BLOWUP_PENALTY, BLOWUP_PENALTY, 0.0)
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="np.longdouble is float64 here"
+)
+@pytest.mark.parametrize("preset", sorted(cli.PRESETS))
+def test_float64_run_stays_near_its_longdouble_run(preset):
+    # The same engine, A, tau and start state in np.longdouble: an oracle
+    # for the float64 rounding of the chains.  Over 2400 levels of the
+    # classical scheme, level t stays within (t + 1) eps of the longdouble
+    # run, relative to its amplitude (at most 0.25 of that on the presets).
+    exp = cli.setup_experiment(cli.resolve_config(preset, None, {"n_steps": 2400}))
+    bs = BoundaryScheme.classical(1)
+    z = integrate(exp.ic, exp.stencil, bs, exp.grid).z
+    wide = BoundaryScheme.from_control_vector(bs.to_control_vector().astype(np.longdouble), 1)
+    storage = Storage(2400, exp.grid.N, np.longdouble)
+    oracle = integrate(exp.ic, exp.stencil, wide, exp.grid, out=storage).z
+    assert oracle.dtype == np.longdouble
+    gap = np.abs(z - oracle).max(axis=1) / np.abs(oracle).max()
+    assert (gap <= np.finfo(float).eps * np.arange(1, 2402)).all()
