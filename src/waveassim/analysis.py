@@ -17,8 +17,8 @@ plain grid-point sum of squares (no quadrature weight), the convention
 used for all quoted error levels; multiply by h for the integral norm.
 It samples the exact fields into the run's chunk buffer, a chunk of
 levels at a time, not all at once.
-``horizon_report`` gives the same series, and strided u rows, for a run
-that it steps, checks and reduces a chunk at a time without storing it.
+``horizon_report`` gives the same series, and strided u rows, from a
+``wave.run`` that it reduces a chunk at a time without storing it.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .exact import ModeSpec, exact_fields, mode_shapes
-from .wave import BoundaryScheme, GridSpec, InteriorStencil, Storage, Trajectory
-from .wave import advance_chains, check_levels, start_run
+from .wave import BoundaryScheme, GridSpec, InteriorStencil, Storage, Trajectory, run
 
 __all__ = [
     "beta2",
@@ -205,8 +204,8 @@ def horizon_report(
     """xi_series of the run from z0 and, with a stride, its u rows at levels 0, stride, ...
 
     The bits and IntegrationDiverged of integrate + xi_series, but each chunk of
-    levels is checked and reduced as it is stepped in Storage(0, N), which
-    keeps no levels, so no trajectory is stored.
+    levels is reduced as it is stepped in Storage(0, N), which keeps no
+    levels, so no trajectory is stored.
     """
     times, xi = grid.times, np.empty(grid.n_steps + 1)
     u = None if stride is None else np.empty((len(times[::stride]), grid.N + 1))
@@ -214,14 +213,12 @@ def horizon_report(
     reduce_xi = _xi_rows(modes, grid, storage)
 
     def consume(t: int, rows: np.ndarray) -> None:
-        check_levels(rows[1:] if t == 0 else rows, t or 1, grid.tau)
         reduce_xi(rows, times[t : t + len(rows)], xi[t : t + len(rows)])
         if stride is not None:
             sampled = rows[-t % stride :: stride, : grid.N + 1]
             u[-(-t // stride) :][: len(sampled)] = sampled
 
-    A = start_run(z0, stencil, bs, grid, storage)
-    advance_chains(storage.z, A, storage, grid.tau, grid.n_steps, emit=consume)
+    run(z0, stencil, bs, grid, storage, consume)
     return times, xi, u
 
 

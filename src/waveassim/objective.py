@@ -11,10 +11,10 @@ holds every buffer an evaluation writes, so that evaluations allocate
 nothing large.
 ``evaluate``, which the minimizer calls through ``make_objective``,
 returns the cost breakdown and the exact gradient assembled from the
-adjoint sweep.  ``cost`` returns the breakdown alone from a run that
-keeps no levels, in the dtype of its control vector; it reduces each
-level as ``evaluate`` does (``adjoint.level_misfit``), so a float cost
-agrees with ``evaluate``'s bit for bit.
+adjoint sweep.  ``cost`` returns the breakdown alone from a ``wave.run``
+that keeps no levels, in the dtype of its control vector; it reduces
+each level as ``evaluate`` does (``adjoint.level_misfit``), so a float
+cost agrees with ``evaluate``'s bit for bit.
 """
 
 from __future__ import annotations
@@ -25,17 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adjoint import control_dim, level_misfit, misfit_gradient, time_weights, window_misfit
-from .wave import (
-    BoundaryScheme,
-    GridSpec,
-    IntegrationDiverged,
-    InteriorStencil,
-    Storage,
-    advance_chains,
-    check_levels,
-    integrate,
-    start_run,
-)
+from .wave import BoundaryScheme, GridSpec, IntegrationDiverged, InteriorStencil, Storage
+from .wave import integrate, run
 
 __all__ = [
     "BLOWUP_PENALTY",
@@ -92,6 +83,9 @@ class Window:
     def __post_init__(self):
         if not 0.0 <= self.eta < math.inf:
             raise ValueError(f"regularization weight must be >= 0 and finite, got {self.eta}")
+        shape, need = np.shape(self.obs), (self.grid.n_steps + 1, 2 * self.grid.N + 1)
+        if len(shape) != 2 or shape[0] < need[0] or shape[1] != need[1]:
+            raise ValueError(f"observations of shape {shape} do not cover a window of shape {need}")
         object.__setattr__(self, "storage", Storage(self.grid.n_steps, self.grid.N))
 
 
@@ -126,12 +120,12 @@ def _regularization(x, win):
 def cost(x: np.ndarray, win: Window) -> CostReport:
     """Cost at control vector x over the window, with no adjoint.
 
-    The run streams through a Storage(0, N) of its own in x's dtype: each
-    chunk of levels is checked for blow-up and reduced by
-    ``adjoint.level_misfit`` as it is stepped, and no level is kept.  A
-    float x gives ``evaluate``'s report bit for bit.  A complex x gives the
-    cost's analytic continuation, whose imaginary part at x0 + i h v over
-    h is the derivative along v (the complex step of ``cli`` gradcheck).
+    The run (``wave.run``) streams through a Storage(0, N) of its own in x's
+    dtype: each chunk of levels is reduced by ``adjoint.level_misfit`` as
+    it is stepped, and no level is kept.  A float x gives ``evaluate``'s
+    report bit for bit.  A complex x gives the cost's analytic
+    continuation, whose imaginary part at x0 + i h v over h is the
+    derivative along v (the complex step of ``cli`` gradcheck).
     """
     bs = BoundaryScheme.from_control_vector(x, win.J)
     grid = win.grid
@@ -140,15 +134,13 @@ def cost(x: np.ndarray, win: Window) -> CostReport:
     levels = np.empty(grid.n_steps + 1, chunk.dtype)
 
     def consume(t: int, rows: np.ndarray) -> None:
-        check_levels(rows[1:] if t == 0 else rows, t or 1, grid.tau)
         for s in range(0, len(rows), len(chunk)):
             r = rows[s : s + len(chunk)]
             res = np.subtract(r, win.obs[t + s : t + s + len(r)], out=chunk[: len(r)])
             level_misfit(res, res, levels[t + s : t + s + len(r)])
 
     try:
-        A = start_run(win.ic, win.stencil, bs, grid, storage)
-        advance_chains(storage.z, A, storage, grid.tau, grid.n_steps, emit=consume)
+        run(win.ic, win.stencil, bs, grid, storage, consume)
     except IntegrationDiverged:
         return CostReport(BLOWUP_PENALTY, BLOWUP_PENALTY, 0.0)
     misfit = (time_weights(grid.n_steps, grid.tau) @ levels).item()

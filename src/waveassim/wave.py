@@ -23,14 +23,14 @@ leapfrog splits into two staggered chains with step 2 tau;
 :func:`chain_stack` unrolls them over BLOCK_LEVELS steps into one matrix
 per scheme.  A run and its sensitivity runs write only into the run's
 :class:`Storage`, so repeated runs on one storage allocate nothing large.
-:func:`start_run` checks the start state into it and builds A and W.
 :func:`advance_chains` takes the split start, then moves both chains a
 block per small product and fills a chunk of blocks' levels per large
-one, tangent-linear sources included, or hands them to a consumer a
-chunk at a time; :func:`transpose_chains` is its exact transpose for the
-adjoint.  :func:`check_levels` is the one blow-up scan.  The forward
-engine runs in the dtype of the scheme and its storage: float64, or
-complex for the complex-step cost of ``objective.cost``.
+one, tangent-linear sources included, and hands each chunk on;
+:func:`transpose_chains` is its exact transpose for the adjoint.  Every
+forward run is one :func:`run`: the start state into the storage, A and
+W, the chains, and a blow-up scan of each chunk before its consumer gets
+it.  The forward engine runs in the dtype of the scheme and its storage:
+float64, or complex for the complex-step cost of ``objective.cost``.
 """
 
 from __future__ import annotations
@@ -265,8 +265,8 @@ class Storage:
     """Every buffer that a run keeping n levels on 2N+1 values writes, allocated once.
 
     z holds levels 0..n, or one chunk of levels if that is more, and what
-    the last block overshoots; a run that emits its levels refills it a
-    chunk at a time, so Storage(0, N) serves a run of any length, and the
+    the last block overshoots; a run longer than that refills it a chunk
+    at a time, so Storage(0, N) serves a run of any length, and the
     rows that a shorter run never writes are never touched.  W is a chain
     stack whose structurally zero blocks are written here, once (see
     :func:`chain_stack`).  chunk holds one chunk of chain levels: the output
@@ -437,11 +437,11 @@ def advance_chains(
     sources q (n, 4) at the controlled rows of levels 0..n-1 and q_half (4,)
     at the half stage add tau/2 q[0] to z_half, tau q_half to z_1 and
     2 tau q[t] to level t+1; each chunk weights its own rows of q.  Z is
-    storage.z or shaped like it, for what the last block overshoots.  Every
-    level is filled, however large it grows: blow-up is the caller's check
-    (see :func:`check_levels`).  With emit, Z is refilled a chunk at a time
-    (see :class:`Storage`), and emit(t, rows) gets each chunk's finished
-    levels t, t+1, ... in turn.  storage also holds the chunk and the heads.
+    storage.z or shaped like it, for what the last block overshoots; one too
+    short for the run is refilled a chunk at a time (see :class:`Storage`).
+    Every level is filled, however large it grows: blow-up is the caller's
+    check.  emit(t, rows) gets each chunk's finished levels t, t+1, ... in
+    turn.  storage also holds the chunk and the heads.
     """
     d, W = Z.shape[1], storage.W
     N, K = d // 2, BLOCK_LEVELS
@@ -464,9 +464,13 @@ def advance_chains(
     X[0, :, uu], X[0, :, pp] = Z[0:2, uu], Z[1:3, pp]
     out = storage.chunk.reshape(CHUNK, 2, K, d)
     last, rest = W[(K - 1) * d :, :cols].T, W[: (K - 1) * d, :cols].T
-    nb, t = (n + 2 * K - 2) // (2 * K), 0  # t: the level in row 0 of Z
+    nb = max(1, (n + 2 * K - 2) // (2 * K))  # a one-level run steps a block too
+    refill = len(Z) < 2 * K * nb + 3  # Z cannot hold the run, so it keeps a chunk at a time
+    t = e = 0  # the level in row 0 of Z, and the first level not yet emitted
     for b0 in range(0, nb, CHUNK):
         s, m = 1 + 2 * K * b0, min(CHUNK, nb - b0)
+        if refill and b0:
+            Z[0], t = Z[e - t], e
         if q is not None:  # level t+1 takes 2 tau q[t], up to level n
             xs = X[:m, :, d:].reshape(m, 2, K, 4)
             _to_chains(xs[..., :2], q[s + 1 : s + 1 + 2 * K * m, :2])
@@ -484,12 +488,10 @@ def advance_chains(
         _chain_view(Z[r + 1 : r + 1 + 2 * K * m, uu], m)[...] = o[..., uu]
         _chain_view(Z[r + 2 : r + 2 + 2 * K * m, pp], m)[...] = o[..., pp]
         X[0] = X[m]
-        if emit is not None and b0 + CHUNK < nb:
-            r += 1 + 2 * K * m
-            emit(t, Z[:r])
-            Z[0], t = Z[r], t + r
-    if emit is not None:
-        emit(t, Z[: n + 1 - t])
+        f = min(s + 1 + 2 * K * m, n + 1)  # levels e..f-1 are finished
+        if emit is not None:
+            emit(e, Z[e - t : f - t])
+        e = f
     return z_half
 
 
@@ -557,21 +559,26 @@ def check_levels(levels: np.ndarray, t: int, tau: float) -> None:
         raise IntegrationDiverged(i, i * tau, amps[i - t])
 
 
-def start_run(
+def run(
     z0: np.ndarray, stencil: InteriorStencil, bs: BoundaryScheme, grid: GridSpec,
-    storage: Storage,
-) -> np.ndarray:
-    """Check z0 into level 0 of storage.z, u zeroed at the walls; return A.
+    storage: Storage, consume=None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Step the model from z0 over grid.n_steps levels on storage; return A and z_half.
 
-    storage.W takes A's chain stack (see :func:`chain_stack`).
+    z0 goes into level 0 with u zeroed at the walls, storage.W takes A's
+    chain stack, and each chunk of levels is scanned for blow-up as it is
+    stepped, then handed to consume(t, rows) (see :func:`advance_chains`).
 
     Raises
     ------
     ValueError
         If z0 is not a (2N+1,) row, u does not vanish at the walls or the
         storage's dtype is not the scheme's.
+    IntegrationDiverged
+        At the end of the chunk that holds the first level past level 0
+        over ``BLOWUP_THRESHOLD`` (or not finite), naming that level.
     """
-    N = grid.N
+    N, tau = grid.N, grid.tau
     z0 = np.asarray(z0, dtype=float)
     if z0.shape != (2 * N + 1,):
         raise ValueError(f"start state must be a ({2 * N + 1},) row, got {z0.shape}")
@@ -580,10 +587,16 @@ def start_run(
     A = stacked_operator(stencil, bs, grid)
     if A.dtype != storage.W.dtype:
         raise ValueError(f"a {A.dtype} scheme cannot run on a {storage.W.dtype} Storage")
-    chain_stack(A, grid.tau, storage)
+    chain_stack(A, tau, storage)
     storage.z[0] = z0
     storage.z[0, [0, N]] = 0.0
-    return A
+
+    def emit(t: int, rows: np.ndarray) -> None:
+        check_levels(rows[1:] if t == 0 else rows, t or 1, tau)
+        if consume is not None:
+            consume(t, rows)
+
+    return A, advance_chains(storage.z, A, storage, tau, grid.n_steps, emit=emit)
 
 
 def integrate(
@@ -606,17 +619,14 @@ def integrate(
         vanish at the walls.
     IntegrationDiverged
         If max(|u|, |p|) exceeds ``BLOWUP_THRESHOLD`` (or turns non-finite)
-        at any level; one scan of the computed levels names the first
-        such level.  Unstable boundary schemes reached during a
-        minimization line search end up here.
+        at any level (see :func:`run`).  Unstable boundary schemes reached
+        during a minimization line search end up here.
     """
-    tau, n = grid.tau, grid.n_steps
+    n = grid.n_steps
     storage = Storage(n, grid.N) if out is None else out
     kept, d = storage.res.shape
     if kept <= n or d != 2 * grid.N + 1:
         need = f"a run of {n} levels on {grid.N} cells"
         raise ValueError(f"a Storage of {kept - 1} levels on {d // 2} cells cannot hold {need}")
-    A = start_run(z0, stencil, bs, grid, storage)
-    z_half = advance_chains(storage.z, A, storage, tau, n)
-    check_levels(storage.z[1 : n + 1], 1, tau)
-    return Trajectory(storage.z[: n + 1], z_half, tau, A, bs, storage)
+    A, z_half = run(z0, stencil, bs, grid, storage)
+    return Trajectory(storage.z[: n + 1], z_half, grid.tau, A, bs, storage)

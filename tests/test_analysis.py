@@ -255,8 +255,9 @@ class TestHorizonReport:
     def test_streamed_run_matches_the_stored_one(self, n_steps, stride):
         # One chunk holds levels 0..2*K*CHUNK+1; the edges and 1037 levels
         # (three chunks, the last one partial) hand over mid-stride.  The run
-        # steps in a Storage of min(n_steps, 2*K*CHUNK) levels, which still
-        # holds the whole run at 2*K*CHUNK - 1 and 2*K*CHUNK levels.
+        # steps in Storage(0, N), which holds the whole run up to 2*K*CHUNK + 1
+        # levels (1, 2, 5, 2*K*CHUNK - 1 and 2*K*CHUNK, and the first edge) and
+        # is refilled a chunk at a time past that (2*K*CHUNK + 2 and 1037).
         grid, stencil, bs, modes, _, ic = make_setup(k=5, n_steps=n_steps, order=4)
         traj = integrate(ic, stencil, bs, grid)
         times, xi = analysis.xi_series(traj, modes)

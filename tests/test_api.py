@@ -30,6 +30,7 @@ REMOVED = {
         "second_order",
         "fourth_order",
         "_buffer",
+        "start_run",
     ],
     "adjoint": [
         "SensitivitySource",
@@ -139,8 +140,8 @@ SIGNATURES = [
     ("exact", "_composite_gauss", ["f", "n_panels"]),
     # gradcheck fills one tangent-linear buffer for all its dot pairs.
     ("adjoint", "tlm_run", ["traj", "dalpha", "out"]),
-    # The horizon report checks its start and builds A and W, then streams.
-    ("wave", "start_run", ["z0", "stencil", "bs", "grid", "storage"]),
+    # Every forward run checks its start, builds A and W and scans its chunks here.
+    ("wave", "run", ["z0", "stencil", "bs", "grid", "storage", "consume"]),
     # The blow-up threshold is one module constant, BLOWUP_THRESHOLD.
     ("wave", "check_levels", ["levels", "t", "tau"]),
     # The error series refills the run's chunk buffer, not a buffer of its own.
@@ -225,6 +226,17 @@ def _read_names(source: str) -> set[str]:
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
     return names
+
+
+def test_only_wave_steps_and_scans_a_forward_run():
+    # integrate, cost and the horizon run go through wave.run, which alone
+    # scans for blow-up; only tlm_run steps the chains besides it.
+    for path in (ROOT / "src" / "waveassim").glob("*.py"):
+        read = _read_names(path.read_text())
+        if path.name != "wave.py":
+            assert "check_levels" not in read, path.name
+        if path.name not in ("wave.py", "adjoint.py"):
+            assert "advance_chains" not in read, path.name
 
 
 def _readme_python_blocks() -> list[str]:

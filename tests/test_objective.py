@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -93,12 +94,30 @@ class TestWindow:
     def test_storage_fits_the_window(self, grid30):
         _, stencil, _, _, obs, ic = make_setup(n_steps=720)
         win = Window(obs, ic, stencil, replace(grid30, n_steps=120), 1)
-        # z holds at least one chunk of levels, for a run that emits them.
+        # z holds at least one chunk of levels, for a run that refills it.
         z_rows = max(120, 2 * BLOCK_LEVELS * CHUNK) + 2 * BLOCK_LEVELS + 1
         assert win.storage.z.shape == (z_rows, 61)
         assert win.storage.W.shape == (BLOCK_LEVELS * 61, 61 + 4 * BLOCK_LEVELS)
         assert win.storage.lam.shape == (120 + 2 * BLOCK_LEVELS + 1, 4)
         assert win.storage.res.shape == (121, 61)
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 61), (100, 61), (101, 60), (200, 62), (101,)],
+        ids=lambda shape: "x".join(map(str, shape)),
+    )
+    def test_observations_must_cover_the_window(self, shape):
+        # Too few observed levels would broadcast over the first chunk of
+        # cost's streamed run, a wrong misfit given silently, where evaluate
+        # raises: the window refuses them for both paths.
+        grid, stencil, bs, _, obs, ic = make_setup(n_steps=100)
+        x = bs.to_control_vector()
+        msg = f"observations of shape {shape} do not cover a window of shape (101, 61)"
+        for path in (cost, evaluate):
+            with pytest.raises(ValueError, match=re.escape(msg)):
+                path(x, Window(np.resize(obs, shape), ic, stencil, grid, 1))
+        win = Window(obs, ic, stencil, grid, 1)  # exactly the window's levels
+        assert cost(x, win) == evaluate(x, win)[0]
+        assert cost(x, win).total == pytest.approx(1.635e-4, rel=1e-3)
 
     def test_two_windows_share_no_storage(self, grid30):
         _, stencil, _, _, obs, ic = make_setup(n_steps=720)

@@ -654,6 +654,24 @@ def test_divergence_reports_first_level_over_threshold(monkeypatch):
     assert set(range(edge - 2 * K, edge + 2 * K + 2)) <= set(checked)
 
 
+def test_diverging_run_stops_at_the_end_of_its_chunk():
+    # Past the CFL limit of the classical boundary, this run first passes
+    # the threshold at level 678, in its second chunk of levels.  integrate
+    # scans each chunk as it is stepped, so no row after that chunk is
+    # written, but for the p of the level its last block overshoots.
+    grid, st_, bs, _, _, ic = make_setup(tau=0.502 / 30, n_steps=3000)
+    storage = Storage(3000, grid.N)
+    storage.z[:] = np.nan
+    with pytest.raises(IntegrationDiverged) as err:
+        integrate(ic, st_, bs, grid, out=storage)
+    assert err.value.step == 678
+    end = 4 * K * CHUNK + 1  # the second chunk holds levels 2*K*CHUNK + 2..end
+    assert 2 * K * CHUNK + 2 <= 678 <= end
+    z, N = storage.z, grid.N
+    assert not np.isnan(z[: end + 1]).any() and not np.isnan(z[end + 1, N + 1 :]).any()
+    assert np.isnan(z[end + 1, : N + 1]).all() and np.isnan(z[end + 2 :]).all()
+
+
 def test_divergence_past_float_range_inside_a_chunk():
     # alpha_p scaled by 1e4 grows the field about 1000x per level: its chain
     # heads overflow float64 well before the first chunk of blocks ends.
