@@ -11,10 +11,9 @@ is linear in d_alpha).  ``adjoint_sweep`` applies the exact transpose of
 that linear map: ``wave.transpose_chains`` yields the adjoint of the
 sources, then one projection takes it onto coefficient space.  Both keep
 the stacked layout of the trajectory: ``tlm_run`` returns dz shaped like
-traj.z and ``adjoint_sweep`` takes a forcing of that shape.  Both, and
-``window_misfit``'s residual, take their scratch from the trajectory's
-``wave.Storage``.  ``level_misfit`` is the misfit of one level, which
-``window_misfit`` and the streamed ``objective.cost`` share.
+traj.z and ``adjoint_sweep`` takes a forcing of that shape.  Both take
+their scratch from the trajectory's ``wave.Storage``.  The misfit, its
+weights and the forcing they give the adjoint are ``objective``'s.
 
 The control vector is ``BoundaryScheme.to_control_vector``; the operator
 entries each of its four stencil groups sets, and so the sensitivity of
@@ -27,15 +26,7 @@ import numpy as np
 
 from .wave import Trajectory, advance_chains, boundary_entries, transpose_chains
 
-__all__ = [
-    "adjoint_sweep",
-    "control_dim",
-    "level_misfit",
-    "misfit_gradient",
-    "time_weights",
-    "tlm_run",
-    "window_misfit",
-]
+__all__ = ["adjoint_sweep", "control_dim", "tlm_run"]
 
 
 def control_dim(J: int) -> int:
@@ -104,60 +95,3 @@ def adjoint_sweep(traj: Trajectory, forcing: np.ndarray) -> np.ndarray:
     g = np.einsum("tgj,tg->gj", S, w) + S_half * w_half[:, None]
     return g.ravel()
 
-
-def time_weights(m: int, tau: float) -> np.ndarray:
-    """Trapezoid weights for the time integral over levels 0..m."""
-    if m < 1:
-        raise ValueError(f"need at least one step in the window, got m = {m}")
-    w = np.full(m + 1, tau)
-    w[0] = w[-1] = 0.5 * tau
-    return w
-
-
-def window_misfit(traj: Trajectory, obs: np.ndarray) -> tuple[float, np.ndarray]:
-    """Windowed misfit cost and the residual traj.z - obs it integrates.
-
-    The cost is the trapezoid time integral over the trajectory's levels of
-    the spatial integral of (u - u_obs)^2 + (p - p_obs)^2 (weight h on the
-    p half-nodes and interior u nodes; u vanishes at the walls).  obs holds
-    the observed stacked states, at least as many levels as the trajectory
-    stores.  The residual goes into traj.storage.res, so it lasts until the
-    next window_misfit on that storage, and its squares into
-    traj.storage.chunk, a chunk of levels at a time (see ``level_misfit``).
-    """
-    m = traj.n_steps
-    if obs.shape[1:] != traj.z.shape[1:] or len(obs) < m + 1:
-        raise ValueError(
-            f"observations of shape {obs.shape} do not cover the trajectory's "
-            f"{m + 1} levels of {traj.z.shape[1]} values"
-        )
-    res = np.subtract(traj.z, obs[: m + 1], out=traj.storage.res[: m + 1])
-    squares = traj.storage.chunk
-    levels = np.empty(m + 1)
-    for t in range(0, m + 1, len(squares)):
-        level_misfit(res[t : t + len(squares)], squares, levels[t : t + len(squares)])
-    return float(time_weights(m, traj.tau) @ levels), res
-
-
-def level_misfit(res: np.ndarray, squares: np.ndarray, out: np.ndarray) -> None:
-    """The spatial misfit of each residual row of res, into out.
-
-    That is (1/N) times the sum of the squares of the row's interior u and
-    its p values.  The squares fill the leading rows of squares, which may
-    be res itself.  A complex residual is squared, not taken in modulus, so
-    the misfit stays analytic for a complex step.
-    """
-    N = res.shape[1] // 2
-    sq = np.multiply(res, res, out=squares[: len(res)])
-    out[...] = (1.0 / N) * (sq[:, 1:N].sum(axis=1) + sq[:, N + 1 :].sum(axis=1))
-
-
-def misfit_gradient(traj: Trajectory, res: np.ndarray) -> np.ndarray:
-    """Gradient of ``window_misfit`` with respect to the control vector.
-
-    res is the residual that ``window_misfit`` returned; it is scaled in
-    place into the adjoint forcing 2 w_t h (misfit fields) and swept back.
-    """
-    h = 1.0 / traj.N
-    res *= 2.0 * h * time_weights(traj.n_steps, traj.tau)[:, None]
-    return adjoint_sweep(traj, res)

@@ -9,12 +9,16 @@ depends on but the coefficients: observations, start state, interior
 stencil, the window grid, J and eta, plus the ``wave.Storage`` that
 holds every buffer an evaluation writes, so that evaluations allocate
 nothing large.
-``evaluate``, which the minimizer calls through ``make_objective``,
-returns the cost breakdown and the exact gradient assembled from the
-adjoint sweep.  ``cost`` returns the breakdown alone from a ``wave.run``
-that keeps no levels, in the dtype of its control vector; it reduces
-each level as ``evaluate`` does (``adjoint.level_misfit``), so a float
-cost agrees with ``evaluate``'s bit for bit.
+
+Only this module knows the misfit's weights: 1/N per level in space,
+the trapezoid rule in time (``time_weights``), and the adjoint forcing
+2 h w_t (misfit fields) that ``misfit_gradient`` sweeps back.  One
+consumer reduces the levels for both callers.  ``evaluate``, which the
+minimizer calls through ``make_objective``, hands it the stored
+trajectory, keeps the residual and returns the cost breakdown and the
+exact gradient.  ``cost`` hands it to a ``wave.run`` that keeps no
+levels, in the dtype of its control vector, and returns the breakdown
+alone; a float cost agrees with ``evaluate``'s bit for bit.
 """
 
 from __future__ import annotations
@@ -24,9 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adjoint import control_dim, level_misfit, misfit_gradient, time_weights, window_misfit
+from .adjoint import adjoint_sweep, control_dim
 from .wave import BoundaryScheme, GridSpec, IntegrationDiverged, InteriorStencil, Storage
-from .wave import integrate, run
+from .wave import Trajectory, integrate, run
 
 __all__ = [
     "BLOWUP_PENALTY",
@@ -35,6 +39,8 @@ __all__ = [
     "cost",
     "evaluate",
     "make_objective",
+    "misfit_gradient",
+    "time_weights",
     "window_steps",
 ]
 
@@ -65,7 +71,8 @@ class Window:
     """One assimilation window and the storage its evaluations refill.
 
     grid is the window grid: the cost integrates levels 0..grid.n_steps,
-    and obs holds the observed stacked states of at least those levels.
+    and obs holds the observed stacked states of at least those levels,
+    all finite.
     storage (the trajectory, its chain stack, the residual and the scratch
     of the chain runs, see ``wave.Storage``) is allocated once here; every
     ``evaluate`` overwrites it (``cost`` streams through a storage of its
@@ -86,6 +93,9 @@ class Window:
         shape, need = np.shape(self.obs), (self.grid.n_steps + 1, 2 * self.grid.N + 1)
         if len(shape) != 2 or shape[0] < need[0] or shape[1] != need[1]:
             raise ValueError(f"observations of shape {shape} do not cover a window of shape {need}")
+        # max |obs|: max and min propagate NaN and need no temporary of obs's size
+        if not np.isfinite(np.maximum(np.max(self.obs), -np.min(self.obs))):
+            raise ValueError("observations must be finite")
         object.__setattr__(self, "storage", Storage(self.grid.n_steps, self.grid.N))
 
 
@@ -101,6 +111,39 @@ def window_steps(T_window: float, grid: GridSpec) -> int:
             f"window of {m} steps exceeds the configured horizon of {grid.n_steps}"
         )
     return m
+
+
+def time_weights(m: int, tau: float) -> np.ndarray:
+    """Trapezoid weights for the time integral over levels 0..m."""
+    if m < 1:
+        raise ValueError(f"need at least one step in the window, got m = {m}")
+    w = np.full(m + 1, tau)
+    w[0] = w[-1] = 0.5 * tau
+    return w
+
+
+def _misfit_levels(win, storage, res=None):
+    """A consumer of the window's levels and the misfit of each level it consumed.
+
+    consume(t, rows) takes levels t.. of a run, subtracts the observed
+    levels, squares the residual into storage.chunk, a chunk of rows at
+    a time, and writes each level's misfit, (1/N) times the sum of the
+    squares of its interior u and its p values, into levels.  The
+    residual is kept in res, if given, as the adjoint forcing; it is
+    squared, not taken in modulus, so a complex misfit stays analytic.
+    """
+    N, chunk = win.grid.N, storage.chunk
+    levels = np.empty(win.grid.n_steps + 1, chunk.dtype)
+
+    def consume(t: int, rows: np.ndarray) -> None:
+        for s in range(0, len(rows), len(chunk)):
+            r = rows[s : s + len(chunk)]
+            lv = slice(t + s, t + s + len(r))
+            d = np.subtract(r, win.obs[lv], out=chunk[: len(r)] if res is None else res[lv])
+            sq = np.multiply(d, d, out=chunk[: len(r)])
+            levels[lv] = (1.0 / N) * (sq[:, 1:N].sum(axis=1) + sq[:, N + 1 :].sum(axis=1))
+
+    return consume, levels
 
 
 def _regularization(x, win):
@@ -121,24 +164,16 @@ def cost(x: np.ndarray, win: Window) -> CostReport:
     """Cost at control vector x over the window, with no adjoint.
 
     The run (``wave.run``) streams through a Storage(0, N) of its own in x's
-    dtype: each chunk of levels is reduced by ``adjoint.level_misfit`` as
-    it is stepped, and no level is kept.  A float x gives ``evaluate``'s
-    report bit for bit.  A complex x gives the cost's analytic
-    continuation, whose imaginary part at x0 + i h v over h is the
-    derivative along v (the complex step of ``cli`` gradcheck).
+    dtype: each chunk of levels is reduced as it is stepped, and no level
+    is kept.  A float x gives ``evaluate``'s report bit for bit.  A complex
+    x gives the cost's analytic continuation, whose imaginary part at
+    x0 + i h v over h is the derivative along v (the complex step of
+    ``cli`` gradcheck).
     """
     bs = BoundaryScheme.from_control_vector(x, win.J)
     grid = win.grid
     storage = Storage(0, grid.N, bs.alpha_u.dtype)
-    chunk = storage.chunk
-    levels = np.empty(grid.n_steps + 1, chunk.dtype)
-
-    def consume(t: int, rows: np.ndarray) -> None:
-        for s in range(0, len(rows), len(chunk)):
-            r = rows[s : s + len(chunk)]
-            res = np.subtract(r, win.obs[t + s : t + s + len(r)], out=chunk[: len(r)])
-            level_misfit(res, res, levels[t + s : t + s + len(r)])
-
+    consume, levels = _misfit_levels(win, storage)
     try:
         run(win.ic, win.stencil, bs, grid, storage, consume)
     except IntegrationDiverged:
@@ -161,11 +196,24 @@ def evaluate(x: np.ndarray, win: Window) -> tuple[CostReport, np.ndarray]:
         traj = integrate(win.ic, win.stencil, bs, win.grid, out=win.storage)
     except IntegrationDiverged:
         return CostReport(BLOWUP_PENALTY, BLOWUP_PENALTY, 0.0), np.zeros(control_dim(win.J))
-    misfit, res = window_misfit(traj, win.obs)
+    consume, levels = _misfit_levels(win, win.storage, win.storage.res)
+    consume(0, traj.z)
+    misfit = (time_weights(win.grid.n_steps, win.grid.tau) @ levels).item()
     reg, reg_grad = _regularization(x, win)
-    grad = misfit_gradient(traj, res)
+    grad = misfit_gradient(traj, win.storage.res)
     grad += reg_grad
     return CostReport(misfit + reg, misfit, reg), grad
+
+
+def misfit_gradient(traj: Trajectory, res: np.ndarray) -> np.ndarray:
+    """Gradient of the window misfit with respect to the control vector.
+
+    res is the residual traj.z - obs of every level; it is scaled in place
+    into the adjoint forcing 2 w_t h (misfit fields) and swept back.
+    """
+    h = 1.0 / traj.N
+    res *= 2.0 * h * time_weights(traj.n_steps, traj.tau)[:, None]
+    return adjoint_sweep(traj, res)
 
 
 def make_objective(win: Window):

@@ -271,13 +271,16 @@ class Storage:
     stack whose structurally zero blocks are written here, once (see
     :func:`chain_stack`).  chunk holds one chunk of chain levels: the output
     of :func:`advance_chains`, the forcing of :func:`transpose_chains`, or
-    any caller's rows in between.  heads holds the chain heads and their
-    sources, or the adjoint's block products (a forward and an adjoint run
-    never overlap), lam the adjoint's source values and res the residual
-    of levels 0..n, whose shape integrate checks.  Each run overwrites
-    them, so a Trajectory lasts until the next run on its storage.  Every
-    buffer has the storage's dtype, which the run's scheme must share: a
-    complex one carries a complex step (see ``objective.cost``).
+    a caller's rows in between (the squared misfit residual of
+    ``objective``, the exact rows of ``analysis``).  heads holds the chain
+    heads and their sources, or the adjoint's block products (a forward
+    and an adjoint run never overlap), lam the adjoint's source values and
+    res the misfit residual of levels 0..n, which ``objective.evaluate``
+    scales into the adjoint forcing; integrate checks its shape.  Each run
+    overwrites them, so a Trajectory lasts until the next run on its
+    storage.  Every buffer has the storage's dtype, which the run's scheme
+    must share: a complex one carries a complex step (see
+    ``objective.cost``).
     """
 
     def __init__(self, n: int, N: int, dtype=np.float64):
@@ -572,8 +575,8 @@ def run(
     Raises
     ------
     ValueError
-        If z0 is not a (2N+1,) row, u does not vanish at the walls or the
-        storage's dtype is not the scheme's.
+        If z0 is not a finite (2N+1,) row, u does not vanish at the walls
+        or the storage's dtype is not the scheme's.
     IntegrationDiverged
         At the end of the chunk that holds the first level past level 0
         over ``BLOWUP_THRESHOLD`` (or not finite), naming that level.
@@ -582,6 +585,8 @@ def run(
     z0 = np.asarray(z0, dtype=float)
     if z0.shape != (2 * N + 1,):
         raise ValueError(f"start state must be a ({2 * N + 1},) row, got {z0.shape}")
+    if not np.isfinite(np.maximum(z0.max(), -z0.min())):  # max |z0|, NaN if any is
+        raise ValueError("start state must be finite")
     if max(abs(z0[0]), abs(z0[N])) > 1e-9:
         raise ValueError("u must vanish at both boundaries")
     A = stacked_operator(stencil, bs, grid)
@@ -615,8 +620,8 @@ def integrate(
     Raises
     ------
     ValueError
-        If out cannot hold the run, z0 is not a (2N+1,) row or u does not
-        vanish at the walls.
+        If out cannot hold the run, z0 is not a finite (2N+1,) row or u
+        does not vanish at the walls.
     IntegrationDiverged
         If max(|u|, |p|) exceeds ``BLOWUP_THRESHOLD`` (or turns non-finite)
         at any level (see :func:`run`).  Unstable boundary schemes reached

@@ -51,6 +51,21 @@ def split(z, N):
     return z[..., : N + 1], z[..., N + 1 :]
 
 
+def naive_misfit(traj, obs):
+    """The window misfit of traj against obs, and the residual traj.z - obs, written longhand.
+
+    The trapezoid rule in time over the trajectory's levels of the squared
+    residual, weight h on the interior u nodes and the p half-nodes: the
+    bits of ``objective``'s misfit.  The residual is a new array.
+    """
+    m, N, h = traj.n_steps, traj.N, 1.0 / traj.N
+    w = np.full(m + 1, traj.tau)
+    w[0] = w[-1] = 0.5 * traj.tau
+    res = traj.z - obs[: m + 1]
+    core, dp = res[:, 1:N], res[:, N + 1 :]
+    return float(w @ (h * ((core * core).sum(axis=1) + (dp * dp).sum(axis=1)))), res
+
+
 def naive_derivative_p(p, a, alpha_p, alpha_p_tilde, N, h):
     """Loop implementation of dp/dx at interior nodes, straight from the row definitions."""
     J = len(alpha_p) - 1

@@ -8,18 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import tlm
-from waveassim.adjoint import (
-    adjoint_sweep,
-    control_dim,
-    misfit_gradient,
-    time_weights,
-    tlm_run,
-    window_misfit,
-)
+from conftest import naive_misfit, tlm
+from waveassim.adjoint import adjoint_sweep, control_dim, tlm_run
 from waveassim.exact import ModeSpec, sample_observations
 from waveassim import wave
-from waveassim.objective import Window, evaluate
+from waveassim.objective import Window, evaluate, misfit_gradient, time_weights
 from waveassim.wave import (
     BLOCK_LEVELS,
     CHUNK,
@@ -245,22 +238,16 @@ def test_dot_product_identity_property(N, J, n_steps, order, seed):
 class TestMisfitGradient:
     def test_zero_for_perfect_twin(self):
         grid, stencil, bs, obs, ic, traj = small_case()
-        misfit, res = window_misfit(traj, traj.z.copy())
+        misfit, res = naive_misfit(traj, traj.z.copy())
         assert misfit == 0.0
         assert np.abs(misfit_gradient(traj, res)).max() < 1e-14
 
     def test_linear_in_misfit(self):
         grid, stencil, bs, obs, ic, traj = small_case(n_steps=30)
-        g1 = misfit_gradient(traj, window_misfit(traj, obs)[1])
+        g1 = misfit_gradient(traj, naive_misfit(traj, obs)[1])
         # observations at 2*obs - traj double the misfit fields
-        g2 = misfit_gradient(traj, window_misfit(traj, 2 * obs[: traj.n_steps + 1] - traj.z)[1])
+        g2 = misfit_gradient(traj, naive_misfit(traj, 2 * obs[: traj.n_steps + 1] - traj.z)[1])
         np.testing.assert_allclose(g2, 2 * g1, rtol=1e-12, atol=1e-16)
-
-    def test_observation_shape_checked(self):
-        grid, stencil, bs, obs, ic, traj = small_case(n_steps=30)
-        for bad in (obs[:30], obs[:, :-1], obs[:, :, None], obs[0]):
-            with pytest.raises(ValueError, match="do not cover"):
-                window_misfit(traj, bad)
 
     def test_against_finite_differences(self, k3_small):
         grid, stencil, bs, modes, obs, ic = k3_small
@@ -300,9 +287,10 @@ class TestMisfitGradient:
 
     @pytest.mark.parametrize("order, J", [(2, 1), (4, 3)])
     def test_bit_identical_to_the_residual_formula(self, order, J):
-        # The residual goes straight into the storage's res and is squared
-        # into its chunk; cost and gradient must equal, bit for bit, a copy of
-        # the trajectory minus the observations weighted as the adjoint forcing.
+        # evaluate puts the residual straight into the window storage's res
+        # and squares it into its chunk; cost and gradient must equal, bit for
+        # bit, the longhand misfit and a copy of the trajectory minus the
+        # observations weighted as the adjoint forcing, which res then holds.
         obs = sample_observations(
             [ModeSpec(2, 1.0, 0.5), ModeSpec(5, 0.3, 1.0)], GridSpec(30, 1.0 / 120.0, 300)
         )
@@ -310,19 +298,16 @@ class TestMisfitGradient:
         x = BoundaryScheme.classical(J).to_control_vector()
         x += 0.01 * np.random.default_rng(3).standard_normal(x.size)
         bs = BoundaryScheme.from_control_vector(x, J)
-        traj = integrate(ic, interior_stencil(order), bs, GridSpec(30, 1.0 / 120.0, 250))
-        misfit, res_out = window_misfit(traj, obs)
-        assert np.shares_memory(res_out, traj.storage.res)
-        grad = misfit_gradient(traj, res_out)
+        grid = GridSpec(30, 1.0 / 120.0, 250)
+        win = Window(obs, ic, interior_stencil(order), grid, J)
+        report, grad = evaluate(x, win)
 
-        m, N, h = traj.n_steps, traj.N, 1.0 / traj.N
-        w = time_weights(m, traj.tau)
-        res = traj.z - obs[: m + 1]
-        core, dp = res[:, 1:N], res[:, N + 1 :]
-        level_misfit = h * ((core * core).sum(axis=1) + (dp * dp).sum(axis=1))
-        res *= 2.0 * h * w[:, None]
+        traj = integrate(ic, interior_stencil(order), bs, grid)
+        misfit, res = naive_misfit(traj, obs)
+        res *= 2.0 * (1.0 / traj.N) * time_weights(traj.n_steps, traj.tau)[:, None]
         assert misfit > 0.0
-        np.testing.assert_array_equal(misfit, float(w @ level_misfit))
+        np.testing.assert_array_equal(report.misfit, misfit)
+        np.testing.assert_array_equal(win.storage.res, res)
         np.testing.assert_array_equal(grad, adjoint_sweep(traj, res))
 
     def test_u_zero_columns_have_zero_gradient(self, k3_small):

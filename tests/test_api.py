@@ -40,6 +40,10 @@ REMOVED = {
         "_project_p_control",
         "_project_u_control",
         "split_control",
+        "window_misfit",
+        "level_misfit",
+        "time_weights",
+        "misfit_gradient",
     ],
     "objective": ["state_norm2", "GROUP_NAMES", "CostConfig", "window_buffers"],
     "minimize": ["MinimizeConfig"],
@@ -118,11 +122,12 @@ SIGNATURES = [
     ("exact", "project_initial", ["u0", "p0", "k_max"]),
     ("wave", "integrate", ["z0", "stencil", "bs", "grid", "out"]),
     ("adjoint", "adjoint_sweep", ["traj", "forcing"]),
-    ("adjoint", "misfit_gradient", ["traj", "res"]),
+    ("objective", "misfit_gradient", ["traj", "res"]),
     ("analysis", "horizon_report", ["z0", "stencil", "bs", "grid", "modes", "stride"]),
     # The benchmark checks forward's xi.csv against integrate + xi_series.
     ("analysis", "xi_series", ["traj", "modes"]),
-    ("adjoint", "window_misfit", ["traj", "obs"]),
+    # evaluate's stored trajectory and cost's streamed run are reduced by one consumer.
+    ("objective", "_misfit_levels", ["win", "storage", "res"]),
     ("objective", "cost", ["x", "win"]),
     ("objective", "evaluate", ["x", "win"]),
     ("objective", "make_objective", ["win"]),
@@ -148,8 +153,8 @@ SIGNATURES = [
     ("analysis", "_xi_rows", ["modes", "grid", "storage"]),
     # The minimizer's settings are module constants, from MEMORY to MAX_LINE_SEARCH.
     ("minimize", "lbfgs", ["f_and_grad", "x0"]),
-    # window_misfit and the streamed cost reduce residual rows one way.
-    ("adjoint", "level_misfit", ["res", "squares", "out"]),
+    # The trapezoid rule in time, read by the misfit and its gradient alone.
+    ("objective", "time_weights", ["m", "tau"]),
     # The dtype is float64 but for cost's complex step.
     ("wave", "Storage", ["n", "N", "dtype"]),
 ]
@@ -237,6 +242,17 @@ def test_only_wave_steps_and_scans_a_forward_run():
             assert "check_levels" not in read, path.name
         if path.name not in ("wave.py", "adjoint.py"):
             assert "advance_chains" not in read, path.name
+
+
+def test_only_objective_weighs_the_misfit():
+    # The misfit, its weights and its adjoint forcing are objective's; the
+    # tangent-linear/adjoint pair never sees an observation.
+    for path in (ROOT / "src" / "waveassim").glob("*.py"):
+        read = _read_names(path.read_text())
+        if path.name != "objective.py":
+            assert "time_weights" not in read, path.name
+        if path.name == "adjoint.py":
+            assert "obs" not in read, path.name
 
 
 def _readme_python_blocks() -> list[str]:

@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_setup, split, tlm
+from conftest import make_setup, naive_misfit, split, tlm
 from waveassim import cli
-from waveassim.adjoint import misfit_gradient, tlm_run, window_misfit
+from waveassim.adjoint import tlm_run
 from waveassim.analysis import xi_series
 from waveassim.objective import (
     BLOWUP_PENALTY,
@@ -25,6 +25,7 @@ from waveassim.objective import (
     cost,
     evaluate,
     make_objective,
+    misfit_gradient,
     window_steps,
 )
 from waveassim.wave import BLOCK_LEVELS, CHUNK, BoundaryScheme, GridSpec, integrate, interior_stencil
@@ -45,9 +46,9 @@ def state_norm2(du, dp, grid):
     divided by tau is that level's norm.
     """
     one = replace(grid, n_steps=1)
-    traj = integrate(np.zeros(2 * grid.N + 1), interior_stencil(2), BoundaryScheme.classical(1), one)
     obs = -np.tile(np.concatenate([du, dp]), (2, 1))
-    return window_misfit(traj, obs)[0] / one.tau
+    win = Window(obs, np.zeros(2 * grid.N + 1), interior_stencil(2), one, 1)
+    return cost(BoundaryScheme.classical(1).to_control_vector(), win).misfit / one.tau
 
 
 class TestStateNorm:
@@ -118,6 +119,25 @@ class TestWindow:
         win = Window(obs, ic, stencil, grid, 1)  # exactly the window's levels
         assert cost(x, win) == evaluate(x, win)[0]
         assert cost(x, win).total == pytest.approx(1.635e-4, rel=1e-3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_observations_and_start_must_be_finite(self, bad):
+        # A non-finite observation would make cost read +inf, as if the run
+        # had diverged, and evaluate return a NaN gradient; a non-finite
+        # start would fail as a run diverged at step 1.  Both are refused
+        # before any step.
+        grid, stencil, bs, _, obs, ic = make_setup(n_steps=120)
+        x = bs.to_control_vector()
+        bad_obs = obs.copy()
+        bad_obs[50, 7] = bad
+        with pytest.raises(ValueError, match="observations must be finite"):
+            Window(bad_obs, ic, stencil, grid, 1)
+        bad_ic = ic.copy()
+        bad_ic[40] = bad
+        win = Window(obs, bad_ic, stencil, grid, 1)
+        for path in (cost, evaluate):
+            with pytest.raises(ValueError, match="start state must be finite"):
+                path(x, win)
 
     def test_two_windows_share_no_storage(self, grid30):
         _, stencil, _, _, obs, ic = make_setup(n_steps=720)
@@ -330,7 +350,7 @@ def test_storage_gives_the_bits_of_fresh_arrays(J, m):
     x += 0.01 * np.random.default_rng(5).standard_normal(x.size)
     bs = BoundaryScheme.from_control_vector(x, J)
     plain = integrate(ic, stencil, bs, grid)
-    misfit, res = window_misfit(plain, obs)
+    misfit, res = naive_misfit(plain, obs)
     grad = misfit_gradient(plain, res)
 
     win = _garbled(Window(obs, ic, stencil, grid, J))

@@ -158,6 +158,15 @@ class TestTypes:
             with pytest.raises(ValueError, match="start state"):
                 integrate(z0, interior_stencil(2), classical, grid30)
 
+    @pytest.mark.parametrize("index, bad", [(0, np.inf), (7, np.nan), (45, -np.inf)])
+    def test_start_state_must_be_finite(self, grid30, classical, index, bad):
+        # A non-finite start is refused before the run steps, not reported
+        # as a run that diverged at step 1.
+        z0 = np.zeros(61)
+        z0[index] = bad
+        with pytest.raises(ValueError, match="start state must be finite"):
+            integrate(z0, interior_stencil(2), classical, grid30)
+
 
 class TestDerivativeP:
     def test_constant_field_zero_sum_stencil(self, grid30, classical):
