@@ -11,19 +11,23 @@ configurations produce byte-identical outputs on one machine, BLAS build
 and BLAS thread count (another BLAS or thread count may round
 differently and move a fit's iterates; CI and the benchmark pin
 OPENBLAS_NUM_THREADS=1), however many CPUs the process may use.
-``sweep``'s windows run across those CPUs (``_map``): each forked worker
-fits its share on a copy-on-write copy of the parent's state and sends
-the fits back; the parent prints and writes every output.
+``sweep``'s windows and the rows of each CSV of more than one block run
+across those CPUs (``_workers``): each forked worker computes its share on
+a copy-on-write copy of the parent's state and sends it back, fits as a
+pickle and CSV rows as their text; the parent prints and writes every
+output, with the bytes a run on one CPU writes.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
 import os
 import pickle
+import shutil
 import signal
 import sys
 from dataclasses import Field, asdict, dataclass, fields
@@ -85,9 +89,10 @@ def _field_kind(f: Field) -> tuple:
     return _FIELD_KINDS.get(f.type.removesuffix(" | None"), (None, str))
 
 
-# Rows that _write_csv formats and writes at a time, not whole columns.  A
-# block's row strings and text peak at about 170 kB in xi.csv; 4096-row blocks
-# held 0.66 MB and raised the peak RSS of forward by about 0.3 MB.
+# Rows that _write_csv formats and writes at a time, not whole columns, and
+# the unit its CPUs share.  A block's row strings and text peak at about
+# 170 kB in xi.csv; 4096-row blocks held 0.66 MB and raised the peak RSS of
+# forward by about 0.3 MB.  The bytes do not depend on the CPU count.
 CSV_BLOCK_ROWS = 1024
 
 
@@ -280,18 +285,46 @@ def _write_csv(path: Path, header: str, *columns) -> None:
     1-D columns give one row per index.  error_xt.csv passes (levels, 1)
     times and (nodes,) positions against (levels, nodes) errors: each value
     of a column is formatted once, however many rows repeat it.  Rows are
-    converted and written CSV_BLOCK_ROWS at a time, one string a block.
+    converted CSV_BLOCK_ROWS at a time, one string a block, and the blocks
+    are cut into n = min(CPUs, blocks) contiguous shares (``_workers``).
+    This process writes share 0 a block at a time; a worker per other share
+    formats it and hands back the error that stopped it, if any, and the
+    text of the blocks before it, which is written in share order.  So the
+    file has the bytes of one CPU's loop however many CPUs format it, and
+    the first failing block raises its error after the blocks before it
+    are written, as that loop would.
     """
     arrays = [np.asarray(c, dtype=float) for c in columns]
     shape = np.broadcast_shapes(*(a.shape for a in arrays)) if arrays else (0,)
     arrays = [a.reshape((1,) * (len(shape) - a.ndim) + a.shape) for a in arrays]
     step = max(1, CSV_BLOCK_ROWS // math.prod(shape[1:]))
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for a in range(0, shape[0], step):
-            block = (min(step, shape[0] - a),) + shape[1:]
-            cells = [_reprs(c if len(c) == 1 else c[a : a + step], block) for c in arrays]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+    starts = range(0, shape[0], step)
+    n = max(1, min(_cpus(), len(starts)))
+    shares = [starts[len(starts) * s // n : len(starts) * (s + 1) // n] for s in range(n)]
+
+    def text(a: int) -> bytes:
+        block = (min(step, shape[0] - a),) + shape[1:]
+        cells = [_reprs(c if len(c) == 1 else c[a : a + step], block) for c in arrays]
+        return ("\n".join(map(",".join, zip(*cells))) + "\n").encode()
+
+    def send(slot: int, pipe) -> None:
+        blocks, error = _run_share(text, shares[slot])
+        pickle.dump(error, pipe)
+        pipe.writelines(blocks)
+
+    def receive(pipe) -> BaseException | None:
+        error = pickle.load(pipe)
+        shutil.copyfileobj(pipe, fh)
+        return error
+
+    with open(path, "wb") as fh, _workers(n, send) as collect:
+        fh.write(header.encode() + b"\n")
+        for a in shares[0]:
+            fh.write(text(a))
+        for slot in range(1, n):
+            error = collect(slot, receive)
+            if error is not None:
+                raise error
 
 
 def _reprs(a: np.ndarray, shape: tuple[int, ...]):
@@ -309,27 +342,43 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _map(fn, items: Sequence) -> list:
-    """[fn(i) for i in items], computed on each CPU that the process may use.
+def _cpus() -> int:
+    """The CPUs that the process may use; 1 without sched_getaffinity or fork."""
+    if hasattr(os, "sched_getaffinity") and hasattr(os, "fork"):
+        return len(os.sched_getaffinity(0))
+    return 1
 
-    With n = min(CPUs, items) slots the items are dealt round-robin: the
-    calling process takes items 0, n, 2n, ... and one forked worker per
-    other slot takes the items from its slot on, n apart.  A worker starts
-    from a copy-on-write copy of the caller's state, so each value has the
-    bits of the serial loop; it pickles its values back through a pipe and
-    leaves through os._exit.  A slot stops at its first error, and the
-    error of the first failing item in item order is raised, as the loop
-    would raise it; a worker that ends without its values (killed, or a
-    value that does not pickle) raises ChildProcessError.  Every worker is
-    reaped before this returns or raises, a running one killed first.
-    Without sched_getaffinity or fork, or with one CPU, the loop runs here.
+
+@contextlib.contextmanager
+def _workers(n: int, send):
+    """Fork a worker per slot 1..n-1, and yield collect(slot, receive) to read them.
+
+    A worker starts from a copy-on-write copy of the caller's state, so
+    what it computes has the bits of the serial loop.  It runs
+    send(slot, pipe), writing to a pipe, and leaves through os._exit,
+    with code 0 once send returned and the pipe is closed.
+    collect(slot, receive) returns receive(pipe) on the read end of that
+    slot's pipe once the worker has ended; a worker that ends with another
+    code (killed, or a value that does not pickle) raises
+    ChildProcessError, whatever receive made of its truncated stream.
+    Every worker is reaped before the block ends, a running one killed
+    first, so the caller stops waiting for a slot by leaving the block.
     """
-    items = list(items)
-    forks = hasattr(os, "sched_getaffinity") and hasattr(os, "fork")
-    n = min(len(os.sched_getaffinity(0)) if forks else 1, len(items))
-    if n <= 1:
-        return [fn(i) for i in items]
     running = {}  # slot -> (pid, read end of its pipe)
+
+    def collect(slot: int, receive):
+        pid, pipe = running[slot]
+        with pipe:
+            try:
+                value = receive(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                value = None  # the stream ended early, and the code below says why
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        del running[slot]
+        if code != 0:
+            raise ChildProcessError(f"worker {pid} exited with code {code}")
+        return value
+
     try:
         for slot in range(1, n):
             r, w = os.pipe()
@@ -338,30 +387,45 @@ def _map(fn, items: Sequence) -> list:
                 status = 1
                 try:
                     os.close(r)
-                    with os.fdopen(w, "wb") as fh:
-                        fh.write(pickle.dumps(_run_share(fn, items[slot::n])))
+                    with os.fdopen(w, "wb") as pipe:
+                        send(slot, pipe)
                     status = 0
                 finally:
                     os._exit(status)
             os.close(w)
             running[slot] = pid, os.fdopen(r, "rb")
+        yield collect
+    finally:
+        for pid, pipe in running.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
+
+
+def _map(fn, items: Sequence) -> list:
+    """[fn(i) for i in items], computed on each CPU that the process may use.
+
+    With n = min(CPUs, items) slots the items are dealt round-robin: the
+    calling process takes items 0, n, 2n, ... and one worker per other
+    slot (``_workers``) takes the items from its slot on, n apart, and
+    pickles its values back.  A slot stops at its first error, and the
+    error of the first failing item in item order is raised, as the loop
+    would raise it.  With one CPU the loop runs here.
+    """
+    items = list(items)
+    n = min(_cpus(), len(items))
+    if n <= 1:
+        return [fn(i) for i in items]
+
+    def send(slot: int, pipe) -> None:
+        pickle.dump(_run_share(fn, items[slot::n]), pipe)
+
+    with _workers(n, send) as collect:
         shares = [_run_share(fn, items[::n])]
         for slot in range(1, n):
             if _first_failure(shares, n)[0] < slot:
                 break  # every item of this slot and the next comes after it
-            pid, fh = running[slot]
-            with fh:
-                data = fh.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del running[slot]
-            if code != 0:
-                raise ChildProcessError(f"worker {pid} exited with code {code}")
-            shares.append(pickle.loads(data))
-    finally:
-        for pid, fh in running.values():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            fh.close()
+            shares.append(collect(slot, pickle.load))
     error = _first_failure(shares, n)[1]
     if error is not None:
         raise error

@@ -531,8 +531,7 @@ def transpose_chains(
         c[:, :, :d] += xm.sum(axis=2)
         for b in reversed(range(m)):
             c[b] += np.matmul(carry, last, out=carried)
-            c[b, :, :d] += carry
-            carry[:] = c[b, :, :d]
+            np.add(c[b, :, :d], carry, out=carry)  # only c[..., d:] is read below
         ls = c[:, :, d:].reshape(m, 2, K, 4)
         _chain_view(lam[s + 2 : s + 2 + 2 * K * m, :2], m)[...] = ls[..., :2]
         _chain_view(lam[s + 1 : s + 1 + 2 * K * m, 2:], m)[...] = ls[..., 2:]

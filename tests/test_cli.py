@@ -258,24 +258,33 @@ class TestMemory:
 
 
 class TestWriteCsv:
-    def test_each_value_is_its_float_repr(self, tmp_path):
+    @staticmethod
+    def write(monkeypatch, path, header, *columns) -> bytes:
+        """The bytes _write_csv writes at 1, 2 and 3 CPUs, which must agree."""
+        written = []
+        for cpus in (1, 2, 3):
+            on_cpus(monkeypatch, cpus, lambda: cli._write_csv(path, header, *columns))
+            written.append(path.read_bytes())
+        assert written[1:] == written[:-1]
+        return written[0]
+
+    def test_each_value_is_its_float_repr(self, tmp_path, monkeypatch):
         # Shortest round-trip repr of every value, integers written as
         # floats (window_steps in alphas.csv), numpy floats as Python ones.
         specials = [-0.0, 5e-324, 1e16, 1e-05, 0.1 + 0.2, float("nan"), float("inf"), -np.inf]
         ints = list(range(len(specials)))
         npfloats = np.linspace(-1.0, 1.0, len(specials)) / 3.0
         path = tmp_path / "out.csv"
-        cli._write_csv(path, "a,b,c", specials, ints, npfloats)
         expected = "a,b,c\n" + "".join(
             ",".join(repr(float(v)) for v in row) + "\n"
             for row in zip(specials, ints, npfloats)
         )
-        assert path.read_bytes() == expected.encode()
+        assert self.write(monkeypatch, path, "a,b,c", specials, ints, npfloats) == expected.encode()
         _, back = read_csv(path)
         assert np.array_equal(back[:, 2], npfloats)
 
     @pytest.mark.parametrize("levels", [1, cli.CSV_BLOCK_ROWS // 31, 300])
-    def test_broadcast_columns_are_their_expansion(self, tmp_path, levels):
+    def test_broadcast_columns_are_their_expansion(self, tmp_path, monkeypatch, levels):
         # (levels, 1), (nodes,) and (levels, nodes) columns write the rows of
         # their np.broadcast_arrays, nodes within levels: part of a block, one
         # full block of levels, and blocks that end in a partial one.
@@ -283,26 +292,95 @@ class TestWriteCsv:
         t, x = rng.standard_normal((levels, 1)), rng.standard_normal(31)
         e = rng.standard_normal((levels, 31))
         e[0, :3] = [-0.0, np.nan, -np.inf]
-        path = tmp_path / "out.csv"
-        cli._write_csv(path, "t,x,e", t, x, e)
         cols = [c.ravel().tolist() for c in np.broadcast_arrays(t, x, e)]
         expected = "t,x,e\n" + "".join(f"{a!r},{b!r},{c!r}\n" for a, b, c in zip(*cols))
-        assert path.read_bytes() == expected.encode()
+        assert self.write(monkeypatch, tmp_path / "out.csv", "t,x,e", t, x, e) == expected.encode()
 
-    def test_blocks_join_to_the_whole(self, tmp_path):
+    def test_blocks_join_to_the_whole(self, tmp_path, monkeypatch):
         # Two full blocks and a partial one, from an array and a list.
         n = 2 * cli.CSV_BLOCK_ROWS + 5
         a = np.random.default_rng(0).standard_normal(n) * np.logspace(-300, 300, n)
         b = list(range(n))
-        path = tmp_path / "blocks.csv"
-        cli._write_csv(path, "a,b", a, b)
         expected = "a,b\n" + "".join(f"{x!r},{float(y)!r}\n" for x, y in zip(a.tolist(), b))
-        assert path.read_bytes() == expected.encode()
+        assert self.write(monkeypatch, tmp_path / "blocks.csv", "a,b", a, b) == expected.encode()
 
-    def test_zero_rows_write_the_header_only(self, tmp_path):
+    @pytest.mark.parametrize("cpus", [2, 3, 4])
+    def test_a_worker_per_share_past_the_first(self, tmp_path, monkeypatch, cpus):
+        # Seven blocks, the last partial, cut into shares of 3 and 4, of 2,
+        # 2 and 3, and of 1, 2, 2 and 2 blocks: the shares join to the rows
+        # of one CPU, and this process forks one worker per other share.
+        n = 6 * cli.CSV_BLOCK_ROWS + 7
+        a = np.random.default_rng(cpus).standard_normal(n)
+        expected = "a\n" + "".join(f"{x!r}\n" for x in a.tolist())
+        forks = []
+        fork = os.fork
+
+        def counted():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        path = tmp_path / "shares.csv"
+        on_cpus(monkeypatch, cpus, lambda: cli._write_csv(path, "a", a))
+        assert path.read_bytes() == expected.encode()
+        assert len(forks) == cpus - 1
+
+    def test_one_block_forks_nothing(self, tmp_path, monkeypatch):
+        def refused():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", refused)
+        a = np.arange(cli.CSV_BLOCK_ROWS, dtype=float)
+        path = tmp_path / "one.csv"
+        on_cpus(monkeypatch, 3, lambda: cli._write_csv(path, "a", a))
+        assert path.read_bytes() == ("a\n" + "".join(f"{x!r}\n" for x in a.tolist())).encode()
+
+    @pytest.mark.parametrize(
+        "failing, first",
+        [({3}, 3),  # the second block of the first worker's share
+         ({3, 5}, 3),  # both workers' shares fail: the first worker's error
+         ({5}, 5),  # the last worker's share
+         ({1, 4}, 1)],  # this process's share fails first; the workers are killed
+    )
+    def test_first_failing_block_raises(self, tmp_path, monkeypatch, failing, first):
+        # Six blocks on three CPUs: this process formats blocks 0 and 1, the
+        # workers 2 and 3, and 4 and 5.  The error of the first failing
+        # block crosses the pipe, after the text of the blocks before it:
+        # the file holds what one CPU's loop writes before it raises.
+        a = np.arange(6 * cli.CSV_BLOCK_ROWS, dtype=float)
+        reprs = cli._reprs
+
+        def failing_reprs(c, shape):
+            block = int(c.ravel()[0]) // cli.CSV_BLOCK_ROWS
+            if block in failing:
+                raise ValueError(block)
+            return reprs(c, shape)
+
+        monkeypatch.setattr(cli, "_reprs", failing_reprs)
+        expected = "a\n" + "".join(f"{x!r}\n" for x in a[: first * cli.CSV_BLOCK_ROWS].tolist())
+        path = tmp_path / "failed.csv"
+        for cpus in (1, 3):
+            with pytest.raises(ValueError) as err:
+                on_cpus(monkeypatch, cpus, lambda: cli._write_csv(path, "a", a))
+            assert err.value.args == (first,)
+            assert path.read_bytes() == expected.encode()
+
+    def test_worker_without_its_text_fails_the_call(self, tmp_path, monkeypatch):
+        reprs = cli._reprs
+
+        def killed(c, shape):
+            if c.ravel()[0] >= cli.CSV_BLOCK_ROWS:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return reprs(c, shape)
+
+        monkeypatch.setattr(cli, "_reprs", killed)
+        a = np.arange(2 * cli.CSV_BLOCK_ROWS, dtype=float)
+        with pytest.raises(ChildProcessError, match="worker"):
+            on_cpus(monkeypatch, 2, lambda: cli._write_csv(tmp_path / "lost.csv", "a", a))
+
+    def test_zero_rows_write_the_header_only(self, tmp_path, monkeypatch):
         path = tmp_path / "empty.csv"
-        cli._write_csv(path, "k,tau_over_h", [], [])
-        assert path.read_bytes() == b"k,tau_over_h\n"
+        assert self.write(monkeypatch, path, "k,tau_over_h", [], []) == b"k,tau_over_h\n"
         # dispersion with no mode k >= 1 passes no columns at all.
         assert main(["dispersion", "--out", str(tmp_path), "--modes", "0:0:1"]) == 0
         assert (tmp_path / "beta.csv").read_bytes() == b"k,tau_over_h,beta2_minus_1,beta4_minus_1\n"
@@ -381,17 +459,30 @@ class TestSweep:
         assert cli._sweep_windows(cfg) == list(range(600, 721))
 
     def test_outputs_do_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch):
-        # One CPU runs the windows in this process; more fork workers that
-        # pickle their fits back.  gradcheck runs in this process on any.
+        # One CPU runs the windows and formats the rows in this process;
+        # more fork workers that pickle their fits back or hand back the
+        # text of their rows.  At 2100 steps xi.csv has three blocks and
+        # error_xt.csv eight.  gradcheck runs in this process on any.
         sweep = ["sweep"] + TINY[:-3] + ["128", "--window-count", "2"]
         gradcheck = ["gradcheck", "--J", "2"] + TINY
+        forward = ["forward"] + TINY + ["--n-steps", "2100"]
+        assimilate = ["assimilate"] + TINY + ["--n-steps", "2100"]
+        outputs = {
+            "sweep": ["alphas.csv", "kernel_line.json"],
+            "gradcheck": ["gradcheck.json"],
+            "forward": ["xi.csv", "error_xt.csv"],
+            "assimilate": ["xi.csv", "result.json"],
+        }
         for cpus in (1, 2, 3):
-            for argv in (sweep, gradcheck):
-                out = ["--out", str(tmp_path / str(cpus))]
+            for argv in (sweep, gradcheck, forward, assimilate):
+                out = ["--out", str(tmp_path / argv[0] / str(cpus))]
                 assert on_cpus(monkeypatch, cpus, lambda: main(argv + out)) == 0
-        for name in ("alphas.csv", "kernel_line.json", "gradcheck.json"):
-            one, two, three = ((tmp_path / str(cpus) / name).read_bytes() for cpus in (1, 2, 3))
-            assert one == two == three
+        for command, names in outputs.items():
+            for name in names:
+                one, two, three = (
+                    (tmp_path / command / str(cpus) / name).read_bytes() for cpus in (1, 2, 3)
+                )
+                assert one == two == three
 
     def test_alphas_columns_in_control_vector_order(self, tmp_path):
         # A second sweep writes the same bytes.
