@@ -11,11 +11,12 @@ configurations produce byte-identical outputs on one machine, BLAS build
 and BLAS thread count (another BLAS or thread count may round
 differently and move a fit's iterates; CI and the benchmark pin
 OPENBLAS_NUM_THREADS=1), however many CPUs the process may use.
-``sweep``'s windows and the rows of each CSV of more than one block run
-across those CPUs (``_workers``): each forked worker computes its share on
-a copy-on-write copy of the parent's state and sends it back, fits as a
-pickle and CSV rows as their text; the parent prints and writes every
-output, with the bytes a run on one CPU writes.
+``sweep``'s windows and the row blocks of each CSV of more than one block
+run across those CPUs through one map (``_map``): the items are dealt
+round-robin, each forked worker computes its items on a copy-on-write
+copy of the parent's state and pickles each value back as it is made,
+and the parent takes the values in item order, printing and writing
+every output with the bytes a run on one CPU writes.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import json
 import math
 import os
 import pickle
-import shutil
 import signal
 import sys
 from dataclasses import Field, asdict, dataclass, fields
@@ -90,9 +90,10 @@ def _field_kind(f: Field) -> tuple:
 
 
 # Rows that _write_csv formats and writes at a time, not whole columns, and
-# the unit its CPUs share.  A block's row strings and text peak at about
-# 170 kB in xi.csv; 4096-row blocks held 0.66 MB and raised the peak RSS of
-# forward by about 0.3 MB.  The bytes do not depend on the CPU count.
+# the item that _map deals round-robin to the CPUs.  A block's row strings
+# and text peak at about 170 kB in xi.csv; 4096-row blocks held 0.66 MB and
+# raised the peak RSS of forward by about 0.3 MB.  The bytes do not depend
+# on the CPU count.
 CSV_BLOCK_ROWS = 1024
 
 
@@ -284,47 +285,27 @@ def _write_csv(path: Path, header: str, *columns) -> None:
 
     1-D columns give one row per index.  error_xt.csv passes (levels, 1)
     times and (nodes,) positions against (levels, nodes) errors: each value
-    of a column is formatted once, however many rows repeat it.  Rows are
+    of a column is formatted once per block that repeats it.  Rows are
     converted CSV_BLOCK_ROWS at a time, one string a block, and the blocks
-    are cut into n = min(CPUs, blocks) contiguous shares (``_workers``).
-    This process writes share 0 a block at a time; a worker per other share
-    formats it and hands back the error that stopped it, if any, and the
-    text of the blocks before it, which is written in share order.  So the
-    file has the bytes of one CPU's loop however many CPUs format it, and
-    the first failing block raises its error after the blocks before it
-    are written, as that loop would.
+    are formatted through ``_map``, which hands them back in row order one
+    at a time.  So the file has the bytes of one CPU's loop however many
+    CPUs format it, and the first failing block raises its error after the
+    blocks before it are written, as that loop would.
     """
     arrays = [np.asarray(c, dtype=float) for c in columns]
     shape = np.broadcast_shapes(*(a.shape for a in arrays)) if arrays else (0,)
     arrays = [a.reshape((1,) * (len(shape) - a.ndim) + a.shape) for a in arrays]
     step = max(1, CSV_BLOCK_ROWS // math.prod(shape[1:]))
-    starts = range(0, shape[0], step)
-    n = max(1, min(_cpus(), len(starts)))
-    shares = [starts[len(starts) * s // n : len(starts) * (s + 1) // n] for s in range(n)]
 
     def text(a: int) -> bytes:
         block = (min(step, shape[0] - a),) + shape[1:]
         cells = [_reprs(c if len(c) == 1 else c[a : a + step], block) for c in arrays]
         return ("\n".join(map(",".join, zip(*cells))) + "\n").encode()
 
-    def send(slot: int, pipe) -> None:
-        blocks, error = _run_share(text, shares[slot])
-        pickle.dump(error, pipe)
-        pipe.writelines(blocks)
-
-    def receive(pipe) -> BaseException | None:
-        error = pickle.load(pipe)
-        shutil.copyfileobj(pipe, fh)
-        return error
-
-    with open(path, "wb") as fh, _workers(n, send) as collect:
+    blocks = _map(text, range(0, shape[0], step))
+    with open(path, "wb") as fh, contextlib.closing(blocks):
         fh.write(header.encode() + b"\n")
-        for a in shares[0]:
-            fh.write(text(a))
-        for slot in range(1, n):
-            error = collect(slot, receive)
-            if error is not None:
-                raise error
+        fh.writelines(blocks)
 
 
 def _reprs(a: np.ndarray, shape: tuple[int, ...]):
@@ -349,36 +330,24 @@ def _cpus() -> int:
     return 1
 
 
-@contextlib.contextmanager
-def _workers(n: int, send):
-    """Fork a worker per slot 1..n-1, and yield collect(slot, receive) to read them.
+def _map(fn, items: Sequence):
+    """fn(item) for each item, yielded in item order, computed on the process's CPUs.
 
-    A worker starts from a copy-on-write copy of the caller's state, so
-    what it computes has the bits of the serial loop.  It runs
-    send(slot, pipe), writing to a pipe, and leaves through os._exit,
-    with code 0 once send returned and the pipe is closed.
-    collect(slot, receive) returns receive(pipe) on the read end of that
-    slot's pipe once the worker has ended; a worker that ends with another
-    code (killed, or a value that does not pickle) raises
-    ChildProcessError, whatever receive made of its truncated stream.
-    Every worker is reaped before the block ends, a running one killed
-    first, so the caller stops waiting for a slot by leaving the block.
+    With n = min(CPUs, items) slots the items are dealt round-robin: slot s
+    computes items s, s + n, ...  Slot 0 is this process, which computes
+    each of its items as it comes up.  A forked worker runs each other slot
+    from a copy-on-write copy of the caller's state, so its values have the
+    bits of the serial loop.  It pickles one record per item to its pipe,
+    (True, value) or (False, error), and stops after an error.  The first
+    failing item raises its error after every value before it is yielded,
+    as the loop would raise it.  A worker whose records end early (killed,
+    or a value that does not pickle) raises ChildProcessError once it is
+    reaped.  Closing the generator, at its end, on an error or before,
+    kills and reaps every worker still running.  With one CPU nothing forks.
     """
-    running = {}  # slot -> (pid, read end of its pipe)
-
-    def collect(slot: int, receive):
-        pid, pipe = running[slot]
-        with pipe:
-            try:
-                value = receive(pipe)
-            except (EOFError, pickle.UnpicklingError):
-                value = None  # the stream ended early, and the code below says why
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        del running[slot]
-        if code != 0:
-            raise ChildProcessError(f"worker {pid} exited with code {code}")
-        return value
-
+    items = list(items)
+    n = min(_cpus(), len(items))
+    workers = {}  # slot -> (pid, read end of its pipe)
     try:
         for slot in range(1, n):
             r, w = os.pipe()
@@ -388,71 +357,41 @@ def _workers(n: int, send):
                 try:
                     os.close(r)
                     with os.fdopen(w, "wb") as pipe:
-                        send(slot, pipe)
+                        for item in items[slot::n]:
+                            try:
+                                record = True, fn(item)
+                            except Exception as exc:
+                                record = False, exc
+                            pickle.dump(record, pipe)
+                            pipe.flush()  # a small record must not wait in the buffer
+                            if not record[0]:
+                                break
                     status = 0
                 finally:
                     os._exit(status)
             os.close(w)
-            running[slot] = pid, os.fdopen(r, "rb")
-        yield collect
+            workers[slot] = pid, os.fdopen(r, "rb")
+        for i, item in enumerate(items):
+            slot = i % n
+            if slot == 0:
+                yield fn(item)
+                continue
+            pid, pipe = workers[slot]
+            try:
+                ok, value = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                del workers[slot]
+                pipe.close()
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                raise ChildProcessError(f"worker {pid} exited with code {code}") from None
+            if not ok:
+                raise value
+            yield value
     finally:
-        for pid, pipe in running.values():
+        for pid, pipe in workers.values():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             pipe.close()
-
-
-def _map(fn, items: Sequence) -> list:
-    """[fn(i) for i in items], computed on each CPU that the process may use.
-
-    With n = min(CPUs, items) slots the items are dealt round-robin: the
-    calling process takes items 0, n, 2n, ... and one worker per other
-    slot (``_workers``) takes the items from its slot on, n apart, and
-    pickles its values back.  A slot stops at its first error, and the
-    error of the first failing item in item order is raised, as the loop
-    would raise it.  With one CPU the loop runs here.
-    """
-    items = list(items)
-    n = min(_cpus(), len(items))
-    if n <= 1:
-        return [fn(i) for i in items]
-
-    def send(slot: int, pipe) -> None:
-        pickle.dump(_run_share(fn, items[slot::n]), pipe)
-
-    with _workers(n, send) as collect:
-        shares = [_run_share(fn, items[::n])]
-        for slot in range(1, n):
-            if _first_failure(shares, n)[0] < slot:
-                break  # every item of this slot and the next comes after it
-            shares.append(collect(slot, pickle.load))
-    error = _first_failure(shares, n)[1]
-    if error is not None:
-        raise error
-    values = [None] * len(items)
-    for s, (v, _) in enumerate(shares):
-        values[s::n] = v
-    return values
-
-
-def _run_share(fn, share: list) -> tuple[list, BaseException | None]:
-    """fn of each item in share up to the first that raises, and that error."""
-    values = []
-    try:
-        for item in share:
-            values.append(fn(item))
-    except Exception as exc:
-        return values, exc
-    return values, None
-
-
-def _first_failure(shares: list, n: int) -> tuple[float, BaseException | None]:
-    """Item index and error of the first failing item among slots 0, 1, ... of shares.
-
-    Slot s fails, if at all, at item s + n * (the values it made).
-    """
-    failed = [(s + n * len(v), e) for s, (v, e) in enumerate(shares) if e is not None]
-    return min(failed, key=lambda f: f[0], default=(math.inf, None))
 
 
 def _scheme_dict(bs: BoundaryScheme) -> dict:
@@ -534,7 +473,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     """One assimilation per window length; coefficients and the fitted line."""
     exp = setup_experiment(cfg)
     windows = _sweep_windows(cfg)
-    fits = _map(lambda steps: run_assimilation(_window(exp, steps * cfg.tau)), windows)
+    fits = list(_map(lambda steps: run_assimilation(_window(exp, steps * cfg.tau)), windows))
     rows = []
     pairs = []
     for steps, (result, bs) in zip(windows, fits):

@@ -47,6 +47,7 @@ REMOVED = {
     ],
     "objective": ["state_norm2", "GROUP_NAMES", "CostConfig", "window_buffers"],
     "minimize": ["MinimizeConfig"],
+    "cli": ["_workers", "_run_share", "_first_failure"],
     "exact": ["exact_mode", "exact_superposition", "Observations"],
     "analysis": [
         "grid_misfit_series",
@@ -157,6 +158,8 @@ SIGNATURES = [
     ("objective", "time_weights", ["m", "tau"]),
     # The dtype is float64 but for cost's complex step.
     ("wave", "Storage", ["n", "N", "dtype"]),
+    # The one parallel map: each item's value in item order.
+    ("cli", "_map", ["fn", "items"]),
 ]
 
 
@@ -242,6 +245,18 @@ def test_only_wave_steps_and_scans_a_forward_run():
             assert "check_levels" not in read, path.name
         if path.name not in ("wave.py", "adjoint.py"):
             assert "advance_chains" not in read, path.name
+
+
+def test_only_map_forks():
+    # cli._map is the one fork site: no other function or module of src/
+    # forks, waits for or pipes to a worker.
+    readers = set()
+    for path in (ROOT / "src" / "waveassim").glob("*.py"):
+        source = path.read_text()
+        for node in ast.parse(source).body:
+            if _read_names(ast.get_source_segment(source, node)) & {"fork", "waitpid", "pipe"}:
+                readers.add((path.stem, getattr(node, "name", None)))
+    assert readers == {("cli", "_map")}
 
 
 def test_only_objective_weighs_the_misfit():

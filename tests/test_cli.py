@@ -306,9 +306,9 @@ class TestWriteCsv:
 
     @pytest.mark.parametrize("cpus", [2, 3, 4])
     def test_a_worker_per_share_past_the_first(self, tmp_path, monkeypatch, cpus):
-        # Seven blocks, the last partial, cut into shares of 3 and 4, of 2,
-        # 2 and 3, and of 1, 2, 2 and 2 blocks: the shares join to the rows
-        # of one CPU, and this process forks one worker per other share.
+        # Seven blocks, the last partial, dealt round-robin to 2, 3 and 4
+        # slots: the blocks join to the rows of one CPU, and this process
+        # forks one worker per slot past the first.
         n = 6 * cli.CSV_BLOCK_ROWS + 7
         a = np.random.default_rng(cpus).standard_normal(n)
         expected = "a\n" + "".join(f"{x!r}\n" for x in a.tolist())
@@ -337,16 +337,16 @@ class TestWriteCsv:
 
     @pytest.mark.parametrize(
         "failing, first",
-        [({3}, 3),  # the second block of the first worker's share
-         ({3, 5}, 3),  # both workers' shares fail: the first worker's error
-         ({5}, 5),  # the last worker's share
-         ({1, 4}, 1)],  # this process's share fails first; the workers are killed
+        [({3}, 3),  # this process's second block
+         ({3, 5}, 3),  # this process fails before the second worker does
+         ({5}, 5),  # the last worker's second block
+         ({1, 4}, 1)],  # the first worker's first block
     )
     def test_first_failing_block_raises(self, tmp_path, monkeypatch, failing, first):
-        # Six blocks on three CPUs: this process formats blocks 0 and 1, the
-        # workers 2 and 3, and 4 and 5.  The error of the first failing
-        # block crosses the pipe, after the text of the blocks before it:
-        # the file holds what one CPU's loop writes before it raises.
+        # Six blocks on three CPUs: this process formats blocks 0 and 3, the
+        # workers 1 and 4, and 2 and 5.  The error of the first failing
+        # block is raised after the blocks before it are written: the file
+        # holds what one CPU's loop writes before it raises.
         a = np.arange(6 * cli.CSV_BLOCK_ROWS, dtype=float)
         reprs = cli._reprs
 
@@ -377,6 +377,13 @@ class TestWriteCsv:
         a = np.arange(2 * cli.CSV_BLOCK_ROWS, dtype=float)
         with pytest.raises(ChildProcessError, match="worker"):
             on_cpus(monkeypatch, 2, lambda: cli._write_csv(tmp_path / "lost.csv", "a", a))
+
+    def test_a_failed_write_reaps_every_worker(self, monkeypatch):
+        # The file refuses the bytes while the workers format blocks ahead:
+        # the write's error ends the call, and on_cpus finds no child left.
+        a = np.arange(6 * cli.CSV_BLOCK_ROWS, dtype=float)
+        with pytest.raises(OSError):
+            on_cpus(monkeypatch, 3, lambda: cli._write_csv(Path("/dev/full"), "a", a))
 
     def test_zero_rows_write_the_header_only(self, tmp_path, monkeypatch):
         path = tmp_path / "empty.csv"
@@ -460,8 +467,8 @@ class TestSweep:
 
     def test_outputs_do_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch):
         # One CPU runs the windows and formats the rows in this process;
-        # more fork workers that pickle their fits back or hand back the
-        # text of their rows.  At 2100 steps xi.csv has three blocks and
+        # more fork workers that pickle back each fit or each block's text
+        # as they make it.  At 2100 steps xi.csv has three blocks and
         # error_xt.csv eight.  gradcheck runs in this process on any.
         sweep = ["sweep"] + TINY[:-3] + ["128", "--window-count", "2"]
         gradcheck = ["gradcheck", "--J", "2"] + TINY
@@ -933,7 +940,7 @@ class TestCflWarning:
 class TestMap:
     def test_values_in_item_order(self, monkeypatch):
         def tagged():
-            return cli._map(lambda i: (i, os.getpid()), range(7))
+            return list(cli._map(lambda i: (i, os.getpid()), range(7)))
 
         for cpus in (1, 2, 3, 8):
             values = on_cpus(monkeypatch, cpus, tagged)
@@ -947,7 +954,7 @@ class TestMap:
 
     def test_runs_in_process_without_affinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity")
-        assert cli._map(lambda i: os.getpid(), range(4)) == [os.getpid()] * 4
+        assert list(cli._map(lambda i: os.getpid(), range(4))) == [os.getpid()] * 4
 
     @pytest.mark.parametrize(
         "failing, first",
@@ -964,7 +971,7 @@ class TestMap:
             return i
 
         with pytest.raises(ValueError) as err:
-            on_cpus(monkeypatch, 3, lambda: cli._map(fn, range(7)))
+            on_cpus(monkeypatch, 3, lambda: list(cli._map(fn, range(7))))
         assert err.value.args == (first,)
 
     def test_own_first_item_failing_stops_the_workers(self, monkeypatch):
@@ -977,7 +984,26 @@ class TestMap:
 
         start = time.monotonic()
         with pytest.raises(ValueError):
-            on_cpus(monkeypatch, 3, lambda: cli._map(fn, range(3)))
+            on_cpus(monkeypatch, 3, lambda: list(cli._map(fn, range(3))))
+        assert time.monotonic() - start < 30
+
+    def test_closing_early_reaps_every_worker(self, monkeypatch):
+        # A consumer that stops after this process's first value does not
+        # wait for the workers' slow items: closing kills and reaps them.
+        def fn(i):
+            if i:
+                time.sleep(60)
+            return i
+
+        def first_value():
+            values = cli._map(fn, range(3))
+            try:
+                return next(values)
+            finally:
+                values.close()
+
+        start = time.monotonic()
+        assert on_cpus(monkeypatch, 3, first_value) == 0
         assert time.monotonic() - start < 30
 
     @pytest.mark.parametrize(
@@ -988,7 +1014,7 @@ class TestMap:
     )
     def test_worker_without_a_result_fails_the_call(self, monkeypatch, fn):
         with pytest.raises(ChildProcessError, match="worker"):
-            on_cpus(monkeypatch, 2, lambda: cli._map(fn, range(2)))
+            on_cpus(monkeypatch, 2, lambda: list(cli._map(fn, range(2))))
 
 
 class TestExperimentHelpers:
